@@ -18,8 +18,8 @@ from .vankampen import (Presentation, presentation, presentation_text,
                         raw_presentation, relation_pair, relator_equal_up_to_cyc,
                         relator_for)
 from .fpgroup import (Fingerprint, SNFResult, abelianization, compare,
-                      count_homs, count_homs_bruteforce, fingerprint,
-                      smith_normal_form, tietze_simplify)
+                      count_homs, fingerprint, smith_normal_form,
+                      tietze_simplify)
 from .paper_groups import (presentation_c1_affine, presentation_c1_proj,
                            presentation_c2_affine, presentation_c2_proj,
                            presentation_cn_affine, presentation_cn_proj,

@@ -25,13 +25,18 @@ def _die(msg: str) -> int:
 
 
 def _battery_from(args) -> tuple[str, ...]:
-    raw = getattr(args, "targets", None) or os.environ.get("CONICLINE_BATTERY")
-    if not raw:
+    raw = getattr(args, "targets", None)
+    if raw is None:
+        raw = os.environ.get("CONICLINE_BATTERY")
+    if raw is None:
         return DEFAULT_BATTERY
     names = tuple(t.strip() for t in raw.split(",") if t.strip())
+    valid = f"(valid groups: {', '.join(BATTERY)})"
+    if not names:
+        raise SystemExit(_die(f"empty battery {valid}"))
     unknown = [t for t in names if t not in BATTERY]
     if unknown:
-        raise SystemExit(_die(f"unknown battery groups: {', '.join(unknown)}"))
+        raise SystemExit(_die(f"unknown battery groups: {', '.join(unknown)} {valid}"))
     return names
 
 
@@ -141,8 +146,9 @@ def cmd_abelianize(args) -> int:
 
 
 def cmd_fingerprint(args) -> int:
+    battery = _battery_from(args)
     p = _presentation_for(args)
-    fp = fpgroup.fingerprint(p, _battery_from(args))
+    fp = fpgroup.fingerprint(p, battery)
     if args.json:
         print(json.dumps(fp.to_json()))
     else:
@@ -154,10 +160,11 @@ def cmd_fingerprint(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    battery = _battery_from(args)
     args.paper = False
     raw = _raw_presentation(args)
     paper = _paper_presentation(args)
-    report = fpgroup.compare(raw, paper, _battery_from(args))
+    report = fpgroup.compare(raw, paper, battery)
     if args.json:
         print(json.dumps(report.to_json()))
     else:

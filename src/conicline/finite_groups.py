@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -18,6 +19,34 @@ class FiniteGroup:
         return len(self.mult)
 
     identity = 0
+
+    def _conjugation_orbits(self, by) -> dict[int, int]:
+        """Orbits of the elements `by` acting on the group by conjugation, as
+        {smallest element: orbit size}."""
+        mult, inv = self.mult, self.inv
+        orbits: dict[int, int] = {}
+        seen: set[int] = set()
+        for x in range(self.order):
+            if x not in seen:
+                orbit = {mult[mult[g][x]][inv[g]] for g in by}
+                seen |= orbit
+                orbits[x] = len(orbit)
+        return orbits
+
+    @cached_property
+    def conjugacy_classes(self) -> dict[int, int]:
+        """Conjugacy classes as {smallest element: class size}."""
+        return self._conjugation_orbits(range(self.order))
+
+    @cached_property
+    def centralizer_orbits(self) -> dict[int, dict[int, int]]:
+        """For each class representative a, the orbits of the centralizer of
+        a acting on the group by conjugation, as {smallest element: orbit
+        size}."""
+        mult = self.mult
+        return {a: self._conjugation_orbits(
+                    [g for g in range(self.order) if mult[g][a] == mult[a][g]])
+                for a in self.conjugacy_classes}
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order {self.order})"

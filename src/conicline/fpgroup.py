@@ -11,13 +11,10 @@ a proof of isomorphism.
 
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .finite_groups import BATTERY, DEFAULT_BATTERY, FiniteGroup
-from .vankampen import Presentation, cyclic_reduce, presentation
+from .vankampen import Presentation, cyclic_reduce
 from .words import Word, invert, multiply
 
 # --------------------------------------------------------------------------
@@ -135,33 +132,6 @@ def smith_normal_form(matrix: list[list[int]]):
                     negate_row(i)
                 changed = True
     return a, u, v
-
-
-def det_int(matrix) -> int:
-    """Bareiss fraction-free determinant; exact for integer matrices."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    m = [[Fraction(x) for x in row] for row in matrix]
-    sign = 1
-    for k in range(n):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            factor = m[i][k] / m[k][k]
-            for j in range(k, n):
-                m[i][j] -= factor * m[k][j]
-    out = Fraction(sign)
-    for k in range(n):
-        out *= m[k][k]
-    assert out.denominator == 1
-    return int(out)
 
 
 def relator_matrix(p: Presentation) -> list[list[int]]:
@@ -344,8 +314,23 @@ def tietze_simplify(p: Presentation, max_passes: int = 50,
 
 def count_homs(p: Presentation, target: FiniteGroup) -> int:
     """Number of homomorphisms into `target`: assignments generator -> element
-    under which every relator evaluates to the identity. Backtracking search;
-    each relator is checked as soon as all its generators are assigned."""
+    under which every relator evaluates to the identity.
+
+    Backtracking search over the generators in a greedy order that lets short
+    relators close early; a relator is checked at the depth of its last
+    generator in that order.
+
+    Conjugation symmetry: if phi is a homomorphism, so is g phi g^-1. The
+    first generator therefore takes one representative per conjugacy class
+    of the target, weighted by the class size, and the second takes one
+    representative per orbit of that representative's centralizer (acting
+    by conjugation), weighted by the orbit size.
+
+    Segment evaluation: a relator closing at depth d is rotated to end with
+    an x_d letter and split into the segments between its x_d letters. The
+    segments are evaluated once per parent node, so each of the |G| children
+    costs two table lookups per occurrence of x_d before the last one.
+    """
     labels = [g.label for g in p.generators]
     k = len(labels)
     if k == 0:
@@ -363,60 +348,84 @@ def count_homs(p: Presentation, target: FiniteGroup) -> int:
         order.append(nxt)
         remaining.discard(nxt)
     pos = {lab: i for i, lab in enumerate(order)}
-    compiled = []  # (depth, letters as (pos, sign))
+    # by_depth[d]: (head, steps, final) per relator closing at depth d, where
+    # the relator rotated to end with an x_d letter reads
+    # head * x_d^s1 * seg1 * ... * x_d^s(m-1) * seg(m-1) * x_d^final
+    # and steps = ((s1, seg1), ..., (s(m-1), seg(m-1))).
+    by_depth: list[list[tuple]] = [[] for _ in range(k)]
     for r in p.relators:
         if not r:
             continue
-        lets = tuple((pos[lab], sign) for lab, sign in r.letters)
+        lets = [(pos[lab], sign) for lab, sign in r.letters]
         depth = max(px for px, _ in lets)
-        compiled.append((depth, lets))
-    by_depth: list[list[tuple]] = [[] for _ in range(k)]
-    for depth, lets in compiled:
-        by_depth[depth].append(lets)
+        last = max(i for i, (px, _) in enumerate(lets) if px == depth)
+        final = lets[last][1]
+        head: list[tuple[int, int]] = []
+        steps = []
+        seg = head
+        for px, sign in lets[last + 1:] + lets[:last]:
+            if px == depth:
+                seg = []
+                steps.append((sign, seg))
+            else:
+                seg.append((px, sign))
+        by_depth[depth].append((head, steps, final))
     mult, inv, ident = target.mult, target.inv, target.identity
-    order_n = target.order
     assignment = [0] * k
-    total = 0
 
-    def evaluate(lets) -> int:
+    def value(letters) -> int:
         acc = ident
-        for px, sign in lets:
+        for px, sign in letters:
             e = assignment[px]
             acc = mult[acc][e if sign > 0 else inv[e]]
         return acc
 
-    def descend(depth: int):
-        nonlocal total
-        for e in range(order_n):
-            assignment[depth] = e
-            if all(evaluate(lets) == ident for lets in by_depth[depth]):
-                if depth + 1 == k:
-                    total += 1
-                else:
-                    descend(depth + 1)
-
-    descend(0)
-    return total
-
-
-def count_homs_bruteforce(p: Presentation, target: FiniteGroup) -> int:
-    """Plain |G|^g enumeration; the oracle count_homs must agree with."""
-    labels = [g.label for g in p.generators]
-    mult, inv, ident = target.mult, target.inv, target.identity
-    total = 0
-    for combo in itertools.product(range(target.order), repeat=len(labels)):
-        assign = dict(zip(labels, combo))
-        ok = True
-        for r in p.relators:
-            acc = ident
-            for lab, sign in r.letters:
-                e = assign[lab]
-                acc = mult[acc][e if sign > 0 else inv[e]]
-            if acc != ident:
-                ok = False
+    def survivors(depth: int, candidates):
+        """The candidates for x_depth under which every relator closing at
+        this depth evaluates to the identity."""
+        for head, steps, final in by_depth[depth]:
+            if not candidates:
                 break
-        if ok:
-            total += 1
+            acc0 = value(head)
+            segs = [(sign > 0, value(seg)) for sign, seg in steps]
+            kept = []
+            for e in candidates:
+                ie = inv[e]
+                acc = acc0
+                for pos_sign, sv in segs:
+                    acc = mult[mult[acc][e if pos_sign else ie]][sv]
+                # acc * x_d^final is the identity
+                if acc == (ie if final > 0 else e):
+                    kept.append(e)
+            candidates = kept
+        return candidates
+
+    every = range(target.order)
+
+    def below(depth: int) -> int:
+        """Completions of the assignment of x_0 .. x_{depth-1}."""
+        if depth == k:
+            return 1
+        kept = survivors(depth, every)
+        if depth + 1 == k:
+            return len(kept)
+        total = 0
+        for e in kept:
+            assignment[depth] = e
+            total += below(depth + 1)
+        return total
+
+    classes = target.conjugacy_classes
+    total = 0
+    for a in survivors(0, classes):
+        assignment[0] = a
+        if k == 1:
+            total += classes[a]
+            continue
+        orbits = target.centralizer_orbits[a]
+        for b in survivors(1, orbits):
+            assignment[1] = b
+            total += classes[a] * orbits[b] * below(2)
     return total
 
 
@@ -439,8 +448,12 @@ class Fingerprint:
 def fingerprint(p: Presentation, battery=None) -> Fingerprint:
     """Hom counts into each battery group. The input is Tietze-simplified
     first (hom counts are presentation-independent); S4 is skipped when more
-    than six generators survive simplification."""
-    names = tuple(battery) if battery else DEFAULT_BATTERY
+    than six generators survive simplification. `battery=None` selects the
+    default battery; an empty battery raises ValueError."""
+    names = DEFAULT_BATTERY if battery is None else tuple(battery)
+    if not names:
+        raise ValueError("empty fingerprint battery "
+                         f"(valid groups: {', '.join(BATTERY)})")
     q = tietze_simplify(p).presentation
     counts = {}
     skipped = []
@@ -476,20 +489,3 @@ def compare(p1: Presentation, p2: Presentation, battery=None) -> CompareReport:
     verdict = "consistent" if all(a == b for a, b in per.values()) else "distinguished"
     skipped = tuple(sorted(set(f1.skipped) | set(f2.skipped)))
     return CompareReport(per, verdict, skipped)
-
-
-# --------------------------------------------------------------------------
-# randomized presentations (test support)
-# --------------------------------------------------------------------------
-
-
-def random_presentation(rng: random.Random, max_gens: int = 3,
-                        max_relators: int = 3, max_len: int = 6) -> Presentation:
-    k = rng.randint(1, max_gens)
-    labels = [f"g{i}" for i in range(1, k + 1)]
-    rels = []
-    for _ in range(rng.randint(0, max_relators)):
-        letters = tuple((rng.choice(labels), rng.choice((1, -1)))
-                        for _ in range(rng.randint(1, max_len)))
-        rels.append(Word(letters))
-    return presentation(labels, rels)

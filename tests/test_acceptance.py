@@ -10,13 +10,13 @@ from conicline.catalog import (audit, bmf_cn, bmf_t00, bmf_t10, bmf_t11,
                                bmf_t20, bmf_t21, bmf_t22, bmf_tn0, bmf_tnm)
 from conicline.finite_groups import S3
 from conicline.fpgroup import (abelianization, compare, count_homs,
-                               count_homs_bruteforce, fingerprint,
-                               random_presentation, tietze_simplify)
+                               fingerprint, tietze_simplify)
 from conicline.paper_groups import (presentation_cn_affine, presentation_cn_proj,
                                     presentation_t00, presentation_t11,
                                     presentation_tn0, presentation_tnm)
 from conicline.vankampen import (raw_presentation, relator_equal_up_to_cyc)
 from conicline.words import gen, multiply
+from oracles import count_homs_bruteforce, random_presentation
 
 
 def _report(num, name, ok, detail=""):

@@ -61,6 +61,14 @@ def test_fingerprint(capsys):
     assert "S3: 24" in out
 
 
+def test_empty_targets_is_a_usage_error(capsys):
+    for targets in ("", ","):
+        for command in (("fingerprint", "T", "--paper"), ("compare", "C", "--n", "1")):
+            code, out, err = run(capsys, *command, "--targets", targets)
+            assert code == 2 and out == ""
+            assert "empty battery" in err and "S3, D4, A4, S4" in err
+
+
 def test_compare_consistent_exit_zero(capsys):
     code, out, _ = run(capsys, "compare", "T", "--n", "1", "--m", "1",
                        "--targets", "S3,A4")
