@@ -582,13 +582,20 @@ def bmf_to_json(b: BMF) -> dict:
 
 
 def bmf_from_json(d: dict) -> BMF:
+    """Inverse of `bmf_to_json`. Raises ValueError naming the factor when a
+    base or conjugator endpoint pair is outside 1 <= i < j <= N."""
+    strands = d["N"]
     factors = []
-    for fd in d["factors"]:
+    for k, fd in enumerate(d["factors"]):
+        for part in (fd["base"], *fd["conjugators"]):
+            if not 1 <= part["i"] < part["j"] <= strands:
+                raise ValueError(f"factor {k}: endpoints ({part['i']}, {part['j']}) "
+                                 f"must satisfy 1 <= i < j <= N = {strands}")
         conjs = [(c["i"], c["j"], c["side"], c["power"]) for c in fd["conjugators"]]
         factors.append(_factor(fd["base"]["i"], fd["base"]["j"], fd["power"], conjs,
                                fd["base"]["side"], fd.get("origin", ""),
                                fd.get("provisional", False)))
-    return BMF(d["N"], tuple(factors), tuple(d["labels"]),
+    return BMF(strands, tuple(factors), tuple(d["labels"]),
                family=d.get("family", ""), n=d.get("n"), m=d.get("m"))
 
 

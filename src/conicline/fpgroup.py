@@ -114,7 +114,6 @@ def smith_normal_form(matrix: list[list[int]]):
                 add_col(i + 1, i, 1)
                 # re-diagonalize the 2x2 block
                 while a[i + 1][i]:
-                    q = a[i][i] // a[i + 1][i] if a[i + 1][i] else 0
                     if abs(a[i + 1][i]) <= abs(a[i][i]):
                         q = a[i][i] // a[i + 1][i]
                         add_row(i + 1, i, -q)
@@ -203,40 +202,70 @@ def _solve_generator(r: Word, label: str) -> Word:
     return sol if sign > 0 else invert(sol)
 
 
-def _shorten_with(r: Word, s: Word, cap: int) -> Word:
-    """Replace a long subword of r matching more than half of a cyclic
-    rotation of s (or s^-1) with the complementary shorter word."""
-    best = r
-    n = len(s)
-    if n < 2:
-        return best
-    variants = []
+def _rotations(s: Word) -> list[tuple]:
+    """The cyclic rotations of s, then those of s^-1, each by start offset,
+    as (leading bigram, doubled letters, start) triples: the rotation is
+    doubled[start:start + len(s)]."""
+    out = []
     for cand in (s, invert(s)):
         doubled = cand.letters + cand.letters
-        for start in range(n):
-            variants.append(doubled[start:start + n])
+        out.extend((doubled[start:start + 2], doubled, start)
+                   for start in range(len(s)))
+    return out
+
+
+def _bigram_index(letters) -> dict:
+    """Positions k of a letter sequence by the bigram letters[k:k + 2], in
+    ascending order."""
+    index: dict = {}
+    for k in range(len(letters) - 1):
+        index.setdefault(letters[k:k + 2], []).append(k)
+    return index
+
+
+def _shorten_with(r: Word, index: dict, rotations: list, cap: int) -> Word:
+    """Shorten r by replacing pieces of a relator s: `index` is
+    `_bigram_index(r.letters)` and `rotations` is `_rotations(s)`.
+
+    The rule, on which the golden Tietze outputs depend: with n = |s| and
+    half = n // 2 + 1, while |r| <= cap, take the first rotation of s in the
+    order of `_rotations` (s first, then s^-1, each by start offset) whose
+    longest prefix of length half..n-1 occurs in r; replace the first
+    occurrence of that longest prefix by the inverse of the rest of the
+    rotation and cyclically reduce. Stop when no rotation has such a prefix.
+    A piece of pl > n/2 letters becomes n - pl < pl letters, so every
+    replacement strictly shortens r.
+
+    A piece has at least half >= 2 letters, so only the positions of r that
+    start with a rotation's leading bigram are extended.
+    """
+    n = len(rotations) // 2
+    if n < 3:
+        return r
     half = n // 2 + 1
-    changed = True
-    while changed and len(best) <= cap:
-        changed = False
-        for rot in variants:
-            for piece_len in range(n - 1, half - 1, -1):
-                piece = rot[:piece_len]
-                repl = tuple((lab, -sg) for lab, sg in reversed(rot[piece_len:]))
-                letters = best.letters
-                for k in range(len(letters) - piece_len + 1):
-                    if letters[k:k + piece_len] == piece:
-                        cand = Word(letters[:k] + repl + letters[k + piece_len:])
-                        cand = cyclic_reduce(cand)
-                        if len(cand) < len(best):
-                            best = cand
-                            changed = True
+    while len(r) <= cap:
+        letters = r.letters
+        size = len(letters)
+        for bigram, doubled, start in rotations:
+            longest = half - 1
+            for k in index.get(bigram, ()):
+                m = 2
+                stop = min(n - 1, size - k)
+                while m < stop and letters[k + m] == doubled[start + m]:
+                    m += 1
+                if m > longest:
+                    longest, at = m, k
+                    if m == n - 1:
                         break
-                if changed:
-                    break
-            if changed:
+            if longest >= half:
                 break
-    return best
+        else:
+            return r
+        repl = tuple((lab, -sg) for lab, sg
+                     in reversed(doubled[start + longest:start + n]))
+        r = cyclic_reduce(Word(letters[:at] + repl + letters[at + longest:]))
+        index = _bigram_index(r.letters)
+    return r
 
 
 def tietze_simplify(p: Presentation, max_passes: int = 50,
@@ -293,13 +322,17 @@ def tietze_simplify(p: Presentation, max_passes: int = 50,
             changed = True
         else:
             # (c) bounded shortening of relators against each other
+            rotations = [_rotations(r) for r in relators]
             for i in range(len(relators)):
+                index = _bigram_index(relators[i].letters)
                 for j in range(len(relators)):
                     if i == j:
                         continue
-                    shorter = _shorten_with(relators[i], relators[j], cap)
+                    shorter = _shorten_with(relators[i], index, rotations[j], cap)
                     if len(shorter) < len(relators[i]):
                         relators[i] = shorter
+                        index = _bigram_index(shorter.letters)
+                        rotations[i] = _rotations(shorter)
                         changed = True
         if not changed:
             break

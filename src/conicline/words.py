@@ -156,15 +156,17 @@ def word_text(w: Word) -> str:
 
 
 def parse_word(text: str) -> Word:
+    """Inverse of `word_text`. A token is a generator label, optionally
+    followed by `^1` or `^-1`; any other `^` suffix (`x1^2`, `x^0`) raises
+    ValueError naming the token."""
     text = text.strip()
     if text in ("", "1"):
         return Word()
     letters = []
     for tok in text.split():
-        if tok.endswith("^-1"):
-            letters.append((tok[:-3], -1))
-        elif tok.endswith("^1"):
-            letters.append((tok[:-2], 1))
-        else:
-            letters.append((tok, 1))
+        label, caret, power = tok.partition("^")
+        if caret and (not label or power not in ("1", "-1")):
+            raise ValueError(f"bad letter {tok!r}: expected a generator label "
+                             "optionally followed by ^1 or ^-1")
+        letters.append((label, -1 if power == "-1" else 1))
     return Word(tuple(letters))

@@ -1,13 +1,14 @@
 """Test-only oracles and input generators: a brute-force hom counter, an
-exact integer determinant, and random presentations."""
+exact integer determinant, the naive Tietze shortening scan, and random
+presentations."""
 
 import itertools
 import random
 from fractions import Fraction
 
 from conicline.finite_groups import FiniteGroup
-from conicline.vankampen import Presentation, presentation
-from conicline.words import Word
+from conicline.vankampen import Presentation, cyclic_reduce, presentation
+from conicline.words import Word, invert
 
 
 def det_int(matrix) -> int:
@@ -69,3 +70,39 @@ def random_presentation(rng: random.Random, max_gens: int = 3,
                         for _ in range(rng.randint(1, max_len)))
         rels.append(Word(letters))
     return presentation(labels, rels)
+
+
+def shorten_with_naive(r: Word, s: Word, cap: int) -> Word:
+    """Replace a long subword of r matching more than half of a cyclic
+    rotation of s (or s^-1) with the complementary shorter word."""
+    best = r
+    n = len(s)
+    if n < 2:
+        return best
+    variants = []
+    for cand in (s, invert(s)):
+        doubled = cand.letters + cand.letters
+        for start in range(n):
+            variants.append(doubled[start:start + n])
+    half = n // 2 + 1
+    changed = True
+    while changed and len(best) <= cap:
+        changed = False
+        for rot in variants:
+            for piece_len in range(n - 1, half - 1, -1):
+                piece = rot[:piece_len]
+                repl = tuple((lab, -sg) for lab, sg in reversed(rot[piece_len:]))
+                letters = best.letters
+                for k in range(len(letters) - piece_len + 1):
+                    if letters[k:k + piece_len] == piece:
+                        cand = Word(letters[:k] + repl + letters[k + piece_len:])
+                        cand = cyclic_reduce(cand)
+                        if len(cand) < len(best):
+                            best = cand
+                            changed = True
+                        break
+                if changed:
+                    break
+            if changed:
+                break
+    return best

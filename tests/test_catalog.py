@@ -164,6 +164,20 @@ def test_json_roundtrip():
         assert audit(again).to_json() == audit(b).to_json()
 
 
+@pytest.mark.parametrize("where, i, j", [
+    ("base", 0, 2), ("base", 3, 2), ("base", 2, 2), ("base", 1, 5),
+    ("conjugator", 1, 5), ("conjugator", 0, 3), ("conjugator", 4, 3)])
+def test_json_import_rejects_bad_endpoints(where, i, j):
+    d = bmf_to_json(bmf_cn(2))
+    assert d["N"] == 4
+    k = next(k for k, fd in enumerate(d["factors"]) if fd["conjugators"])
+    part = d["factors"][k]["base"] if where == "base" else \
+        d["factors"][k]["conjugators"][-1]
+    part["i"], part["j"] = i, j
+    with pytest.raises(ValueError, match=f"factor {k}: .*N = 4"):
+        bmf_from_json(d)
+
+
 def test_singularity_tables_align_with_factor_counts():
     assert len(singularity_table_c1()) == len(bmf_cn(1).factors)
     assert len(singularity_table_c2()) == len(bmf_cn(2).factors)

@@ -1,16 +1,19 @@
+import hashlib
 import random
 import pytest
 
-from conicline.catalog import bmf_cn
+from conicline.catalog import bmf_cn, bmf_tn0, bmf_tnm
 from conicline.finite_groups import A4, BATTERY, D4, S3, S4
-from conicline.fpgroup import (abelianization, compare, count_homs,
+from conicline.fpgroup import (_bigram_index, _rotations, _shorten_with,
+                               abelianization, compare, count_homs,
                                fingerprint, smith_normal_form, tietze_simplify)
 from conicline.paper_groups import (presentation_c2_proj, presentation_cn_affine,
                                     presentation_cn_proj, presentation_t00,
                                     presentation_tn0, presentation_tnm)
-from conicline.vankampen import presentation, raw_presentation
+from conicline.vankampen import presentation, presentation_text, raw_presentation
 from conicline.words import Word, gen, invert, multiply, parse_word
-from oracles import count_homs_bruteforce, det_int, random_presentation
+from oracles import (count_homs_bruteforce, det_int, random_presentation,
+                     shorten_with_naive)
 
 GROUPS = (S3, D4, A4, S4)
 
@@ -105,6 +108,74 @@ def test_tietze_budget_flag():
     assert res.exhausted
     full = tietze_simplify(raw)
     assert not full.exhausted
+
+
+def _reduced_word(rng, labels, max_len):
+    letters = []
+    for _ in range(rng.randint(0, max_len)):
+        lab = rng.choice(labels)
+        sign = rng.choice((1, -1))
+        if letters and letters[-1] == (lab, -sign):
+            sign = -sign
+        letters.append((lab, sign))
+    return Word(tuple(letters))
+
+
+def _criterion_06_raw():
+    for n in range(1, 5):
+        yield raw_presentation(bmf_cn(n))
+        yield raw_presentation(bmf_cn(n), projective=True)
+    for n in range(1, 4):
+        yield raw_presentation(bmf_tn0(n), projective=True)
+    for n, m in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        yield raw_presentation(bmf_tnm(n, m), projective=True)
+
+
+def test_shorten_with_matches_naive_scan():
+    """The indexed shortening returns the naive window scan's word on random
+    reduced words, at caps around |r|, and on every ordered relator pair of
+    the criterion-06 raw presentations at the cap Tietze uses."""
+    rng = random.Random(53)
+    cases = []
+    for _ in range(1000):
+        labels = ["a", "b", "c"][:rng.randint(2, 3)]
+        s = _reduced_word(rng, labels, 8)
+        r = _reduced_word(rng, labels, 30)
+        cases += [(r, s, cap) for cap in (0, 4, len(r) - 1, len(r), 10 ** 6)]
+    for p in _criterion_06_raw():
+        rels = p.relators
+        cap = max(4, 4 * max(len(r) for r in rels))
+        cases += [(r, s, cap) for i, r in enumerate(rels)
+                  for j, s in enumerate(rels) if i != j]
+    # dict.fromkeys drops repeated triples, e.g. the affine C_n pairs, which
+    # recur in the projective presentation at the same cap
+    cases = list(dict.fromkeys(cases))
+    shortened = 0
+    for r, s, cap in cases:
+        want = shorten_with_naive(r, s, cap)
+        got = _shorten_with(r, _bigram_index(r.letters), _rotations(s), cap)
+        assert got == want, (r, s, cap)
+        shortened += len(want) < len(r)
+    assert shortened > len(cases) // 10
+
+
+def test_tietze_pinned_raw_outputs():
+    """SHA-256 of `presentation_text`, passes and exhausted flag of the
+    simplified raw projective presentations, pinned from the naive
+    shortening scan."""
+    cases = [
+        (bmf_tnm(2, 2), 8,
+         "74882c214c8d7bd3aace078b3be8fe6c7f8049fcc5ca4b0c1b6be05eefec6cf7"),
+        (bmf_tnm(2, 1), 8,
+         "197159e619e39af48072ac80fd386b76e40d4cdeb422b8956f1dd5917aa596e3"),
+        (bmf_cn(5), 6,
+         "06e60ec59cd980ed25af5331961104dd0f1aa84a88cc6ba9ce9fd7d18b39d22d"),
+    ]
+    for b, passes, digest in cases:
+        res = tietze_simplify(raw_presentation(b, projective=True))
+        text = presentation_text(res.presentation)
+        assert (hashlib.sha256(text.encode()).hexdigest(), res.passes,
+                res.exhausted) == (digest, passes, False)
 
 
 def test_count_homs_examples():

@@ -135,3 +135,12 @@ def test_presentation_text_roundtrip():
     assert j.labels() == p.labels()
     assert j.relators == p.relators
     assert j.origins == p.origins
+
+
+def test_presentation_import_rejects_powers():
+    with pytest.raises(ValueError, match=r"bad letter 'x1\^2'"):
+        parse_presentation("gens: x1 x2\nx1^2 x2")
+    d = presentation_to_json(presentation(["x1", "x2"], [gen("x1")]))
+    d["relators"] = ["x2 x1^-2"]
+    with pytest.raises(ValueError, match=r"bad letter 'x1\^-2'"):
+        presentation_from_json(d)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -102,3 +103,11 @@ def test_text_roundtrip():
     assert parse_word(word_text(w)) == w
     assert word_text(Word()) == "1"
     assert parse_word("1") == Word()
+    assert parse_word("x1^1 x2^-1") == word("x1", ("x2", -1))
+
+
+@pytest.mark.parametrize("token", ["x1^2", "x^-2", "x^0", "x^", "^-1",
+                                   "x^-1^-1"])
+def test_parse_word_rejects_other_powers(token):
+    with pytest.raises(ValueError, match=f"bad letter {re.escape(repr(token))}"):
+        parse_word(f"x1 {token} x2")
