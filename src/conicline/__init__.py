@@ -5,7 +5,7 @@ bigness certificates)."""
 
 from .words import (Generator, GroupMap, Word, apply_map, compose_maps,
                     conjugate, commutator, gen, invert, multiply, parse_word,
-                    reduce, word, word_text)
+                    word, word_text)
 from .braid import (ABOVE, BELOW, ArtinWord, ConjugatedTwist, Permutation,
                     Skeleton, artin_action, braid_text, compile_factor,
                     compile_skeleton, exponent_sum, full_twist, parse_braid,
@@ -27,5 +27,6 @@ from .paper_groups import (presentation_c1_affine, presentation_c1_proj,
                            presentation_t20, presentation_tn0, presentation_tnm)
 from .bigness import (BignessCertificate, FPWord, certify, certify_certificate,
                       fp_parse, fp_text, nf, standard_certificate)
+from .arrangement import Arrangement
 
 __version__ = "0.1.0"

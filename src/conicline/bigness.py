@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import paper_groups as pg
 from .vankampen import Presentation
 from .words import Word, gen, multiply
 
@@ -189,40 +190,21 @@ def _certificate(family, n, m, source, conic_label, helper_label,
 
 def standard_certificate(family: str, n: int | None = None,
                          m: int | None = None) -> BignessCertificate:
-    """The certificate the source argument constructs: the conic pair maps
-    onto s t^-1 and t, every other generator to the identity (for C_n the
-    third line generator is forced by the projective relation)."""
-    from . import paper_groups as pg
+    """The standard certificate for `family`: "C" and "T" with n (and m)
+    name an arrangement (see `Arrangement.certificate`), "Tn0" is T_{n,0}
+    and "T00" is T_{0,0}; "T10", "T20" and "T11" use the published
+    small-case presentations with their own labelings."""
+    from .arrangement import Arrangement
     fam = family.upper()
-    if fam in ("C", "CN"):
-        if n is None or n < 2:
-            raise ValueError("bigness is only claimed for C_n with n >= 2")
-        if n == 2:
-            return _certificate("C", 2, None, pg.presentation_c2_proj(), "x1", "x2")
-        src = pg.presentation_cn_proj(n)
-        # x3 = x1^-2 x2^-1 is forced by the projective relation
-        extra = {"x3": ~(ST_INV * ST_INV) * ~T}
-        return _certificate("C", n, None, src, "x1", "x2", extra)
-    if fam == "T00":
-        return _certificate("T00", 0, 0, pg.presentation_t00(), "x1", "x2")
-    if fam == "T10":
-        return _certificate("T10", 1, 0, pg.presentation_t10(), "x1", "x2")
-    if fam == "T20":
-        return _certificate("T20", 2, 0, pg.presentation_t20(), "x1", "x3")
-    if fam == "T11":
-        return _certificate("T11", 1, 1, pg.presentation_t11(), "x2", "x3")
-    if fam in ("TN0", "T_N0"):
-        if n is None or n < 1:
-            raise ValueError("T_{n,0} needs n >= 1")
-        src = pg.presentation_tn0(n)
-        return _certificate("Tn0", n, 0, src, f"x{n + 2}", f"x{n}")
-    if fam in ("TNM", "T"):
-        if n is None or m is None or n < 1 or m < 0:
-            raise ValueError("T_{n,m} needs n >= 1 and m >= 0")
-        if m == 0:
-            return standard_certificate("Tn0", n)
-        src = pg.presentation_tnm(n, m)
-        return _certificate("Tnm", n, m, src, "x2", "x5")
+    published = {"T10": (1, 0, pg.presentation_t10, "x1", "x2"),
+                 "T20": (2, 0, pg.presentation_t20, "x1", "x3"),
+                 "T11": (1, 1, pg.presentation_t11, "x2", "x3")}
+    if fam in published:
+        n, m, source, conic, helper = published[fam]
+        return _certificate(fam, n, m, source(), conic, helper)
+    named = {"C": ("C", n, m), "T": ("T", n, m), "TN0": ("T", n, 0), "T00": ("T", 0, 0)}
+    if fam in named:
+        return Arrangement(*named[fam]).certificate()
     raise ValueError(f"no bigness certificate for family {family!r}")
 
 

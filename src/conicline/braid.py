@@ -16,10 +16,9 @@ Convention (calibrated against the source computations, see the golden tests):
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .words import GroupMap, Word, gen, invert, multiply
+from .words import GroupMap, Word, gen, invert, multiply, substitute
 
 BELOW = "below"
 ABOVE = "above"
@@ -135,11 +134,17 @@ def compile_skeleton(s: Skeleton, n: int) -> ArtinWord:
     return ArtinWord(n, conj + ((core, 1),) + inv)
 
 
-def compile_factor(t: ConjugatedTwist, n: int) -> ArtinWord:
-    """Compile base^power conjugated per a^b = b^-1 a b, left to right."""
+def conjugator_braid(t: ConjugatedTwist, n: int) -> ArtinWord:
+    """V, the product of the conjugators' full-twist powers, left to right."""
     v = ArtinWord(n)
     for skel, p in t.conjugators:
         v = v * compile_skeleton(skel, n) ** p
+    return v
+
+
+def compile_factor(t: ConjugatedTwist, n: int) -> ArtinWord:
+    """Compile base^power conjugated per a^b = b^-1 a b: V^-1 base^power V."""
+    v = conjugator_braid(t, n)
     core = compile_skeleton(t.base, n) ** t.power
     return v.inverse() * core * v
 
@@ -154,20 +159,7 @@ def _letter_images(idx: int, sign: int) -> dict[str, Word]:
 def apply_braid(b: ArtinWord, w: Word) -> Word:
     """Act on a word over x1..xN, letters applied in written order."""
     for idx, sign in b.letters:
-        images = _letter_images(idx, sign)
-        out = []
-        for lab, s in w.letters:
-            img = images.get(lab)
-            if img is None:
-                seq = ((lab, s),)
-            else:
-                seq = img.letters if s > 0 else invert(img).letters
-            for l2, s2 in seq:
-                if out and out[-1][0] == l2 and out[-1][1] == -s2:
-                    out.pop()
-                else:
-                    out.append((l2, s2))
-        w = Word(tuple(out))
+        w = substitute(w, _letter_images(idx, sign))
     return w
 
 
@@ -215,28 +207,3 @@ def parse_braid(text: str, n: int) -> ArtinWord:
             letters.append((int(tok[1:]), 1))
     return ArtinWord(n, tuple(letters))
 
-
-def skeleton_to_json(s: Skeleton) -> dict:
-    return {"i": s.i, "j": s.j, "side": s.side}
-
-
-def skeleton_from_json(d: dict) -> Skeleton:
-    return Skeleton(d["i"], d["j"], d["side"])
-
-
-def twist_to_json(t: ConjugatedTwist) -> dict:
-    return {
-        "base": skeleton_to_json(t.base),
-        "power": t.power,
-        "conjugators": [dict(skeleton_to_json(s), power=p) for s, p in t.conjugators],
-    }
-
-
-def twist_from_json(d: dict) -> ConjugatedTwist:
-    conjs = tuple((Skeleton(c["i"], c["j"], c["side"]), c["power"])
-                  for c in d.get("conjugators", ()))
-    return ConjugatedTwist(skeleton_from_json(d["base"]), d["power"], conjs)
-
-
-def twist_text(t: ConjugatedTwist) -> str:
-    return json.dumps(twist_to_json(t))

@@ -96,14 +96,29 @@ def _factor(i, j, power, conjs=(), side=BELOW, origin="", provisional=False) -> 
 
 
 def _apply_override(factor: BMFactor, overrides) -> BMFactor:
+    """Rebuild a tilde factor from `overrides[origin]`, {"base_side": side,
+    "conjugators": [{"i", "j", "side" (default below), "power"}]} with
+    integer i, j, power; a malformed spec is a ValueError naming the origin."""
     if not overrides or factor.origin not in overrides:
         return factor
     spec = overrides[factor.origin]
+    where = f"override for {factor.origin!r}"
+    if not isinstance(spec, dict) or not isinstance(spec.get("conjugators", []), list):
+        raise ValueError(f"{where}: expected an object with a 'conjugators' list "
+                         "and an optional 'base_side'")
+    conjs = []
+    for k, c in enumerate(spec.get("conjugators", [])):
+        if not isinstance(c, dict) or any(type(c.get(key)) is not int
+                                          for key in ("i", "j", "power")):
+            raise ValueError(f"{where}: conjugator {k} needs integer 'i', 'j' and "
+                             f"'power', got {c!r}")
+        conjs.append((c["i"], c["j"], c.get("side", BELOW), c["power"]))
     base_side = spec.get("base_side") or factor.twist.base.side
-    conjs = tuple((c["i"], c["j"], c.get("side", BELOW), c["power"])
-                  for c in spec.get("conjugators", ()))
-    return _factor(factor.twist.base.i, factor.twist.base.j, factor.twist.power,
-                   conjs, base_side, factor.origin, provisional=True)
+    try:
+        return _factor(factor.twist.base.i, factor.twist.base.j, factor.twist.power,
+                       conjs, base_side, factor.origin, provisional=True)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 # --------------------------------------------------------------------------

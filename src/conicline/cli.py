@@ -12,7 +12,8 @@ import os
 import sys
 
 from . import bigness as big
-from . import catalog, fpgroup, paper_groups, vankampen
+from . import catalog, fpgroup, vankampen
+from .arrangement import Arrangement
 from .finite_groups import BATTERY, DEFAULT_BATTERY
 
 USAGE_ERROR = 2
@@ -43,67 +44,29 @@ def _battery_from(args) -> tuple[str, ...]:
 def _load_overrides(path: str | None):
     if not path:
         return None
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read override file {path!r}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ValueError(f"override file {path!r} is not valid JSON: {exc}") from None
 
 
-def _build_bmf(args) -> catalog.BMF:
-    overrides = _load_overrides(getattr(args, "ztilde_override", None))
-    fam = args.family.upper()
-    if fam == "C":
-        if args.m is not None:
-            raise SystemExit(_die("family C takes only --n"))
-        if args.n is None or args.n < 1:
-            raise SystemExit(_die("family C needs --n >= 1"))
-        return catalog.bmf_cn(args.n)
-    if fam == "T":
-        n = args.n if args.n is not None else 0
-        m = args.m if args.m is not None else 0
-        if n == 0 and m == 0:
-            return catalog.bmf_t00()
-        if m == 0:
-            return catalog.bmf_tn0(n, overrides)
-        if n == 0:
-            raise SystemExit(_die("T with m >= 1 requires n >= 1 "
-                                  "(lines tangent to the second conic come first)"))
-        return catalog.bmf_tnm(n, m, overrides)
-    raise SystemExit(_die(f"unknown family {args.family!r} (expected C or T)"))
-
-
-def _paper_presentation(args) -> vankampen.Presentation:
-    fam = args.family.upper()
-    if fam == "C":
-        if args.n is None or args.n < 1:
-            raise SystemExit(_die("family C needs --n >= 1"))
-        return (paper_groups.presentation_cn_proj(args.n) if not args.affine
-                else paper_groups.presentation_cn_affine(args.n))
-    n = args.n if args.n is not None else 0
-    m = args.m if args.m is not None else 0
-    if args.affine:
-        raise SystemExit(_die("the stated T-family presentations are projective"))
-    if n == 0 and m == 0:
-        return paper_groups.presentation_t00()
-    if m == 0:
-        return paper_groups.presentation_tn0(n)
-    if n == 0:
-        raise SystemExit(_die("T with m >= 1 requires n >= 1"))
-    return paper_groups.presentation_tnm(n, m)
-
-
-def _raw_presentation(args) -> vankampen.Presentation:
-    bmf = _build_bmf(args)
-    projective = not args.affine
-    return vankampen.raw_presentation(bmf, projective=projective)
+def _raw_presentation(arrangement: Arrangement, args) -> vankampen.Presentation:
+    bmf = arrangement.bmf(_load_overrides(args.ztilde_override))
+    return vankampen.raw_presentation(bmf, projective=not args.affine)
 
 
 def _presentation_for(args) -> vankampen.Presentation:
+    arrangement = Arrangement(args.family, args.n, args.m)
     if getattr(args, "paper", False):
-        return _paper_presentation(args)
-    return _raw_presentation(args)
+        return arrangement.stated(projective=not args.affine)
+    return _raw_presentation(arrangement, args)
 
 
 def cmd_bmf(args) -> int:
-    bmf = _build_bmf(args)
+    bmf = Arrangement(args.family, args.n, args.m).bmf(_load_overrides(args.ztilde_override))
     report = catalog.audit(bmf)
     if args.json:
         print(json.dumps({"bmf": catalog.bmf_to_json(bmf),
@@ -161,9 +124,9 @@ def cmd_fingerprint(args) -> int:
 
 def cmd_compare(args) -> int:
     battery = _battery_from(args)
-    args.paper = False
-    raw = _raw_presentation(args)
-    paper = _paper_presentation(args)
+    arrangement = Arrangement(args.family, args.n, args.m)
+    raw = _raw_presentation(arrangement, args)
+    paper = arrangement.stated(projective=not args.affine)
     report = fpgroup.compare(raw, paper, battery)
     if args.json:
         print(json.dumps(report.to_json()))
@@ -175,15 +138,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_bigness(args) -> int:
-    fam = args.family.upper()
-    try:
-        if fam == "C":
-            cert = big.standard_certificate("C", args.n)
-        else:
-            cert = big.standard_certificate("T", args.n if args.n is not None else 0,
-                                            args.m if args.m is not None else 0)
-    except ValueError as exc:
-        return _die(str(exc))
+    cert = Arrangement(args.family, args.n, args.m).certificate()
     report = big.certify_certificate(cert)
     if args.json:
         print(json.dumps(dict(cert.to_json(), checks=report.to_json()["checks"],

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .finite_groups import BATTERY, DEFAULT_BATTERY, FiniteGroup
 from .vankampen import Presentation, cyclic_reduce
-from .words import Word, invert, multiply
+from .words import Word, invert, multiply, substitute
 
 # --------------------------------------------------------------------------
 # Smith normal form over the integers, with recorded transforms
@@ -178,19 +178,6 @@ def _canonical_cyclic(w: Word) -> tuple:
     return best
 
 
-def _substitute(r: Word, label: str, image: Word) -> Word:
-    out = []
-    for lab, sign in r.letters:
-        seq = ((lab, sign),) if lab != label else \
-            (image.letters if sign > 0 else invert(image).letters)
-        for l2, s2 in seq:
-            if out and out[-1][0] == l2 and out[-1][1] == -s2:
-                out.pop()
-            else:
-                out.append((l2, s2))
-    return cyclic_reduce(Word(tuple(out)))
-
-
 def _solve_generator(r: Word, label: str) -> Word:
     """Given a relator with exactly one occurrence of `label`, express it in
     the remaining generators: r = p g^s q = e  =>  g^s = p^-1 q^-1."""
@@ -316,7 +303,7 @@ def tietze_simplify(p: Presentation, max_passes: int = 50,
             candidates.sort()
             _, _, label, ridx = candidates[0]
             image = _solve_generator(relators[ridx], label)
-            relators = [_substitute(r, label, image)
+            relators = [cyclic_reduce(substitute(r, {label: image}))
                         for k, r in enumerate(relators) if k != ridx]
             gens = [g for g in gens if g.label != label]
             changed = True

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braid import (ArtinWord, apply_braid, band_transport, compile_skeleton)
+from .braid import ArtinWord, apply_braid, band_transport, conjugator_braid
 from .catalog import BMF, BMFactor, SingType
 from .words import (Generator, Word, gen, invert, multiply, parse_word,
                     word_text)
@@ -63,9 +63,7 @@ def relation_pair(f: BMFactor, n: int, labels: tuple[str, ...] | None = None):
     t = f.twist
     if t.power <= 0:
         raise ValueError("monodromy factors must have positive power")
-    v = ArtinWord(n)
-    for skel, p in t.conjugators:
-        v = v * compile_skeleton(skel, n) ** p
+    v = conjugator_braid(t, n)
     d_letters, core = band_transport(t.base)
     d = ArtinWord(n, d_letters)
     e = d.inverse() * v  # (V^-1 D)^-1

@@ -1,8 +1,10 @@
 """Free-group words and endomorphisms given by generator images.
 
-Words are kept freely reduced at all times: every constructor and every
-operation reduces its result, so equality of Word values is equality in the
-free group. Letters are (label, sign) pairs; generator identity is by label.
+Words are kept freely reduced at all times: constructing a Word reduces its
+letters (`_reduce`, the one free-cancellation loop of the library), and
+every operation concatenates letters and constructs one Word, so equality
+of Word values is equality in the free group. Letters are (label, sign)
+pairs; generator identity is by label.
 """
 
 from __future__ import annotations
@@ -84,20 +86,8 @@ def word(*items) -> Word:
     return Word(tuple(letters))
 
 
-def reduce(w: Word) -> Word:
-    """Freely reduce; a no-op on Word values, kept as the spec'd entry point."""
-    return Word(w.letters)
-
-
 def multiply(*words: Word) -> Word:
-    letters: list[Letter] = []
-    for w in words:
-        for lab, sign in w.letters:
-            if letters and letters[-1][0] == lab and letters[-1][1] == -sign:
-                letters.pop()
-            else:
-                letters.append((lab, sign))
-    return Word(tuple(letters))
+    return Word(tuple(letter for w in words for letter in w.letters))
 
 
 def invert(w: Word) -> Word:
@@ -123,24 +113,26 @@ class GroupMap:
         return apply_map(self, w)
 
 
-def identity_map(labels) -> GroupMap:
-    return GroupMap({lab: gen(lab) for lab in labels})
+def substitute(w: Word, images: dict[str, Word]) -> Word:
+    """Replace each generator of w that has an image by that image (its
+    inverse for a negative letter); generators without one stay."""
+    letters: list[Letter] = []
+    for lab, sign in w.letters:
+        img = images.get(lab)
+        if img is None:
+            letters.append((lab, sign))
+        elif sign > 0:
+            letters.extend(img.letters)
+        else:
+            letters.extend((l2, -s2) for l2, s2 in reversed(img.letters))
+    return Word(tuple(letters))
 
 
 def apply_map(m: GroupMap, w: Word) -> Word:
-    out: list[Letter] = []
-    for lab, sign in w.letters:
-        try:
-            img = m.images[lab]
-        except KeyError:
-            raise MissingImageError(f"no image for generator {lab!r}") from None
-        seq = img.letters if sign > 0 else invert(img).letters
-        for l2, s2 in seq:
-            if out and out[-1][0] == l2 and out[-1][1] == -s2:
-                out.pop()
-            else:
-                out.append((l2, s2))
-    return Word(tuple(out))
+    for lab, _ in w.letters:
+        if lab not in m.images:
+            raise MissingImageError(f"no image for generator {lab!r}")
+    return substitute(w, m.images)
 
 
 def compose_maps(m1: GroupMap, m2: GroupMap) -> GroupMap:

@@ -6,7 +6,7 @@ from conicline.braid import (ABOVE, BELOW, ArtinWord, ConjugatedTwist,
                              Skeleton, apply_braid, artin_action,
                              braid_text, compile_factor, compile_skeleton,
                              exponent_sum, full_twist, parse_braid, permutation,
-                             transposition, twist_from_json, twist_to_json)
+                             transposition)
 from conicline.words import gen, invert, multiply
 
 
@@ -159,8 +159,3 @@ def test_braid_text_roundtrip():
     assert braid_text(b) == "s1 s2^-1 s1"
     assert parse_braid(braid_text(b), 4) == b
     assert parse_braid("1", 4) == ArtinWord(4)
-
-
-def test_twist_json_roundtrip():
-    t = ConjugatedTwist(Skeleton(1, 3, ABOVE), 2, ((Skeleton(2, 3), -2),))
-    assert twist_from_json(twist_to_json(t)) == t

@@ -101,3 +101,64 @@ def test_ztilde_override_file(tmp_path, capsys):
     data = json.loads(out)
     factor = next(f for f in data["bmf"]["factors"] if f["origin"] == origin)
     assert factor["conjugators"] == [{"i": 1, "j": 2, "side": "below", "power": 2}]
+
+
+def _tilde_origin(n):
+    from conicline.catalog import bmf_tn0
+    return next(f.origin for f in bmf_tn0(n).factors if f.provisional)
+
+
+def _override_file(tmp_path, data):
+    path = tmp_path / "zt.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_override_unknown_origin_is_a_usage_error(tmp_path, capsys):
+    path = _override_file(tmp_path, {"no such factor": {"conjugators": []}})
+    code, out, err = run(capsys, "bmf", "T", "--n", "3", "--ztilde-override", path)
+    assert code == 2 and out == ""
+    assert "no such factor" in err and _tilde_origin(3) in err
+    code, out, err = run(capsys, "bmf", "C", "--n", "2", "--ztilde-override", path)
+    assert code == 2 and out == "" and "valid origins: none" in err
+
+
+def test_override_missing_file_is_a_usage_error(tmp_path, capsys):
+    missing = str(tmp_path / "absent.json")
+    code, out, err = run(capsys, "bmf", "T", "--n", "3", "--ztilde-override", missing)
+    assert code == 2 and out == ""
+    assert "cannot read override file" in err and "absent.json" in err
+
+
+def test_override_file_must_hold_an_object(tmp_path, capsys):
+    path = _override_file(tmp_path, [1, 2])
+    code, out, err = run(capsys, "present", "T", "--n", "3", "--ztilde-override", path)
+    assert code == 2 and out == "" and "JSON object" in err
+
+
+def test_override_conjugator_without_j_is_a_usage_error(tmp_path, capsys):
+    origin = _tilde_origin(3)
+    path = _override_file(tmp_path, {origin: {"conjugators": [{"i": 1, "power": 2}]}})
+    code, out, err = run(capsys, "bmf", "T", "--n", "3", "--ztilde-override", path)
+    assert code == 2 and out == ""
+    assert repr(origin) in err and "needs integer 'i', 'j' and 'power'" in err
+
+
+def test_override_bad_side_names_the_origin(tmp_path, capsys):
+    origin = _tilde_origin(3)
+    for spec in ({"conjugators": [{"i": 1, "j": 2, "side": "sideways", "power": 2}]},
+                 {"base_side": "left"}):
+        path = _override_file(tmp_path, {origin: spec})
+        code, out, err = run(capsys, "bmf", "T", "--n", "3", "--ztilde-override", path)
+        assert code == 2 and out == ""
+        assert repr(origin) in err and "side must be" in err
+
+
+def test_override_power_must_be_an_int(tmp_path, capsys):
+    origin = _tilde_origin(3)
+    for power in (2.0, "2"):
+        path = _override_file(tmp_path, {origin: {"conjugators": [
+            {"i": 1, "j": 2, "power": power}]}})
+        code, out, err = run(capsys, "bmf", "T", "--n", "3", "--ztilde-override", path)
+        assert code == 2 and out == ""
+        assert repr(origin) in err and "needs integer" in err

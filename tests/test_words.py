@@ -4,16 +4,15 @@ import re
 import pytest
 
 from conicline.words import (GroupMap, MissingImageError, Word, apply_map,
-                             compose_maps, conjugate, gen, identity_map,
-                             invert, multiply, parse_word, reduce, word,
-                             word_text)
+                             compose_maps, conjugate, gen, invert, multiply,
+                             parse_word, substitute, word, word_text)
 
 
 def test_reduce_cancellation():
     assert multiply(gen("x1"), invert(gen("x1"))) == Word()
     assert word("x1", "x2", ("x2", -1), "x1") == word("x1", "x1")
     already = word("x1", "x2", ("x1", -1))
-    assert reduce(already) == already
+    assert Word(already.letters) == already
 
 
 def test_reduce_idempotent_and_confluent():
@@ -23,12 +22,26 @@ def test_reduce_idempotent_and_confluent():
         letters = [(rng.choice(labels), rng.choice((1, -1)))
                    for _ in range(rng.randint(0, 12))]
         w = Word(tuple(letters))
-        assert reduce(w) == w
+        assert Word(w.letters) == w
         # inserting a cancelling pair anywhere must not change the value
         pos = rng.randint(0, len(letters))
         lab = rng.choice(labels)
         noisy = letters[:pos] + [(lab, 1), (lab, -1)] + letters[pos:]
         assert Word(tuple(noisy)) == w
+
+
+@pytest.mark.parametrize("sign", [0, 2, -2, 1.5, "1"])
+def test_word_rejects_other_signs(sign):
+    with pytest.raises(ValueError, match="letter sign must be"):
+        Word((("x1", 1), ("x2", sign)))
+
+
+def test_substitute_keeps_generators_without_image():
+    images = {"a": word("b", "c")}
+    assert substitute(word("a", "d", ("a", -1)), images) == \
+        word("b", "c", "d", ("c", -1), ("b", -1))
+    # cancellation across image boundaries
+    assert substitute(word("a", ("c", -1), ("b", -1)), images) == Word()
 
 
 def test_multiply_invert():
@@ -58,7 +71,7 @@ def test_apply_map_examples():
     assert apply_map(m, invert(gen("x2"))) == invert(gen("x1"))
     # hand substitution then reduction: x1 x2 -> x1 x2 x1^-1 x1 = x1 x2
     assert apply_map(m, word("x1", "x2")) == word("x1", "x2")
-    ident = identity_map(["x1", "x2"])
+    ident = GroupMap({"x1": gen("x1"), "x2": gen("x2")})
     assert apply_map(ident, word("x1", "x2")) == word("x1", "x2")
 
 
