@@ -46,7 +46,8 @@ class Arrangement:
     def bmf(self, overrides: dict | None = None) -> catalog.BMF:
         """The factorization. `overrides` maps provisional (tilde) factor
         origins to specs (`catalog._apply_override`); an origin naming no
-        such factor is a ValueError listing the valid ones."""
+        such factor, or a conjugator whose endpoints are not
+        1 <= i < j <= N (N the strand count), is a ValueError."""
         if overrides is not None and not isinstance(overrides, dict):
             raise ValueError("overrides must be a JSON object mapping factor origins "
                              f"to specs, got {type(overrides).__name__}")
@@ -64,6 +65,13 @@ class Arrangement:
         if unknown:
             raise ValueError(f"override origins name no provisional factor: {unknown} "
                              f"(valid origins: {valid or 'none'})")
+        N = bmf.strand_count
+        for origin, spec in (overrides or {}).items():
+            for k, c in enumerate(spec.get("conjugators", [])):
+                if not 1 <= c["i"] < c["j"] <= N:
+                    raise ValueError(f"override for {origin!r}: conjugator {k} endpoints "
+                                     f"({c['i']}, {c['j']}) must satisfy "
+                                     f"1 <= i < j <= N = {N}")
         return bmf
 
     def stated(self, projective: bool = True) -> Presentation:

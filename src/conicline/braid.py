@@ -12,13 +12,20 @@ Convention (calibrated against the source computations, see the golden tests):
   path uses inverted conjugating letters. Adjacent endpoints give s_i alone.
 * Conjugation is a^b = b^-1 a b; a conjugator list applies left to right
   (leftmost innermost), so (a)^{b c} = (a^b)^c.
+
+The action is computed on the freely reduced braid word (s_i s_i^-1 acts
+trivially, so reducing the letters first changes nothing but the work),
+through a constant table of per-letter generator images: each braid letter
+replaces the letters of the affected generators by the stored image or
+inverse-image letters, and the result is freely reduced once per braid
+letter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import GroupMap, Word, gen, invert, multiply, substitute
+from .words import GroupMap, Letter, Word, _reduce, gen
 
 BELOW = "below"
 ABOVE = "above"
@@ -112,12 +119,6 @@ def identity_permutation(n: int) -> Permutation:
     return Permutation(tuple(range(1, n + 1)))
 
 
-def transposition(n: int, a: int, b: int) -> Permutation:
-    images = list(range(1, n + 1))
-    images[a - 1], images[b - 1] = b, a
-    return Permutation(tuple(images))
-
-
 def band_transport(s: Skeleton) -> tuple[tuple[BraidLetter, ...], int]:
     """Conjugating letters D and core index c with half-twist = D s_c D^-1."""
     sign = 1 if s.side == BELOW else -1
@@ -136,10 +137,11 @@ def compile_skeleton(s: Skeleton, n: int) -> ArtinWord:
 
 def conjugator_braid(t: ConjugatedTwist, n: int) -> ArtinWord:
     """V, the product of the conjugators' full-twist powers, left to right."""
-    v = ArtinWord(n)
+    letters: list[BraidLetter] = []
     for skel, p in t.conjugators:
-        v = v * compile_skeleton(skel, n) ** p
-    return v
+        band = compile_skeleton(skel, n)
+        letters.extend((band if p > 0 else band.inverse()).letters * abs(p))
+    return ArtinWord(n, tuple(letters))
 
 
 def compile_factor(t: ConjugatedTwist, n: int) -> ArtinWord:
@@ -149,18 +151,41 @@ def compile_factor(t: ConjugatedTwist, n: int) -> ArtinWord:
     return v.inverse() * core * v
 
 
-def _letter_images(idx: int, sign: int) -> dict[str, Word]:
-    xi, xj = gen(f"x{idx}"), gen(f"x{idx + 1}")
-    if sign > 0:
-        return {f"x{idx}": xj, f"x{idx + 1}": multiply(xj, xi, invert(xj))}
-    return {f"x{idx}": multiply(invert(xi), xj, xi), f"x{idx + 1}": xi}
+class _ImageTable(dict):
+    """(idx, sign) -> {label: (image letters, inverse-image letters)} for the
+    two generators s_idx^sign moves. Each entry depends only on the letter,
+    so the table is a constant of the action, filled in on first use."""
+
+    def __missing__(self, key: BraidLetter):
+        idx, sign = key
+        xi, xj = f"x{idx}", f"x{idx + 1}"
+        if sign > 0:
+            images = {xi: ((xj, 1),), xj: ((xj, 1), (xi, 1), (xj, -1))}
+        else:
+            images = {xi: ((xi, -1), (xj, 1), (xi, 1)), xj: ((xi, 1),)}
+        entry = {lab: (img, tuple((l, -s) for l, s in reversed(img)))
+                 for lab, img in images.items()}
+        self[key] = entry
+        return entry
+
+
+_IMAGES = _ImageTable()
 
 
 def apply_braid(b: ArtinWord, w: Word) -> Word:
     """Act on a word over x1..xN, letters applied in written order."""
-    for idx, sign in b.letters:
-        w = substitute(w, _letter_images(idx, sign))
-    return w
+    letters = w.letters
+    for key in _reduce(b.letters):
+        images = _IMAGES[key]
+        out: list[Letter] = []
+        for letter in letters:
+            img = images.get(letter[0])
+            if img is None:
+                out.append(letter)
+            else:
+                out.extend(img[0] if letter[1] > 0 else img[1])
+        letters = _reduce(out)
+    return Word(letters)
 
 
 def artin_action(b: ArtinWord) -> GroupMap:
@@ -181,10 +206,17 @@ def exponent_sum(b: ArtinWord) -> int:
 
 
 def permutation(b: ArtinWord) -> Permutation:
-    perm = identity_permutation(b.strand_count)
+    """The induced permutation, letters composed in written order.
+
+    `position[v]` is the point sent to v so far; s_idx exchanges the values
+    idx and idx + 1, which swaps two entries of `position`."""
+    position = list(range(b.strand_count + 1))
     for idx, _ in b.letters:
-        perm = perm * transposition(b.strand_count, idx, idx + 1)
-    return perm
+        position[idx], position[idx + 1] = position[idx + 1], position[idx]
+    images = [0] * b.strand_count
+    for value in range(1, b.strand_count + 1):
+        images[position[value] - 1] = value
+    return Permutation(tuple(images))
 
 
 def braid_text(b: ArtinWord) -> str:

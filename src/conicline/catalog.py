@@ -492,12 +492,14 @@ def audit(b: BMF) -> AuditReport:
                                  f"{counts} vs {exp}"))
     impure = []
     branch_perms = []
+    exps_ok = True
     for f in b.factors:
-        perm = permutation(compile_factor(f.twist, N))
+        compiled = compile_factor(f.twist, N)
+        exps_ok = exps_ok and exponent_sum(compiled) == f.twist.power
+        perm = permutation(compiled)
         if f.sing_type is SingType.BRANCH:
             i, j = f.twist.endpoints()
-            want = identity_permutation(N).images
-            want = list(want)
+            want = list(range(1, N + 1))
             want[i - 1], want[j - 1] = j, i
             if perm.images != tuple(want):
                 impure.append(f.origin or str(f.twist.endpoints()))
@@ -512,8 +514,6 @@ def audit(b: BMF) -> AuditReport:
         prod = prod * perm
     checks.append(AuditCheck("branch_product_identity", prod.is_identity(),
                              "branch transpositions multiply to the identity"))
-    exps_ok = all(exponent_sum(compile_factor(f.twist, N)) == f.twist.power
-                  for f in b.factors)
     checks.append(AuditCheck("conjugation_exponent_free", exps_ok,
                              "exponent sum of each compiled factor equals its power"))
     provisional = tuple(f.origin for f in b.factors if f.provisional)

@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success / consistent, 1 a check failed (audit, comparison, or
-certificate), 2 usage error. Reports go to stdout, diagnostics to stderr.
+certificate), 2 usage error, 141 stdout was closed before the report was
+written (128 + SIGPIPE, as a shell reports a process killed by SIGPIPE).
+Reports go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from .finite_groups import BATTERY, DEFAULT_BATTERY
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+STDOUT_CLOSED = 141
+OVERRIDE_SCOPE = "--ztilde-override applies only to raw presentations and bmf"
 
 
 def _die(msg: str) -> int:
@@ -53,20 +57,34 @@ def _load_overrides(path: str | None):
         raise ValueError(f"override file {path!r} is not valid JSON: {exc}") from None
 
 
+def _bmf(arrangement: Arrangement, args) -> catalog.BMF:
+    """The factorization with the override file applied; an override error
+    names the file."""
+    path = args.ztilde_override
+    overrides = _load_overrides(path)
+    try:
+        return arrangement.bmf(overrides)
+    except ValueError as exc:
+        if overrides is None:
+            raise
+        raise ValueError(f"override file {path!r}: {exc}") from None
+
+
 def _raw_presentation(arrangement: Arrangement, args) -> vankampen.Presentation:
-    bmf = arrangement.bmf(_load_overrides(args.ztilde_override))
-    return vankampen.raw_presentation(bmf, projective=not args.affine)
+    return vankampen.raw_presentation(_bmf(arrangement, args), projective=not args.affine)
 
 
 def _presentation_for(args) -> vankampen.Presentation:
     arrangement = Arrangement(args.family, args.n, args.m)
     if getattr(args, "paper", False):
+        if args.ztilde_override:
+            raise ValueError(f"{OVERRIDE_SCOPE}, not to the stated (--paper) presentation")
         return arrangement.stated(projective=not args.affine)
     return _raw_presentation(arrangement, args)
 
 
 def cmd_bmf(args) -> int:
-    bmf = Arrangement(args.family, args.n, args.m).bmf(_load_overrides(args.ztilde_override))
+    bmf = _bmf(Arrangement(args.family, args.n, args.m), args)
     report = catalog.audit(bmf)
     if args.json:
         print(json.dumps({"bmf": catalog.bmf_to_json(bmf),
@@ -138,6 +156,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_bigness(args) -> int:
+    if args.ztilde_override:
+        return _die(f"{OVERRIDE_SCOPE}, not to bigness (it certifies the stated presentation)")
     cert = Arrangement(args.family, args.n, args.m).certificate()
     report = big.certify_certificate(cert)
     if args.json:
@@ -209,7 +229,16 @@ def main(argv=None) -> int:
     if not hasattr(args, "affine"):
         args.affine = False
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away. Point stdout at devnull so that the flush at
+        # interpreter exit cannot raise again (the recipe of the `signal`
+        # module documentation, "Note on SIGPIPE").
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return STDOUT_CLOSED
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else USAGE_ERROR

@@ -1,14 +1,16 @@
 """Test-only oracles and input generators: a brute-force hom counter, an
-exact integer determinant, the naive Tietze shortening scan, and random
-presentations."""
+exact integer determinant, the naive Tietze shortening scan, the
+letter-by-letter Artin action and permutation, and random presentations."""
 
 import itertools
 import random
 from fractions import Fraction
 
+from conicline.braid import (ArtinWord, Permutation, band_transport, compile_skeleton,
+                             identity_permutation)
 from conicline.finite_groups import FiniteGroup
 from conicline.vankampen import Presentation, cyclic_reduce, presentation
-from conicline.words import Word, invert
+from conicline.words import Word, gen, invert, multiply, substitute
 
 
 def det_int(matrix) -> int:
@@ -106,3 +108,48 @@ def shorten_with_naive(r: Word, s: Word, cap: int) -> Word:
             if changed:
                 break
     return best
+
+
+def _letter_images(idx: int, sign: int) -> dict[str, Word]:
+    xi, xj = gen(f"x{idx}"), gen(f"x{idx + 1}")
+    if sign > 0:
+        return {f"x{idx}": xj, f"x{idx + 1}": multiply(xj, xi, invert(xj))}
+    return {f"x{idx}": multiply(invert(xi), xj, xi), f"x{idx + 1}": xi}
+
+
+def apply_braid(b: ArtinWord, w: Word) -> Word:
+    """Act on a word over x1..xN, letters applied in written order."""
+    for idx, sign in b.letters:
+        w = substitute(w, _letter_images(idx, sign))
+    return w
+
+
+def transposition(n: int, a: int, b: int) -> Permutation:
+    images = list(range(1, n + 1))
+    images[a - 1], images[b - 1] = b, a
+    return Permutation(tuple(images))
+
+
+def permutation(b: ArtinWord) -> Permutation:
+    perm = identity_permutation(b.strand_count)
+    for idx, _ in b.letters:
+        perm = perm * transposition(b.strand_count, idx, idx + 1)
+    return perm
+
+
+def conjugator_braid(t, n: int) -> ArtinWord:
+    """V, the product of the conjugators' full-twist powers, left to right."""
+    v = ArtinWord(n)
+    for skel, p in t.conjugators:
+        v = v * compile_skeleton(skel, n) ** p
+    return v
+
+
+def relation_pair(f, n: int, labels: tuple[str, ...]):
+    """`vankampen.relation_pair` through the letter-by-letter action."""
+    v = conjugator_braid(f.twist, n)
+    d_letters, core = band_transport(f.twist.base)
+    e = ArtinWord(n, d_letters).inverse() * v
+    rename = {f"x{k}": lab for k, lab in enumerate(labels, start=1)}
+    return tuple(Word(tuple((rename[l], s) for l, s in apply_braid(e, gen(f"x{k}")).letters))
+                 for k in (core, core + 1))

@@ -162,6 +162,18 @@ def test_override_origins_checked_in_library():
     assert Arrangement("T", 3).bmf({}) == Arrangement("T", 3).bmf()
 
 
+@pytest.mark.parametrize("i,j", [(1, 8), (7, 9), (3, 2)])
+def test_override_endpoints_checked_against_strand_count(i, j):
+    origin = "node L1.L3 (tilde)"
+    spec = {origin: {"conjugators": [{"i": 1, "j": 2, "power": 2},
+                                     {"i": i, "j": j, "power": 2}]}}
+    with pytest.raises(ValueError, match=r"conjugator 1 endpoints .*N = 7") as info:
+        Arrangement("T", 3).bmf(spec)
+    assert repr(origin) in str(info.value)
+    spec[origin]["conjugators"][1].update(i=6, j=7)
+    assert Arrangement("T", 3).bmf(spec) != Arrangement("T", 3).bmf()
+
+
 @pytest.mark.parametrize("spec,message", [
     ({"conjugators": [{"i": 1, "power": 2}]}, "conjugator 0 needs integer"),
     ({"conjugators": [{"i": 1, "j": 2, "power": 2.0}]}, "conjugator 0 needs integer"),

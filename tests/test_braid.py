@@ -5,9 +5,10 @@ import pytest
 from conicline.braid import (ABOVE, BELOW, ArtinWord, ConjugatedTwist,
                              Skeleton, apply_braid, artin_action,
                              braid_text, compile_factor, compile_skeleton,
-                             exponent_sum, full_twist, parse_braid, permutation,
-                             transposition)
+                             exponent_sum, full_twist, parse_braid, permutation)
 from conicline.words import gen, invert, multiply
+
+from oracles import transposition
 
 
 def test_skeleton_validation():

@@ -1,0 +1,87 @@
+"""The Artin-action kernel against the letter-by-letter oracle: seeded
+random braid words with cancelling pairs and repeated conjugated blocks, and
+every factor of the benchmark grid's relation pairs."""
+
+import random
+
+import pytest
+
+import oracles
+from conicline import braid, vankampen
+from conicline.arrangement import Arrangement
+from conicline.braid import ArtinWord, apply_braid, permutation
+from conicline.words import Word, _reduce, gen
+
+from test_arrangement import BUILD_GRID
+
+
+def _random_letters(rng, n, count):
+    return [(rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(count)]
+
+
+def _random_braid(rng, n):
+    """Random letters, cancelling pairs s s^-1 and blocks (D s D^-1)^p, in
+    random order, so that the free reduction has work to do."""
+    letters = []
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            letters += _random_letters(rng, n, rng.randint(0, 3))
+        elif kind == 1:
+            i, s = _random_letters(rng, n, 1)[0]
+            letters += [(i, s), (i, -s)]
+        else:
+            d = _random_letters(rng, n, rng.randint(0, 2))
+            core = _random_letters(rng, n, 1)
+            d_inv = [(i, -s) for i, s in reversed(d)]
+            letters += (d + core + d_inv) * rng.randint(1, 3)
+    return ArtinWord(n, tuple(letters))
+
+
+def _random_word(rng, n):
+    return Word(tuple((f"x{rng.randint(1, n)}", rng.choice((1, -1)))
+                      for _ in range(rng.randint(0, 8))))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_random_braids_agree_with_oracle(n):
+    rng = random.Random(1000 + n)
+    cancelled = 0
+    for _ in range(40):
+        b = _random_braid(rng, n)
+        cancelled += len(b.letters) - len(_reduce(b.letters))
+        assert permutation(b) == oracles.permutation(b)
+        words = [gen(f"x{k}") for k in range(1, n + 1)]
+        words += [_random_word(rng, n) for _ in range(3)]
+        for w in words:
+            assert apply_braid(b, w) == oracles.apply_braid(b, w), (b, w)
+    assert cancelled > 0
+
+
+def test_kernel_reduces_after_every_letter(monkeypatch):
+    """One reduction of the braid word, then one per remaining letter, and no
+    letter more than triples the word it acts on."""
+    calls = []
+
+    def spy(letters):
+        letters = list(letters)
+        out = _reduce(letters)
+        calls.append((len(letters), len(out)))
+        return out
+
+    monkeypatch.setattr(braid, "_reduce", spy)
+    b = ArtinWord(3, ((1, 1), (2, 1), (2, -1)) + ((1, 1), (2, -1)) * 6)
+    apply_braid(b, gen("x1"))
+    reduced_braid = calls[0][1]
+    assert len(calls) == 1 + reduced_braid
+    for (_, before), (size, _) in zip(calls[1:], calls[2:]):
+        assert size <= 3 * before
+
+
+@pytest.mark.parametrize("family,n,m", BUILD_GRID)
+def test_grid_relation_pairs_agree_with_oracle(family, n, m):
+    bmf = Arrangement(family, n, m).bmf()
+    for f in bmf.factors:
+        assert vankampen.relation_pair(f, bmf.strand_count, bmf.labels) == \
+            oracles.relation_pair(f, bmf.strand_count, bmf.labels), f.origin
+

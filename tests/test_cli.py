@@ -1,7 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import conicline
 from conicline.catalog import audit, bmf_from_json, bmf_to_json
-from conicline.cli import main
+from conicline.cli import STDOUT_CLOSED, main
 
 
 def run(capsys, *argv):
@@ -162,3 +169,37 @@ def test_override_power_must_be_an_int(tmp_path, capsys):
         code, out, err = run(capsys, "bmf", "T", "--n", "3", "--ztilde-override", path)
         assert code == 2 and out == ""
         assert repr(origin) in err and "needs integer" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("bigness", "T", "--n", "2"),
+    ("present", "T", "--n", "2", "--paper"),
+    ("abelianize", "T", "--n", "2", "--paper"),
+    ("fingerprint", "T", "--n", "2", "--paper", "--targets", "S3"),
+])
+def test_override_where_it_cannot_apply_is_a_usage_error(tmp_path, capsys, argv):
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run(capsys, *argv, "--ztilde-override", missing)
+    assert code == 2 and out == ""
+    assert "applies only to raw presentations and bmf" in err
+
+
+def test_override_endpoint_beyond_strand_count_names_origin_and_file(tmp_path, capsys):
+    origin = "node L1.L3 (tilde)"
+    path = _override_file(tmp_path, {origin: {"conjugators": [
+        {"i": 1, "j": 9, "power": 2}]}})
+    code, out, err = run(capsys, "bmf", "T", "--n", "3", "--ztilde-override", path)
+    assert code == 2 and out == ""
+    assert repr(origin) in err and "N = 7" in err and "zt.json" in err
+
+
+def test_closed_stdout_exits_quietly_with_its_own_code():
+    env = dict(os.environ, PYTHONPATH=str(Path(conicline.__file__).parent.parent))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "conicline.cli", "bmf", "T", "--n", "5", "--m", "5", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == STDOUT_CLOSED
+    assert err == ""
