@@ -44,35 +44,18 @@ class Arrangement:
         object.__setattr__(self, "m", m)
 
     def bmf(self, overrides: dict | None = None) -> catalog.BMF:
-        """The factorization. `overrides` maps provisional (tilde) factor
-        origins to specs (`catalog._apply_override`); an origin naming no
-        such factor, or a conjugator whose endpoints are not
-        1 <= i < j <= N (N the strand count), is a ValueError."""
-        if overrides is not None and not isinstance(overrides, dict):
-            raise ValueError("overrides must be a JSON object mapping factor origins "
-                             f"to specs, got {type(overrides).__name__}")
+        """The factorization, with `overrides` (provisional factor origins
+        mapped to specs) applied and checked by `catalog.apply_overrides`."""
         n, m = self.n, self.m
         if self.family == "C":
             bmf = catalog.bmf_cn(n)
         elif m:
-            bmf = catalog.bmf_tnm(n, m, overrides)
+            bmf = catalog.bmf_tnm(n, m)
         elif n:
-            bmf = catalog.bmf_tn0(n, overrides)
+            bmf = catalog.bmf_tn0(n)
         else:
             bmf = catalog.bmf_t00()
-        valid = [f.origin for f in bmf.factors if f.provisional]
-        unknown = [origin for origin in overrides or () if origin not in valid]
-        if unknown:
-            raise ValueError(f"override origins name no provisional factor: {unknown} "
-                             f"(valid origins: {valid or 'none'})")
-        N = bmf.strand_count
-        for origin, spec in (overrides or {}).items():
-            for k, c in enumerate(spec.get("conjugators", [])):
-                if not 1 <= c["i"] < c["j"] <= N:
-                    raise ValueError(f"override for {origin!r}: conjugator {k} endpoints "
-                                     f"({c['i']}, {c['j']}) must satisfy "
-                                     f"1 <= i < j <= N = {N}")
-        return bmf
+        return catalog.apply_overrides(bmf, overrides)
 
     def stated(self, projective: bool = True) -> Presentation:
         """The stated simplified presentation; T's are projective only."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import paper_groups as pg
+from .catalog import AuditCheck
 from .vankampen import Presentation
 from .words import Word, gen, multiply
 
@@ -111,24 +112,15 @@ def evaluate(images: dict[str, FPWord], w: Word) -> FPWord:
 
 
 @dataclass(frozen=True)
-class CertCheck:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
 class CertReport:
-    checks: tuple[CertCheck, ...]
+    checks: tuple[AuditCheck, ...]
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
     def to_json(self) -> dict:
-        return {"checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
-                           for c in self.checks],
-                "passed": self.passed}
+        return {"checks": [c.to_json() for c in self.checks], "passed": self.passed}
 
 
 @dataclass(frozen=True)
@@ -153,23 +145,26 @@ class BignessCertificate:
 
 def certify(p: Presentation, images: dict[str, FPWord],
             witnesses: dict[str, Word]) -> CertReport:
-    """Check every relator dies and the witnesses hit s and t exactly."""
+    """Check every relator dies and the witnesses hit s and t exactly; a
+    witness missing or using a generator without an image fails its check."""
     checks = []
     missing = [g.label for g in p.generators if g.label not in images]
-    checks.append(CertCheck("images_total", not missing,
-                            "" if not missing else f"missing {missing}"))
+    checks.append(AuditCheck("images_total", not missing,
+                             "" if not missing else f"missing {missing}"))
     if missing:
         return CertReport(tuple(checks))
     for k, r in enumerate(p.relators):
         val = evaluate(images, r)
-        checks.append(CertCheck(f"relator[{k}]", not val, fp_text(val)))
+        checks.append(AuditCheck(f"relator[{k}]", not val, fp_text(val)))
     for target, expect in (("s", S), ("t", T)):
         w = witnesses.get(target)
-        if w is None:
-            checks.append(CertCheck(f"witness_{target}", False, "missing"))
+        unmapped = [] if w is None else sorted({lab for lab, _ in w.letters} - images.keys())
+        if w is None or unmapped:
+            detail = f"no image for {unmapped}" if unmapped else "missing"
+            checks.append(AuditCheck(f"witness_{target}", False, detail))
             continue
         val = evaluate(images, w)
-        checks.append(CertCheck(f"witness_{target}", val == expect, fp_text(val)))
+        checks.append(AuditCheck(f"witness_{target}", val == expect, fp_text(val)))
     return CertReport(tuple(checks))
 
 

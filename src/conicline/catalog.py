@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .braid import (ABOVE, BELOW, ConjugatedTwist, Skeleton, compile_factor,
                     exponent_sum, identity_permutation, permutation)
@@ -83,42 +83,10 @@ def _skel(i: int, j: int, side: str = BELOW) -> Skeleton:
     return Skeleton(min(i, j), max(i, j), side)
 
 
-def _tw(i, j, power, conjs=(), side=BELOW) -> ConjugatedTwist:
-    conjugators = tuple((_skel(a, b, sd), p) for (a, b, sd, p) in conjs)
-    return ConjugatedTwist(_skel(i, j, side), power, conjugators)
-
-
 def _factor(i, j, power, conjs=(), side=BELOW, origin="", provisional=False) -> BMFactor:
-    if power not in _BY_EXPONENT:
-        raise ValueError(f"unsupported singularity exponent {power} "
-                         "(these arrangements have no cusps)")
-    return BMFactor(_tw(i, j, power, conjs, side), _BY_EXPONENT[power], origin, provisional)
-
-
-def _apply_override(factor: BMFactor, overrides) -> BMFactor:
-    """Rebuild a tilde factor from `overrides[origin]`, {"base_side": side,
-    "conjugators": [{"i", "j", "side" (default below), "power"}]} with
-    integer i, j, power; a malformed spec is a ValueError naming the origin."""
-    if not overrides or factor.origin not in overrides:
-        return factor
-    spec = overrides[factor.origin]
-    where = f"override for {factor.origin!r}"
-    if not isinstance(spec, dict) or not isinstance(spec.get("conjugators", []), list):
-        raise ValueError(f"{where}: expected an object with a 'conjugators' list "
-                         "and an optional 'base_side'")
-    conjs = []
-    for k, c in enumerate(spec.get("conjugators", [])):
-        if not isinstance(c, dict) or any(type(c.get(key)) is not int
-                                          for key in ("i", "j", "power")):
-            raise ValueError(f"{where}: conjugator {k} needs integer 'i', 'j' and "
-                             f"'power', got {c!r}")
-        conjs.append((c["i"], c["j"], c.get("side", BELOW), c["power"]))
-    base_side = spec.get("base_side") or factor.twist.base.side
-    try:
-        return _factor(factor.twist.base.i, factor.twist.base.j, factor.twist.power,
-                       conjs, base_side, factor.origin, provisional=True)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
+    twist = ConjugatedTwist(_skel(i, j, side), power,
+                            tuple((_skel(a, b, sd), p) for (a, b, sd, p) in conjs))
+    return BMFactor(twist, _BY_EXPONENT[power], origin, provisional)
 
 
 # --------------------------------------------------------------------------
@@ -282,7 +250,7 @@ def bmf_t22() -> BMF:
 # T_{n,0}: two tangent conics, n lines tangent to the same conic (B_{n+4})
 # --------------------------------------------------------------------------
 
-def bmf_tn0(n: int, ztilde_overrides: dict | None = None) -> BMF:
+def bmf_tn0(n: int) -> BMF:
     """Delta^2 of T_{n,0}. The factor for the second crossing of L_{n-1}
     with the conic (n, n+1) is restored (the general display drops it; the
     explicit n = 2 list shows it as a duplicated factor)."""
@@ -291,18 +259,16 @@ def bmf_tn0(n: int, ztilde_overrides: dict | None = None) -> BMF:
     if n == 1:
         fixed = bmf_t10()
         return BMF(5, fixed.factors, fixed.labels, family="T", n=1, m=0)
-    ov = ztilde_overrides
     F = [
         _factor(n + 2, n + 3, 1, origin="branch Q.a left"),
         _factor(n, n + 1, 1, [(n - 1, n, BELOW, 2), (n + 1, n + 3, BELOW, 2)],
                 origin="branch Q.b left"),
         _factor(n, n + 1, 1, [(n - 1, n, BELOW, 2), (n + 1, n + 2, BELOW, -2)],
                 origin="branch Q.b right"),
-        _apply_override(_factor(
-            n + 2, n + 3, 1,
-            [(j, n + 2, BELOW, -2) for j in range(1, n - 1)]
-            + [(n - 1, n + 2, BELOW, -2), (n - 1, n, BELOW, 2), (n + 2, n + 4, ABOVE, 2)],
-            origin="branch Q.a right (tilde)", provisional=True), ov),
+        _factor(n + 2, n + 3, 1,
+                [(j, n + 2, BELOW, -2) for j in range(1, n - 1)]
+                + [(n - 1, n + 2, BELOW, -2), (n - 1, n, BELOW, 2), (n + 2, n + 4, ABOVE, 2)],
+                origin="branch Q.a right (tilde)", provisional=True),
         _factor(n + 1, n + 3, 4, origin="tangency Q.a x Q.b left"),
         _factor(n + 1, n + 2, 4, origin="tangency Q.a x Q.b right"),
         _factor(n - 1, n + 3, 4, [(n - 1, n, BELOW, 2)], origin=f"tangency L{n - 1}.Q"),
@@ -314,29 +280,25 @@ def bmf_tn0(n: int, ztilde_overrides: dict | None = None) -> BMF:
         F.append(_factor(i, n - 1, 2, [(n - 1, n + 3, BELOW, 2), (n - 1, n, BELOW, 2)],
                          origin=f"node L{i}.L{n - 1}"))
     for i in range(1, n - 1):
-        F.append(_apply_override(_factor(
-            i, n + 4, 2,
-            [(i, j, BELOW, 2) for j in range(n - 2, i, -1)]
-            + [(i, n, ABOVE, 2), (n + 3, n + 4, BELOW, -2)],
-            origin=f"node L{i}.L{n} (tilde)", provisional=True), ov))
+        F.append(_factor(i, n + 4, 2,
+                         [(i, j, BELOW, 2) for j in range(n - 2, i, -1)]
+                         + [(i, n, ABOVE, 2), (n + 3, n + 4, BELOW, -2)],
+                         origin=f"node L{i}.L{n} (tilde)", provisional=True))
     for i in range(1, n - 1):
         for j in range(i + 1, n - 1):
             F.append(_factor(i, j, 2, [(j, n + 3, BELOW, 2)], origin=f"node L{i}.L{j}"))
     for i in range(1, n - 1):
-        F.append(_apply_override(_factor(
-            i, n, 2, [(n - 1, n, BELOW, 2)], side=ABOVE,
-            origin=f"node L{i}.Q.b low (tilde)", provisional=True), ov))
+        F.append(_factor(i, n, 2, [(n - 1, n, BELOW, 2)], side=ABOVE,
+                         origin=f"node L{i}.Q.b low (tilde)", provisional=True))
     for i in range(1, n - 1):
-        F.append(_apply_override(_factor(
-            i, n + 1, 2, [(n, n + 1, BELOW, 2), (n - 1, n, BELOW, 2)], side=ABOVE,
-            origin=f"node L{i}.Q.b high (tilde)", provisional=True), ov))
+        F.append(_factor(i, n + 1, 2, [(n, n + 1, BELOW, 2), (n - 1, n, BELOW, 2)],
+                         side=ABOVE, origin=f"node L{i}.Q.b high (tilde)", provisional=True))
     F.append(_factor(n - 1, n, 2, origin=f"node L{n - 1}.Q.b low"))
     F.append(_factor(n - 1, n, 2, origin=f"node L{n - 1}.Q.b low (second crossing, restored)"))
     F.append(_factor(n, n + 4, 2, [(n - 1, n, BELOW, 2)], side=ABOVE,
                      origin=f"node L{n}.Q.b low"))
-    F.append(_apply_override(_factor(
-        n + 1, n + 4, 2, [(n + 1, n + 2, BELOW, 2), (n + 2, n + 4, BELOW, -2)],
-        origin=f"node L{n}.Q.b high (tilde)", provisional=True), ov))
+    F.append(_factor(n + 1, n + 4, 2, [(n + 1, n + 2, BELOW, 2), (n + 2, n + 4, BELOW, -2)],
+                     origin=f"node L{n}.Q.b high (tilde)", provisional=True))
     F.append(_factor(n - 1, n + 4, 2, [(n - 1, n, BELOW, 2), (n + 3, n + 4, BELOW, -2)],
                      origin=f"node L{n - 1}.L{n}"))
     return BMF(n + 4, tuple(F), tuple(f"x{k}" for k in range(1, n + 5)),
@@ -347,7 +309,7 @@ def bmf_tn0(n: int, ztilde_overrides: dict | None = None) -> BMF:
 # T_{n,m}: two tangent conics, n + m tangent lines (B_{n+m+4})
 # --------------------------------------------------------------------------
 
-def bmf_tnm(n: int, m: int, ztilde_overrides: dict | None = None) -> BMF:
+def bmf_tnm(n: int, m: int) -> BMF:
     """Delta^2 of T_{n,m}, n >= 1, m >= 1, from the twelve-row factor table.
 
     Deviations from the printed table, all matching the explicit small-case
@@ -357,19 +319,17 @@ def bmf_tnm(n: int, m: int, ztilde_overrides: dict | None = None) -> BMF:
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1 (use bmf_tn0 for m = 0)")
-    ov = ztilde_overrides
     F = [
         _factor(2, 3, 1, origin="row(1): branch Q1 left"),
         _factor(2, 3, 1, [(1, 2, BELOW, -2)] + [(2, i, ABOVE, 2) for i in range(6, n + 5)],
                 origin="row(2): branch Q1 right"),
         _factor(4, 5, 1, [(2, 4, ABOVE, 2), (5, n + 5, BELOW, 2)],
                 origin="row(3): branch Q2 left"),
-        _apply_override(_factor(
-            4, 5, 1,
-            [c for j in range(n + 6, n + m + 5)
-             for c in ((5, j, BELOW, -2), (n + 5, j, BELOW, -2))]
-            + [(3, 4, BELOW, -2), (1, 3, BELOW, 2)],
-            origin="row(4): branch Q2 right (tilde)", provisional=True), ov),
+        _factor(4, 5, 1,
+                [c for j in range(n + 6, n + m + 5)
+                 for c in ((5, j, BELOW, -2), (n + 5, j, BELOW, -2))]
+                + [(3, 4, BELOW, -2), (1, 3, BELOW, 2)],
+                origin="row(4): branch Q2 right (tilde)", provisional=True),
         _factor(2, 4, 4, side=ABOVE, origin="row(5): tangency Q1.Q2 left"),
         _factor(3, 4, 4, [(1, 3, BELOW, 2)], origin="row(5): tangency Q1.Q2 right"),
         _factor(1, 3, 4, origin="row(6): tangency L1.Q1"),
@@ -400,10 +360,10 @@ def bmf_tnm(n: int, m: int, ztilde_overrides: dict | None = None) -> BMF:
     for i in range(n + 6, n + m + 5):
         F.append(_factor(2, i, 2, [(2, j, ABOVE, -2) for j in range(n + 4, 5, -1)],
                          side=ABOVE, origin=f"row(10): node L'{i - n - 4}.Q1 left"))
-        F.append(_apply_override(_factor(
-            3, i, 2, [(j, i, ABOVE, 2) for j in range(6, n + 5)]
-            + [(3, 4, BELOW, -2), (1, 3, BELOW, 2)], side=ABOVE,
-            origin=f"row(10): node L'{i - n - 4}.Q1 right (tilde)", provisional=True), ov))
+        F.append(_factor(3, i, 2, [(j, i, ABOVE, 2) for j in range(6, n + 5)]
+                         + [(3, 4, BELOW, -2), (1, 3, BELOW, 2)], side=ABOVE,
+                         origin=f"row(10): node L'{i - n - 4}.Q1 right (tilde)",
+                         provisional=True))
     for i in range(n + 6, n + m + 5):
         F.append(_factor(n + 5, i, 2, origin=f"row(11): node L'1.L'{i - n - 4}"))
     for i in range(n + 6, n + m + 5):
@@ -422,11 +382,11 @@ def bmf_tnm(n: int, m: int, ztilde_overrides: dict | None = None) -> BMF:
                family="T", n=n, m=m)
 
 
-def bmf_t1m(m: int, ztilde_overrides: dict | None = None) -> BMF:
+def bmf_t1m(m: int) -> BMF:
     """T_{1,m}: the published list is the n = 1 instance of the general table."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return bmf_tnm(1, m, ztilde_overrides)
+    return bmf_tnm(1, m)
 
 
 # --------------------------------------------------------------------------
@@ -444,9 +404,13 @@ def expected_counts(family: str, n: int | None, m: int | None) -> dict[str, int]
 
 @dataclass(frozen=True)
 class AuditCheck:
+    """One named check of an audit or a certificate report."""
     name: str
     passed: bool
     detail: str = ""
+
+    def to_json(self) -> dict:
+        return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
 @dataclass(frozen=True)
@@ -470,8 +434,7 @@ class AuditReport:
             "expected_exponent_sum": self.expected_exponent_sum,
             "counts": dict(self.counts),
             "expected_counts": dict(self.expected) if self.expected else None,
-            "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
-                       for c in self.checks],
+            "checks": [c.to_json() for c in self.checks],
             "provisional_factors": list(self.provisional_factors),
             "passed": self.passed,
         }
@@ -596,22 +559,87 @@ def bmf_to_json(b: BMF) -> dict:
     }
 
 
+def _read_skeleton(d, N: int, k: int | None = None) -> Skeleton:
+    """The one reader of JSON skeletons: a base {"i", "j", "side"} if `k` is
+    None, else conjugator k, with "power" too. i, j, power are ints (not bool),
+    1 <= i < j <= N, side defaults to below; no other key is allowed."""
+    ints = ("i", "j") if k is None else ("i", "j", "power")
+    if not isinstance(d, dict) or any(type(d.get(key)) is not int for key in ints):
+        problem = f"needs integer {', '.join(map(repr, ints[:-1]))} and {ints[-1]!r}, got {d!r}"
+    elif not 1 <= d["i"] < d["j"] <= N:
+        problem = f"endpoints ({d['i']}, {d['j']}) must satisfy 1 <= i < j <= N = {N}"
+    elif not d.keys() <= {"side", *ints}:
+        problem = f"has unknown keys {sorted(d.keys() - {'side', *ints})}"
+    else:
+        return Skeleton(d["i"], d["j"], d.get("side", BELOW))
+    raise ValueError(f"{'base' if k is None else f'conjugator {k}'} {problem}")
+
+
+def _read_conjugators(items, N: int) -> tuple[tuple[Skeleton, int], ...]:
+    if not isinstance(items, list):
+        raise ValueError(f"expected a 'conjugators' list, got {items!r}")
+    return tuple((_read_skeleton(c, N, k), c["power"]) for k, c in enumerate(items))
+
+
 def bmf_from_json(d: dict) -> BMF:
-    """Inverse of `bmf_to_json`. Raises ValueError naming the factor when a
-    base or conjugator endpoint pair is outside 1 <= i < j <= N."""
-    strands = d["N"]
+    """Inverse of `bmf_to_json`. Input it could not have written, such as a
+    sing_type that contradicts the power, is a ValueError naming the factor."""
+    if not (isinstance(d, dict) and type(d.get("N")) is int
+            and isinstance(d.get("labels"), list) and isinstance(d.get("factors"), list)):
+        raise ValueError("a factorization must be a JSON object with an integer 'N' "
+                         "and lists 'labels' and 'factors'")
+    N = d["N"]
     factors = []
     for k, fd in enumerate(d["factors"]):
-        for part in (fd["base"], *fd["conjugators"]):
-            if not 1 <= part["i"] < part["j"] <= strands:
-                raise ValueError(f"factor {k}: endpoints ({part['i']}, {part['j']}) "
-                                 f"must satisfy 1 <= i < j <= N = {strands}")
-        conjs = [(c["i"], c["j"], c["side"], c["power"]) for c in fd["conjugators"]]
-        factors.append(_factor(fd["base"]["i"], fd["base"]["j"], fd["power"], conjs,
-                               fd["base"]["side"], fd.get("origin", ""),
-                               fd.get("provisional", False)))
-    return BMF(strands, tuple(factors), tuple(d["labels"]),
+        try:
+            if not isinstance(fd, dict):
+                raise ValueError(f"expected an object, got {fd!r}")
+            power = fd.get("power")
+            if type(power) is not int or power not in _BY_EXPONENT:
+                raise ValueError(f"power must be one of 1, 2, 4, got {power!r}")
+            twist = ConjugatedTwist(_read_skeleton(fd.get("base"), N), power,
+                                    _read_conjugators(fd.get("conjugators", []), N))
+            sing_type = _BY_EXPONENT[power]
+            if fd.get("sing_type", sing_type.name.lower()) != sing_type.name.lower():
+                raise ValueError(f"sing_type {fd['sing_type']!r} does not match power {power}")
+        except ValueError as exc:
+            raise ValueError(f"factor {k}: {exc}") from None
+        factors.append(BMFactor(twist, sing_type, fd.get("origin", ""),
+                                fd.get("provisional", False)))
+    return BMF(N, tuple(factors), tuple(d["labels"]),
                family=d.get("family", ""), n=d.get("n"), m=d.get("m"))
+
+
+def apply_overrides(bmf: BMF, overrides: dict | None) -> BMF:
+    """`bmf` with provisional (tilde) factors rebuilt from `overrides`, which
+    maps their origins to {"base_side": side, "conjugators": [...]} (omitted:
+    the factor's side, no conjugators), read against bmf's strand count. A
+    bad origin or spec is a ValueError naming it."""
+    if overrides is None:
+        return bmf
+    if not isinstance(overrides, dict):
+        raise ValueError("overrides must be a JSON object mapping factor origins "
+                         f"to specs, got {type(overrides).__name__}")
+    valid = [f.origin for f in bmf.factors if f.provisional]
+    unknown = [origin for origin in overrides if origin not in valid]
+    if unknown:
+        raise ValueError(f"override origins name no provisional factor: {unknown} "
+                         f"(valid origins: {valid or 'none'})")
+    factors = []
+    for f in bmf.factors:
+        if f.provisional and f.origin in overrides:
+            spec = overrides[f.origin]
+            try:
+                if not (isinstance(spec, dict) and spec.keys() <= {"base_side", "conjugators"}):
+                    raise ValueError("expected an object with a 'conjugators' list and an "
+                                     f"optional 'base_side', got {spec!r}")
+                base = replace(f.twist.base, side=spec.get("base_side", f.twist.base.side))
+                f = replace(f, twist=ConjugatedTwist(base, f.twist.power, _read_conjugators(
+                    spec.get("conjugators", []), bmf.strand_count)))
+            except ValueError as exc:
+                raise ValueError(f"override for {f.origin!r}: {exc}") from None
+        factors.append(f)
+    return replace(bmf, factors=tuple(factors))
 
 
 # --------------------------------------------------------------------------

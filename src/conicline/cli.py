@@ -45,28 +45,22 @@ def _battery_from(args) -> tuple[str, ...]:
     return names
 
 
-def _load_overrides(path: str | None):
-    if not path:
-        return None
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ValueError(f"cannot read override file {path!r}: {exc.strerror}") from None
-    except ValueError as exc:
-        raise ValueError(f"override file {path!r} is not valid JSON: {exc}") from None
-
-
 def _bmf(arrangement: Arrangement, args) -> catalog.BMF:
     """The factorization with the override file applied; an override error
     names the file."""
     path = args.ztilde_override
-    overrides = _load_overrides(path)
+    if not path:
+        return arrangement.bmf()
+    try:
+        with open(path) as fh:
+            overrides = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read override file {path!r}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ValueError(f"override file {path!r} is not valid JSON: {exc}") from None
     try:
         return arrangement.bmf(overrides)
     except ValueError as exc:
-        if overrides is None:
-            raise
         raise ValueError(f"override file {path!r}: {exc}") from None
 
 

@@ -255,17 +255,17 @@ def _shorten_with(r: Word, index: dict, rotations: list, cap: int) -> Word:
     return r
 
 
-def tietze_simplify(p: Presentation, max_passes: int = 50,
-                    length_cap_factor: int = 4) -> TietzeResult:
+def tietze_simplify(p: Presentation, max_passes: int = 50) -> TietzeResult:
     """Eliminate redundant generators and shorten relators.
 
     Deterministic; every move is an elementary Tietze transformation, so the
     isomorphism type is preserved (tested via fingerprints). Returns the
-    best presentation found within the pass budget.
+    best presentation found within the pass budget. No relator may grow
+    past four times the longest input relator (at least 4 letters).
     """
     gens = list(p.generators)
     relators = list(p.relators)
-    cap = max(4, length_cap_factor * max((len(r) for r in relators), default=0))
+    cap = max(4, 4 * max((len(r) for r in relators), default=0))
     passes = 0
     exhausted = False
     while True:

@@ -51,27 +51,27 @@ def presentation_c2_proj() -> Presentation:
     return presentation(_labels([1, 2]), [sq(_x(1), _x(2))])
 
 
-def presentation_cn_affine(n: int) -> Presentation:
-    """Conic generator x1, line generators x2..x_{n+1}."""
+def _cn_relators(n: int) -> list[Word]:
+    """The relators both C_n presentations share: sq(x1, x_i), [x_j, x1^-1 x_i x1]."""
     if n < 1:
         raise ValueError("n must be >= 1")
     x1 = _x(1)
     rels = [sq(x1, _x(i)) for i in range(2, n + 2)]
     rels += [commutator(_x(j), multiply(invert(x1), _x(i), x1))
              for i in range(2, n + 2) for j in range(i + 1, n + 2)]
-    tail = multiply(*[_x(k) for k in range(n + 1, 1, -1)])
-    rels.append(commutator(tail, x1))
+    return rels
+
+
+def presentation_cn_affine(n: int) -> Presentation:
+    """Conic generator x1, line generators x2..x_{n+1}."""
+    rels = _cn_relators(n)
+    rels.append(commutator(multiply(*[_x(k) for k in range(n + 1, 1, -1)]), _x(1)))
     return presentation(_labels(range(1, n + 2)), rels)
 
 
 def presentation_cn_proj(n: int) -> Presentation:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    x1 = _x(1)
-    rels = [sq(x1, _x(i)) for i in range(2, n + 2)]
-    rels += [commutator(_x(j), multiply(invert(x1), _x(i), x1))
-             for i in range(2, n + 2) for j in range(i + 1, n + 2)]
-    rels.append(multiply(*[_x(k) for k in range(n + 1, 1, -1)], x1, x1))
+    rels = _cn_relators(n)
+    rels.append(multiply(*[_x(k) for k in range(n + 1, 1, -1)], _x(1), _x(1)))
     return presentation(_labels(range(1, n + 2)), rels)
 
 

@@ -11,7 +11,9 @@ import pytest
 from conicline import catalog, paper_groups as pg
 from conicline.arrangement import Arrangement
 from conicline.bigness import certify_certificate, standard_certificate
+from conicline.braid import ABOVE, BELOW
 from conicline.cli import main
+from conicline.vankampen import presentation_text, raw_presentation
 
 # argv -> [exit code, SHA-256 of stdout], recorded from the CLI as it was
 # before the dispatchers were folded into Arrangement.
@@ -175,6 +177,19 @@ def test_override_endpoints_checked_against_strand_count(i, j):
 
 
 @pytest.mark.parametrize("spec,message", [
+    ({"conjugator": []}, "'conjugators' list"),
+    ({"conjugators": [{"i": 1, "j": 2, "sides": "above", "power": 2}]},
+     r"conjugator 0 has unknown keys \['sides'\]"),
+    ({"base_side": None}, "side must be"),
+])
+def test_override_spec_typos_are_rejected(spec, message):
+    origin = "node L1.L3 (tilde)"
+    with pytest.raises(ValueError, match=message) as info:
+        Arrangement("T", 3).bmf({origin: spec})
+    assert repr(origin) in str(info.value)
+
+
+@pytest.mark.parametrize("spec,message", [
     ({"conjugators": [{"i": 1, "power": 2}]}, "conjugator 0 needs integer"),
     ({"conjugators": [{"i": 1, "j": 2, "power": 2.0}]}, "conjugator 0 needs integer"),
     ({"conjugators": [{"i": 1, "j": 2, "power": True}]}, "conjugator 0 needs integer"),
@@ -187,5 +202,44 @@ def test_override_endpoints_checked_against_strand_count(i, j):
 def test_malformed_override_spec_names_the_origin(spec, message):
     origin = next(f.origin for f in catalog.bmf_tnm(1, 1).factors if f.provisional)
     with pytest.raises(ValueError, match=message) as info:
-        catalog.bmf_tnm(1, 1, {origin: spec})
+        Arrangement("T", 1, 1).bmf({origin: spec})
     assert repr(origin) in str(info.value)
+
+
+# "T n m | origin" -> [SHA-256 of the sorted bmf_to_json dump, SHA-256 of the
+# raw projective presentation_text], recorded before overrides were applied
+# in one place (catalog.apply_overrides).
+OVERRIDE_DIGESTS = json.loads((Path(__file__).parent / "override_digests.json").read_text())
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _changed_override(f):
+    """A valid override of the provisional factor `f`: its base side flipped
+    and its conjugator list with the first power negated; below-axis
+    conjugators leave out `side`, which defaults to below."""
+    conjugators = []
+    for k, (skel, power) in enumerate(f.twist.conjugators):
+        c = {"i": skel.i, "j": skel.j, "power": -power if k == 0 else power}
+        if skel.side != BELOW:
+            c["side"] = skel.side
+        conjugators.append(c)
+    return {"base_side": ABOVE if f.twist.base.side == BELOW else BELOW,
+            "conjugators": conjugators}
+
+
+def test_override_outputs_match_pins():
+    got = {}
+    for n, m in ((3, 0), (1, 1), (2, 2)):
+        a = Arrangement("T", n, m)
+        for f in a.bmf().factors:
+            if f.provisional:
+                b = a.bmf({f.origin: _changed_override(f)})
+                assert b != a.bmf()
+                got[f"T {n} {m} | {f.origin}"] = [
+                    _sha(json.dumps(catalog.bmf_to_json(b), sort_keys=True)),
+                    _sha(presentation_text(raw_presentation(b, projective=True)))]
+    assert len(got) == 8
+    assert got == OVERRIDE_DIGESTS

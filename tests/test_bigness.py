@@ -6,6 +6,7 @@ from conicline.bigness import (FP_IDENTITY, S, T, certify,
                                certify_certificate, fp_parse, fp_text, nf,
                                standard_certificate)
 from conicline.paper_groups import presentation_c2_proj
+from conicline.vankampen import presentation
 from conicline.words import gen, multiply
 
 
@@ -60,6 +61,14 @@ def test_negative_controls():
     assert all(c.passed for c in both_s.checks if c.name.startswith("relator"))
     t_check = next(c for c in both_s.checks if c.name == "witness_t")
     assert not t_check.passed
+
+
+def test_witness_letter_without_an_image_is_a_failed_check():
+    report = certify(presentation(["x1"], []), {"x1": T}, {"s": gen("y"), "t": gen("x1")})
+    witness_s = next(c for c in report.checks if c.name == "witness_s")
+    assert not witness_s.passed and "'y'" in witness_s.detail
+    assert next(c for c in report.checks if c.name == "witness_t").passed
+    assert not report.passed
 
 
 def test_standard_certificates_families():

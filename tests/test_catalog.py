@@ -1,5 +1,6 @@
 import pytest
 
+from conicline.arrangement import Arrangement
 from conicline.braid import ABOVE, BELOW, ConjugatedTwist, Skeleton
 from conicline.catalog import (SingType, audit, bmf_cn, bmf_from_json,
                                bmf_t00, bmf_t10, bmf_t11, bmf_t1m, bmf_t20,
@@ -135,7 +136,7 @@ def test_ztilde_override_is_applied():
     origin = next(f.origin for f in b.factors if f.provisional)
     override = {origin: {"base_side": ABOVE, "conjugators": [
         {"i": 1, "j": 2, "side": BELOW, "power": 2}]}}
-    b2 = bmf_tnm(1, 1, ztilde_overrides=override)
+    b2 = Arrangement("T", 1, 1).bmf(override)
     f2 = next(f for f in b2.factors if f.origin == origin)
     assert f2.twist.base.side == ABOVE
     assert f2.twist.conjugators == ((Skeleton(1, 2), 2),)
@@ -176,6 +177,32 @@ def test_json_import_rejects_bad_endpoints(where, i, j):
     part["i"], part["j"] = i, j
     with pytest.raises(ValueError, match=f"factor {k}: .*N = 4"):
         bmf_from_json(d)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda f: f["conjugators"][0].update(i="1"), "conjugator 0 needs integer"),
+    (lambda f: f["base"].update(i=1.0), "base needs integer"),
+    (lambda f: f.update(power=1.0), "power must be"),
+    (lambda f: f["conjugators"][0].pop("j"), "conjugator 0 needs integer"),
+    (lambda f: f.update(sing_type="node"), "sing_type 'node' does not match power 1"),
+    (lambda f: f["base"].update(power=1), r"base has unknown keys \['power'\]"),
+    (lambda f: f.update(conjugators={}), "expected a 'conjugators' list"),
+], ids=["i-str", "i-float", "power-float", "j-missing", "sing_type-contradicts",
+        "base-extra-key", "conjugators-object"])
+def test_json_import_rejects_malformed_factors(edit, message):
+    d = bmf_to_json(bmf_cn(2))
+    k = len(d["factors"]) - 1
+    assert d["factors"][k]["power"] == 1 and d["factors"][k]["conjugators"]
+    edit(d["factors"][k])
+    with pytest.raises(ValueError, match=f"factor {k}: {message}"):
+        bmf_from_json(d)
+
+
+@pytest.mark.parametrize("edit", [lambda d: [d], lambda d: {**d, "N": 4.0}],
+                         ids=["list", "N-float"])
+def test_json_import_rejects_a_malformed_top_level(edit):
+    with pytest.raises(ValueError, match="object with an integer 'N'"):
+        bmf_from_json(edit(bmf_to_json(bmf_cn(2))))
 
 
 def test_singularity_tables_align_with_factor_counts():
