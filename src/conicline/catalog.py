@@ -257,8 +257,7 @@ def bmf_tn0(n: int) -> BMF:
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
-        fixed = bmf_t10()
-        return BMF(5, fixed.factors, fixed.labels, family="T", n=1, m=0)
+        return bmf_t10()
     F = [
         _factor(n + 2, n + 3, 1, origin="branch Q.a left"),
         _factor(n, n + 1, 1, [(n - 1, n, BELOW, 2), (n + 1, n + 3, BELOW, 2)],
@@ -588,12 +587,24 @@ def bmf_from_json(d: dict) -> BMF:
             and isinstance(d.get("labels"), list) and isinstance(d.get("factors"), list)):
         raise ValueError("a factorization must be a JSON object with an integer 'N' "
                          "and lists 'labels' and 'factors'")
-    N = d["N"]
+    N, family, n, m = d["N"], d.get("family", ""), d.get("n"), d.get("m")
+    if not isinstance(family, str):
+        raise ValueError(f"'family' must be a string, got {family!r}")
+    if not all(isinstance(x, str) for x in d["labels"]):
+        raise ValueError(f"'labels' must be a list of strings, got {d['labels']!r}")
+    for key, value in (("n", n), ("m", m)):
+        if value is not None and type(value) is not int:
+            raise ValueError(f"{key!r} must be an integer or null, got {value!r}")
     factors = []
     for k, fd in enumerate(d["factors"]):
         try:
             if not isinstance(fd, dict):
                 raise ValueError(f"expected an object, got {fd!r}")
+            origin, provisional = fd.get("origin", ""), fd.get("provisional", False)
+            if not isinstance(origin, str):
+                raise ValueError(f"'origin' must be a string, got {origin!r}")
+            if type(provisional) is not bool:
+                raise ValueError(f"'provisional' must be true or false, got {provisional!r}")
             power = fd.get("power")
             if type(power) is not int or power not in _BY_EXPONENT:
                 raise ValueError(f"power must be one of 1, 2, 4, got {power!r}")
@@ -604,10 +615,8 @@ def bmf_from_json(d: dict) -> BMF:
                 raise ValueError(f"sing_type {fd['sing_type']!r} does not match power {power}")
         except ValueError as exc:
             raise ValueError(f"factor {k}: {exc}") from None
-        factors.append(BMFactor(twist, sing_type, fd.get("origin", ""),
-                                fd.get("provisional", False)))
-    return BMF(N, tuple(factors), tuple(d["labels"]),
-               family=d.get("family", ""), n=d.get("n"), m=d.get("m"))
+        factors.append(BMFactor(twist, sing_type, origin, provisional))
+    return BMF(N, tuple(factors), tuple(d["labels"]), family=family, n=n, m=m)
 
 
 def apply_overrides(bmf: BMF, overrides: dict | None) -> BMF:

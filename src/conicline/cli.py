@@ -32,8 +32,6 @@ def _die(msg: str) -> int:
 def _battery_from(args) -> tuple[str, ...]:
     raw = getattr(args, "targets", None)
     if raw is None:
-        raw = os.environ.get("CONICLINE_BATTERY")
-    if raw is None:
         return DEFAULT_BATTERY
     names = tuple(t.strip() for t in raw.split(",") if t.strip())
     valid = f"(valid groups: {', '.join(BATTERY)})"

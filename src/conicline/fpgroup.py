@@ -40,22 +40,18 @@ def _identity_matrix(n):
 
 def smith_normal_form(matrix: list[list[int]]):
     """Return (S, U, V) with U @ matrix @ V = S diagonal, U, V unimodular,
-    and the diagonal entries forming a divisibility chain."""
+    and the diagonal entries positive and forming a divisibility chain.
+
+    One pivot loop: each step moves the smallest nonzero entry of the
+    remaining block to the pivot and reduces its row and column by it. A
+    remainder, or a block entry the pivot does not divide (its row is then
+    added to the pivot row), sends the step round again with a strictly
+    smaller |pivot|, so the loop terminates."""
     a = [row[:] for row in matrix]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     u = _identity_matrix(rows)
     v = _identity_matrix(cols)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
 
     def add_row(src, dst, c):
         a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
@@ -67,69 +63,43 @@ def smith_normal_form(matrix: list[list[int]]):
         for r in v:
             r[dst] += c * r[src]
 
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < min(rows, cols):
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] and (best is None or abs(a[i][j]) < best):
-                    best, pivot = abs(a[i][j]), (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
+    for t in range(min(rows, cols)):
         while True:
-            done = True
+            best = None
+            for i in range(t, rows):
+                for j in range(t, cols):
+                    if a[i][j] and (best is None or abs(a[i][j]) < best[0]):
+                        best = (abs(a[i][j]), i, j)
+                if best and best[0] == 1:
+                    break
+            if best is None:
+                return a, u, v
+            _, pi, pj = best
+            a[t], a[pi] = a[pi], a[t]
+            u[t], u[pi] = u[pi], u[t]
+            for r in a + v:
+                r[t], r[pj] = r[pj], r[t]
+            p = a[t][t]
             for i in range(t + 1, rows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
+                q = a[i][t] // p
+                if q:
                     add_row(t, i, -q)
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        done = False
             for j in range(t + 1, cols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
+                q = a[t][j] // p
+                if q:
                     add_col(t, j, -q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        done = False
-            if done:
-                break
+            if any(a[i][t] for i in range(t + 1, rows)) or any(a[t][t + 1:]):
+                continue
+            if p not in (1, -1):
+                bad = next((i for i in range(t + 1, rows)
+                            if any(x % p for x in a[i][t + 1:])), None)
+                if bad is not None:
+                    add_row(bad, t, 1)
+                    continue
+            break
         if a[t][t] < 0:
-            negate_row(t)
-        t += 1
-
-    # enforce the divisibility chain d_i | d_{i+1}
-    changed = True
-    while changed:
-        changed = False
-        for i in range(t - 1):
-            if a[i + 1][i + 1] % a[i][i] != 0:
-                add_col(i + 1, i, 1)
-                # re-diagonalize the 2x2 block
-                while a[i + 1][i]:
-                    if abs(a[i + 1][i]) <= abs(a[i][i]):
-                        q = a[i][i] // a[i + 1][i]
-                        add_row(i + 1, i, -q)
-                        swap_rows(i, i + 1)
-                    else:
-                        q = a[i + 1][i] // a[i][i]
-                        add_row(i, i + 1, -q)
-                for j in (i, i + 1):
-                    if a[i][j] and j != i:
-                        q = a[i][j] // a[i][i]
-                        add_col(i, j, -q)
-                if a[i + 1][i + 1] < 0:
-                    negate_row(i + 1)
-                if a[i][i] < 0:
-                    negate_row(i)
-                changed = True
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
     return a, u, v
 
 

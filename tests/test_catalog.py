@@ -205,6 +205,33 @@ def test_json_import_rejects_a_malformed_top_level(edit):
         bmf_from_json(edit(bmf_to_json(bmf_cn(2))))
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("n", "2", "'n' must be an integer or null, got '2'"),
+    ("m", 2.0, "'m' must be an integer or null, got 2.0"),
+    ("n", True, "'n' must be an integer or null, got True"),
+    ("family", 7, "'family' must be a string, got 7"),
+    ("labels", ["x1", 2], r"'labels' must be a list of strings, got \['x1', 2\]"),
+], ids=["n-str", "m-float", "n-bool", "family-int", "label-int"])
+def test_json_import_rejects_bad_arrangement_fields(key, value, message):
+    d = bmf_to_json(bmf_tnm(2, 2))
+    d[key] = value
+    with pytest.raises(ValueError, match=message):
+        bmf_from_json(d)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("provisional", "yes", "'provisional' must be true or false, got 'yes'"),
+    ("provisional", 1, "'provisional' must be true or false, got 1"),
+    ("origin", 7, "'origin' must be a string, got 7"),
+], ids=["provisional-str", "provisional-int", "origin-int"])
+def test_json_import_rejects_bad_factor_fields(key, value, message):
+    d = bmf_to_json(bmf_tnm(2, 2))
+    k = next(k for k, fd in enumerate(d["factors"]) if fd["provisional"])
+    d["factors"][k][key] = value
+    with pytest.raises(ValueError, match=f"factor {k}: {message}"):
+        bmf_from_json(d)
+
+
 def test_singularity_tables_align_with_factor_counts():
     assert len(singularity_table_c1()) == len(bmf_cn(1).factors)
     assert len(singularity_table_c2()) == len(bmf_cn(2).factors)

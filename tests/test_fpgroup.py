@@ -85,6 +85,58 @@ def test_snf_against_sympy_when_available():
         assert ours == theirs, (m, ours, theirs)
 
 
+def checked_snf(m):
+    """The nonzero diagonal of smith_normal_form(m), after checking the
+    replay U M V = S, unimodular U and V, a positive divisibility chain and
+    transform entries under 128 bits."""
+    rows, cols = len(m), len(m[0])
+    s, u, v = smith_normal_form(m)
+    um = [[sum(u[i][k] * m[k][j] for k in range(rows)) for j in range(cols)]
+          for i in range(rows)]
+    assert [[sum(um[i][k] * v[k][j] for k in range(cols)) for j in range(cols)]
+            for i in range(rows)] == s
+    assert abs(det_int(u)) == 1 and abs(det_int(v)) == 1
+    assert all(s[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
+    diag = [s[i][i] for i in range(min(rows, cols)) if s[i][i]]
+    assert all(d > 0 for d in diag)
+    assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
+    assert max(abs(x).bit_length() for r in u + v for x in r) < 128
+    return diag
+
+
+def test_snf_transforms_stay_bounded():
+    m = [[-12, 5, -7, 7, 0], [-12, 12, -10, -10, -9], [-11, -9, 5, 9, -4],
+         [8, -9, -11, 3, -5], [-10, 11, 6, 10, -6]]
+    assert checked_snf(m) == [1, 1, 1, 1, 961500]
+
+
+def test_abelianization_of_a_dense_6x5_exponent_matrix():
+    m = [[-7, -4, 8, 5, 9], [5, 2, 6, -12, 3], [-4, 5, -1, 5, -9],
+         [1, 11, -12, 5, 6], [4, 9, 5, 1, 1], [6, 0, 11, 4, 7]]
+    labels = [f"x{k}" for k in range(1, 6)]
+    relators = [Word(tuple((labels[j], 1 if e > 0 else -1)
+                           for j, e in enumerate(row) for _ in range(abs(e))))
+                for row in m]
+    res = abelianization(presentation(labels, relators))
+    assert res.diagonal == (1, 1, 1, 1, 1) and res.rank_free == 0
+    assert checked_snf(m) == [1, 1, 1, 1, 1]
+
+
+def test_snf_seeded_stress():
+    try:
+        from sympy import Matrix
+        from sympy.matrices.normalforms import invariant_factors
+    except ImportError:
+        invariant_factors = None
+    rng = random.Random(53)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = [[rng.randint(-12, 12) for _ in range(cols)] for _ in range(rows)]
+        diag = checked_snf(m)
+        if invariant_factors is not None:
+            assert diag == [int(d) for d in invariant_factors(Matrix(m)) if d], m
+
+
 def test_tietze_examples():
     p = presentation(["a"], [multiply(gen("a"), invert(gen("a")))])
     out = tietze_simplify(p).presentation

@@ -137,6 +137,31 @@ def test_presentation_text_roundtrip():
     assert j.origins == p.origins
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.pop("generators"), "'generators' must be a list, got None"),
+    (lambda d: d["generators"][0].pop("index"),
+     "generator 0 must be an object with a non-empty string 'label'"),
+    (lambda d: d["generators"][1].update(index=True), "generator 1 must be an object"),
+    (lambda d: d["generators"][0].update(label=5), "generator 0 must be an object"),
+    (lambda d: d["generators"][2].update(label=""), "generator 2 must be an object"),
+    (lambda d: d.update(relators=[7]), r"'relators' must be a list of strings, got \[7\]"),
+    (lambda d: d.update(relators="x1"), "'relators' must be a list of strings, got 'x1'"),
+    (lambda d: d.update(origins=[None]), "'origins' must be a list of strings"),
+], ids=["generators-missing", "index-missing", "index-bool", "label-int",
+        "label-empty", "relator-int", "relators-str", "origin-null"])
+def test_presentation_import_rejects_malformed_json(edit, message):
+    d = presentation_to_json(raw_presentation(bmf_cn(1), projective=True))
+    edit(d)
+    with pytest.raises(ValueError, match=message):
+        presentation_from_json(d)
+
+
+def test_presentation_import_rejects_a_non_object():
+    d = presentation_to_json(raw_presentation(bmf_cn(1), projective=True))
+    with pytest.raises(ValueError, match="must be a JSON object, got list"):
+        presentation_from_json([d])
+
+
 def test_presentation_import_rejects_powers():
     with pytest.raises(ValueError, match=r"bad letter 'x1\^2'"):
         parse_presentation("gens: x1 x2\nx1^2 x2")
