@@ -307,7 +307,7 @@ def count_homs(p: Presentation, target: FiniteGroup) -> int:
     under which every relator evaluates to the identity.
 
     Backtracking search over the generators in a greedy order that lets short
-    relators close early; a relator is checked at the depth of its last
+    relators close early; a relator closes at the depth d of its last
     generator in that order.
 
     Conjugation symmetry: if phi is a homomorphism, so is g phi g^-1. The
@@ -316,10 +316,19 @@ def count_homs(p: Presentation, target: FiniteGroup) -> int:
     representative per orbit of that representative's centralizer (acting
     by conjugation), weighted by the orbit size.
 
-    Segment evaluation: a relator closing at depth d is rotated to end with
-    an x_d letter and split into the segments between its x_d letters. The
-    segments are evaluated once per parent node, so each of the |G| children
-    costs two table lookups per occurrence of x_d before the last one.
+    Candidate masks: a relator closing at depth d is rotated to end with an
+    x_d letter and split into a head and the segments between its x_d
+    letters. The x_d images it allows depend only on the values of the head
+    and segments, so they are computed once per such key, as a bitmask over
+    the target's elements, and kept in a memo that belongs to the relator
+    and lives only inside this call.
+
+    Hoisting and forward checking: the key is fixed once the deepest
+    generator read by the head and segments, x_h, is assigned. The mask is
+    looked up right then and ANDed into the pending candidate mask of depth
+    d; a relator in x_d alone is ANDed in before the search. A subtree is
+    pruned as soon as any pending mask is empty, and at the last depth the
+    count is the number of bits left in its mask.
     """
     labels = [g.label for g in p.generators]
     k = len(labels)
@@ -338,29 +347,8 @@ def count_homs(p: Presentation, target: FiniteGroup) -> int:
         order.append(nxt)
         remaining.discard(nxt)
     pos = {lab: i for i, lab in enumerate(order)}
-    # by_depth[d]: (head, steps, final) per relator closing at depth d, where
-    # the relator rotated to end with an x_d letter reads
-    # head * x_d^s1 * seg1 * ... * x_d^s(m-1) * seg(m-1) * x_d^final
-    # and steps = ((s1, seg1), ..., (s(m-1), seg(m-1))).
-    by_depth: list[list[tuple]] = [[] for _ in range(k)]
-    for r in p.relators:
-        if not r:
-            continue
-        lets = [(pos[lab], sign) for lab, sign in r.letters]
-        depth = max(px for px, _ in lets)
-        last = max(i for i, (px, _) in enumerate(lets) if px == depth)
-        final = lets[last][1]
-        head: list[tuple[int, int]] = []
-        steps = []
-        seg = head
-        for px, sign in lets[last + 1:] + lets[:last]:
-            if px == depth:
-                seg = []
-                steps.append((sign, seg))
-            else:
-                seg.append((px, sign))
-        by_depth[depth].append((head, steps, final))
     mult, inv, ident = target.mult, target.inv, target.identity
+    every = range(target.order)
     assignment = [0] * k
 
     def value(letters) -> int:
@@ -370,53 +358,106 @@ def count_homs(p: Presentation, target: FiniteGroup) -> int:
             acc = mult[acc][e if sign > 0 else inv[e]]
         return acc
 
-    def survivors(depth: int, candidates):
-        """The candidates for x_depth under which every relator closing at
-        this depth evaluates to the identity."""
-        for head, steps, final in by_depth[depth]:
-            if not candidates:
-                break
-            acc0 = value(head)
-            segs = [(sign > 0, value(seg)) for sign, seg in steps]
-            kept = []
-            for e in candidates:
+    def allowed(rel) -> int:
+        """Bitmask of the x_d images under which `rel` evaluates to the
+        identity, for the current values of its head and segments."""
+        _, parts, positive, final, memo = rel
+        key = tuple(map(value, parts))
+        mask = memo.get(key)
+        if mask is None:
+            mask = 0
+            head, *segs = key
+            steps = tuple(zip(positive, segs))
+            for e in every:
                 ie = inv[e]
-                acc = acc0
-                for pos_sign, sv in segs:
+                acc = head
+                for pos_sign, sv in steps:
                     acc = mult[mult[acc][e if pos_sign else ie]][sv]
                 # acc * x_d^final is the identity
                 if acc == (ie if final > 0 else e):
-                    kept.append(e)
-            candidates = kept
-        return candidates
+                    mask |= 1 << e
+            memo[key] = mask
+        return mask
 
-    every = range(target.order)
+    # A relator closing at depth d, rotated to end with an x_d letter, reads
+    # head * x_d^s1 * seg1 * ... * x_d^s(m-1) * seg(m-1) * x_d^final and is
+    # kept as (d, (head, seg1, ...), (s1 > 0, ...), final, memo) in
+    # hoisted[h], h being the deepest generator its head and segments read.
+    pending = [(1 << target.order) - 1] * k
+    hoisted: list[list[tuple]] = [[] for _ in range(k)]
+    for r in p.relators:
+        if not r:
+            continue
+        lets = [(pos[lab], sign) for lab, sign in r.letters]
+        depth = max(px for px, _ in lets)
+        last = max(i for i, (px, _) in enumerate(lets) if px == depth)
+        parts: list[list[tuple[int, int]]] = [[]]
+        positive = []
+        for px, sign in lets[last + 1:] + lets[:last]:
+            if px == depth:
+                parts.append([])
+                positive.append(sign > 0)
+            else:
+                parts[-1].append((px, sign))
+        rel = (depth, parts, tuple(positive), lets[last][1], {})
+        h = max((px for part in parts for px, _ in part), default=-1)
+        if h < 0:
+            pending[depth] &= allowed(rel)
+        else:
+            hoisted[h].append(rel)
 
-    def below(depth: int) -> int:
+    def narrow(depth: int, pending: list[int]):
+        """The pending masks once x_depth is assigned, or None when a relator
+        hoisted to this depth leaves some depth without candidates."""
+        rels = hoisted[depth]
+        if not rels:
+            return pending
+        pending = pending.copy()
+        for rel in rels:
+            d = rel[0]
+            mask = pending[d] & allowed(rel)
+            if not mask:
+                return None
+            pending[d] = mask
+        return pending
+
+    def below(depth: int, pending: list[int]) -> int:
         """Completions of the assignment of x_0 .. x_{depth-1}."""
-        if depth == k:
-            return 1
-        kept = survivors(depth, every)
+        mask = pending[depth]
         if depth + 1 == k:
-            return len(kept)
+            return mask.bit_count()
         total = 0
-        for e in kept:
-            assignment[depth] = e
-            total += below(depth + 1)
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            assignment[depth] = low.bit_length() - 1
+            child = narrow(depth, pending)
+            if child is not None:
+                total += below(depth + 1, child)
         return total
 
-    classes = target.conjugacy_classes
-    total = 0
-    for a in survivors(0, classes):
-        assignment[0] = a
-        if k == 1:
-            total += classes[a]
-            continue
-        orbits = target.centralizer_orbits[a]
-        for b in survivors(1, orbits):
-            assignment[1] = b
-            total += classes[a] * orbits[b] * below(2)
-    return total
+    def weighted(depth: int, pending: list[int], sizes: dict[int, int]) -> int:
+        """below() at depths 0 and 1, where x_depth takes one representative
+        per conjugation orbit, weighted by the orbit size."""
+        mask = pending[depth]
+        total = 0
+        for e, size in sizes.items():
+            if not mask >> e & 1:
+                continue
+            if depth + 1 == k:
+                total += size
+                continue
+            assignment[depth] = e
+            child = narrow(depth, pending)
+            if child is None:
+                continue
+            if depth == 0:
+                total += size * weighted(1, child, target.centralizer_orbits[e])
+            else:
+                total += size * below(2, child)
+        return total
+
+    return weighted(0, pending, target.conjugacy_classes)
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Test-only oracles and input generators: a brute-force hom counter, an
-exact integer determinant, the naive Tietze shortening scan, the
-letter-by-letter Artin action and permutation, and random presentations."""
+"""Test-only oracles and input generators: a brute-force hom counter, the
+leaf-visiting backtracking hom search, an exact integer determinant, the
+naive Tietze shortening scan, the letter-by-letter Artin action and
+permutation, and random presentations."""
 
 import itertools
 import random
@@ -59,6 +60,123 @@ def count_homs_bruteforce(p: Presentation, target: FiniteGroup) -> int:
                 break
         if ok:
             total += 1
+    return total
+
+
+def count_homs_backtrack(p: Presentation, target: FiniteGroup) -> int:
+    """Number of homomorphisms into `target`: assignments generator -> element
+    under which every relator evaluates to the identity.
+
+    Backtracking search over the generators in a greedy order that lets short
+    relators close early; a relator is checked at the depth of its last
+    generator in that order.
+
+    Conjugation symmetry: if phi is a homomorphism, so is g phi g^-1. The
+    first generator therefore takes one representative per conjugacy class
+    of the target, weighted by the class size, and the second takes one
+    representative per orbit of that representative's centralizer (acting
+    by conjugation), weighted by the orbit size.
+
+    Segment evaluation: a relator closing at depth d is rotated to end with
+    an x_d letter and split into the segments between its x_d letters. The
+    segments are evaluated once per parent node, so each of the |G| children
+    costs two table lookups per occurrence of x_d before the last one.
+    """
+    labels = [g.label for g in p.generators]
+    k = len(labels)
+    if k == 0:
+        return 1 if all(not r for r in p.relators) else 0
+    # order generators greedily so short relators close early
+    rel_labels = [frozenset(lab for lab, _ in r.letters) for r in p.relators]
+    order: list[str] = []
+    remaining = set(labels)
+    while remaining:
+        def fire_score(lab):
+            fired = sum(1 for ls in rel_labels
+                        if lab in ls and ls <= set(order) | {lab})
+            return (-fired, labels.index(lab))
+        nxt = min(remaining, key=fire_score)
+        order.append(nxt)
+        remaining.discard(nxt)
+    pos = {lab: i for i, lab in enumerate(order)}
+    # by_depth[d]: (head, steps, final) per relator closing at depth d, where
+    # the relator rotated to end with an x_d letter reads
+    # head * x_d^s1 * seg1 * ... * x_d^s(m-1) * seg(m-1) * x_d^final
+    # and steps = ((s1, seg1), ..., (s(m-1), seg(m-1))).
+    by_depth: list[list[tuple]] = [[] for _ in range(k)]
+    for r in p.relators:
+        if not r:
+            continue
+        lets = [(pos[lab], sign) for lab, sign in r.letters]
+        depth = max(px for px, _ in lets)
+        last = max(i for i, (px, _) in enumerate(lets) if px == depth)
+        final = lets[last][1]
+        head: list[tuple[int, int]] = []
+        steps = []
+        seg = head
+        for px, sign in lets[last + 1:] + lets[:last]:
+            if px == depth:
+                seg = []
+                steps.append((sign, seg))
+            else:
+                seg.append((px, sign))
+        by_depth[depth].append((head, steps, final))
+    mult, inv, ident = target.mult, target.inv, target.identity
+    assignment = [0] * k
+
+    def value(letters) -> int:
+        acc = ident
+        for px, sign in letters:
+            e = assignment[px]
+            acc = mult[acc][e if sign > 0 else inv[e]]
+        return acc
+
+    def survivors(depth: int, candidates):
+        """The candidates for x_depth under which every relator closing at
+        this depth evaluates to the identity."""
+        for head, steps, final in by_depth[depth]:
+            if not candidates:
+                break
+            acc0 = value(head)
+            segs = [(sign > 0, value(seg)) for sign, seg in steps]
+            kept = []
+            for e in candidates:
+                ie = inv[e]
+                acc = acc0
+                for pos_sign, sv in segs:
+                    acc = mult[mult[acc][e if pos_sign else ie]][sv]
+                # acc * x_d^final is the identity
+                if acc == (ie if final > 0 else e):
+                    kept.append(e)
+            candidates = kept
+        return candidates
+
+    every = range(target.order)
+
+    def below(depth: int) -> int:
+        """Completions of the assignment of x_0 .. x_{depth-1}."""
+        if depth == k:
+            return 1
+        kept = survivors(depth, every)
+        if depth + 1 == k:
+            return len(kept)
+        total = 0
+        for e in kept:
+            assignment[depth] = e
+            total += below(depth + 1)
+        return total
+
+    classes = target.conjugacy_classes
+    total = 0
+    for a in survivors(0, classes):
+        assignment[0] = a
+        if k == 1:
+            total += classes[a]
+            continue
+        orbits = target.centralizer_orbits[a]
+        for b in survivors(1, orbits):
+            assignment[1] = b
+            total += classes[a] * orbits[b] * below(2)
     return total
 
 

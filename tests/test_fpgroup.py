@@ -1,7 +1,10 @@
 import hashlib
 import random
+import sys
+
 import pytest
 
+from conicline.arrangement import Arrangement
 from conicline.catalog import bmf_cn, bmf_tn0, bmf_tnm
 from conicline.finite_groups import A4, BATTERY, D4, S3, S4
 from conicline.fpgroup import (_bigram_index, _rotations, _shorten_with,
@@ -10,10 +13,11 @@ from conicline.fpgroup import (_bigram_index, _rotations, _shorten_with,
 from conicline.paper_groups import (presentation_c2_proj, presentation_cn_affine,
                                     presentation_cn_proj, presentation_t00,
                                     presentation_tn0, presentation_tnm)
-from conicline.vankampen import presentation, presentation_text, raw_presentation
+from conicline.vankampen import (Presentation, presentation, presentation_text,
+                                 raw_presentation)
 from conicline.words import Word, gen, invert, multiply, parse_word
-from oracles import (count_homs_bruteforce, det_int, random_presentation,
-                     shorten_with_naive)
+from oracles import (count_homs_backtrack, count_homs_bruteforce, det_int,
+                     random_presentation, shorten_with_naive)
 
 GROUPS = (S3, D4, A4, S4)
 
@@ -299,15 +303,129 @@ def test_count_homs_matches_bruteforce_on_catalog():
             assert count_homs(p, g) == count_homs_bruteforce(p, g), (g, p)
 
 
+def _search_branches(p, g):
+    """count_homs(p, g), and the branches of the mask search it ran, seen
+    through the profiler hook: 'before-search' (a relator in one generator
+    ANDed in before the search), 'hoisted-0', 'hoisted-1' and 'hoisted-2+'
+    (the depth a relator's mask was looked up at), and 'forward-prune' (a
+    subtree cut because the mask of a depth beyond the next one emptied)."""
+    seen = set()
+
+    def hook(frame, event, arg):
+        name = frame.f_code.co_name
+        if event == "call" and name == "allowed":
+            caller = frame.f_back
+            if caller.f_code.co_name == "count_homs":
+                seen.add("before-search")
+            else:
+                depth = caller.f_locals["depth"]
+                seen.add(f"hoisted-{depth}" if depth < 2 else "hoisted-2+")
+        elif event == "return" and name == "narrow" and arg is None:
+            if frame.f_locals["d"] > frame.f_locals["depth"] + 1:
+                seen.add("forward-prune")
+
+    sys.setprofile(hook)
+    try:
+        count = count_homs(p, g)
+    finally:
+        sys.setprofile(None)
+    return count, seen
+
+
+def _mask_presentations(rng):
+    """Four-generator presentations in which every branch of the mask search
+    occurs. A power of g0 is ANDed in before the search; random relators
+    tie g1 to g0 and g2 to g1, so the greedy order is g0, g1, g2, g3 unless
+    a word happens to miss a letter; and g3 v and g3^2 w, where v and w read
+    a random prefix of g0, g1, g2, are hoisted to the last depth of that
+    prefix and empty the mask of g3 whenever v^-2 differs from w^-1."""
+    labels = ["g0", "g1", "g2", "g3"]
+    for _ in range(16):
+        prefix = labels[:rng.randint(1, 3)]
+        yield presentation(labels, [
+            _power("g0", rng.choice((2, 3, 4))),
+            _random_word(rng, labels[:2]), _random_word(rng, labels[:2]),
+            _random_word(rng, labels[1:3]), _random_word(rng, labels[1:3]),
+            multiply(gen("g3"), _random_word(rng, prefix)),
+            multiply(_power("g3", 2), _random_word(rng, prefix))])
+
+
+def test_count_homs_mask_branches_match_bruteforce():
+    """On seeded random presentations the mask search agrees with the
+    brute-force count, and together they reach every branch of it."""
+    rng = random.Random(61)
+    reached = set()
+    for p in _mask_presentations(rng):
+        for g in (S3, D4, A4):
+            count, seen = _search_branches(p, g)
+            assert count == count_homs_bruteforce(p, g), (g, p)
+            reached |= seen
+    assert reached == {"before-search", "hoisted-0", "hoisted-1", "hoisted-2+",
+                       "forward-prune"}
+
+
+# The stated presentations of the `homcount-stated` benchmark workload, as
+# (arrangement, projective).
+HOMCOUNT_STATED = (
+    [(Arrangement("C", n), True) for n in range(2, 7)]
+    + [(Arrangement("C", n), False) for n in range(2, 6)]
+    + [(Arrangement("T", n, 0), True) for n in range(2, 6)]
+    + [(Arrangement("T", n, m), True)
+       for n in range(1, 5) for m in range(1, 6) if n + m <= 5])
+
+
+def _scramble(p, rng):
+    """Shuffle the relators, rotate each one and invert some; same group."""
+    relators = list(p.relators)
+    rng.shuffle(relators)
+    out = []
+    for r in relators:
+        cut = rng.randrange(len(r)) if r else 0
+        w = Word(r.letters[cut:] + r.letters[:cut])
+        out.append(invert(w) if rng.random() < 0.5 else w)
+    return Presentation(p.generators, tuple(out))
+
+
+def test_count_homs_matches_backtracking_on_stated_presentations():
+    """The mask search agrees with the leaf-visiting search it replaced on
+    every `homcount-stated` presentation after Tietze, and on three seeded
+    scrambles of each."""
+    rng = random.Random(67)
+    for a, projective in HOMCOUNT_STATED:
+        q = tietze_simplify(a.stated(projective)).presentation
+        for p in [q] + [_scramble(q, rng) for _ in range(3)]:
+            for g in GROUPS:
+                assert count_homs(p, g) == count_homs_backtrack(p, g), \
+                    (a, projective, g.name, p)
+
+
 def test_count_homs_pinned_stated_counts():
     """Counts too large for the brute-force oracle, pinned from the plain
     backtracking search; a wrong class or orbit weight changes them."""
     cases = [(presentation_cn_proj(6), {"S4": 71256, "D4": 24064}),
              (presentation_cn_affine(5), {"S4": 50400}),
              (presentation_tn0(5), {"S4": 70872}),
-             (presentation_tnm(2, 3), {"D4": 15616, "S4": 42432})]
+             (presentation_tnm(2, 3), {"D4": 15616, "S4": 42432}),
+             (presentation_tnm(4, 4), {"S3": 21768, "D4": 874496, "A4": 341184,
+                                       "S4": 2181072})]
     for p, expected in cases:
         assert {name: count_homs(p, BATTERY[name]) for name in expected} == expected
+
+
+def test_count_homs_keeps_no_memo_between_calls():
+    """Calls interleaved over presentations and targets, with repeats, return
+    the counts of the memo-free backtracking search: no mask outlives its
+    call."""
+    rng = random.Random(71)
+    cases = [(tietze_simplify(a.stated()).presentation, g)
+             for a in (Arrangement("C", 4), Arrangement("T", 2, 2), Arrangement("T", 3, 0))
+             for g in GROUPS]
+    expected = [count_homs_backtrack(p, g) for p, g in cases]
+    order = list(range(len(cases))) * 2
+    rng.shuffle(order)
+    for i in order:
+        p, g = cases[i]
+        assert count_homs(p, g) == expected[i], (i, g.name)
 
 
 def test_fingerprint_free_group():

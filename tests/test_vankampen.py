@@ -147,13 +147,24 @@ def test_presentation_text_roundtrip():
     (lambda d: d.update(relators=[7]), r"'relators' must be a list of strings, got \[7\]"),
     (lambda d: d.update(relators="x1"), "'relators' must be a list of strings, got 'x1'"),
     (lambda d: d.update(origins=[None]), "'origins' must be a list of strings"),
+    (lambda d: d["generators"][1].update(index=-7),
+     r"generator 1 \('x1p'\) has index -7; indices must be positive and distinct"),
+    (lambda d: d["generators"][0].update(index=0), r"generator 0 \('x1'\) has index 0"),
+    (lambda d: d["generators"][2].update(index=1), r"generator 2 \('x2'\) has index 1"),
 ], ids=["generators-missing", "index-missing", "index-bool", "label-int",
-        "label-empty", "relator-int", "relators-str", "origin-null"])
+        "label-empty", "relator-int", "relators-str", "origin-null",
+        "index-negative", "index-zero", "index-repeated"])
 def test_presentation_import_rejects_malformed_json(edit, message):
     d = presentation_to_json(raw_presentation(bmf_cn(1), projective=True))
     edit(d)
     with pytest.raises(ValueError, match=message):
         presentation_from_json(d)
+
+
+def test_presentation_import_keeps_index_gaps():
+    d = presentation_to_json(raw_presentation(bmf_cn(1), projective=True))
+    d["generators"][1]["index"] = 7
+    assert [g.index for g in presentation_from_json(d).generators] == [1, 7, 3]
 
 
 def test_presentation_import_rejects_a_non_object():
