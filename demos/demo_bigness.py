@@ -7,7 +7,7 @@ classically big), verified by free-product normal forms.
 Run as `python demos/demo_bigness.py`.
 """
 
-from conicline import certify_certificate, fp_text, nf, standard_certificate
+from conicline import FPWord, certify_certificate, fp_text, standard_certificate
 from conicline.bigness import FP_IDENTITY, S, T, certify
 from conicline.paper_groups import presentation_c2_proj
 from conicline.words import gen, multiply
@@ -15,9 +15,9 @@ from conicline.words import gen, multiply
 print("= Normal forms in Z/2 * Z/3 =")
 print()
 print("Words alternate between s (order 2) and powers of t (order 3):")
-print("   s t t t s s        ->", fp_text(nf([("s", 1), ("t", 1), ("t", 1),
-                                              ("t", 1), ("s", 1), ("s", 1)])))
-print("   (s t^-1)(t s)      ->", fp_text(nf([("s", 1), ("t", -1), ("t", 1), ("s", 1)])))
+print("   s t t t s s        ->", fp_text(FPWord((("s", 1), ("t", 1), ("t", 1),
+                                                  ("t", 1), ("s", 1), ("s", 1)))))
+print("   (s t^-1)(t s)      ->", fp_text(FPWord((("s", 1), ("t", -1), ("t", 1), ("s", 1)))))
 print()
 
 print("= The quotient argument, mechanically =")

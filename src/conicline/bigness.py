@@ -49,33 +49,19 @@ class FPWord:
 
 
 def nf_syllables(syllables) -> tuple[Syllable, ...]:
+    """Merge each syllable into the last one when the letters agree. The
+    letters of `out` alternate, so a syllable that cancels exposes one with
+    the other letter, and nothing further merges until the next input."""
     out: list[Syllable] = []
     for letter, e in syllables:
         if letter not in ("s", "t"):
             raise ValueError(f"unknown free-product letter {letter!r}")
         if out and out[-1][0] == letter:
-            merged = _norm_exp(letter, out[-1][1] + e)
-            out.pop()
-            if merged:
-                out.append((letter, merged))
-                continue
-            # a cancellation may expose two more equal neighbours
-            while len(out) >= 2 and out[-1][0] == out[-2][0]:
-                l2, e2 = out.pop()
-                l1, e1 = out.pop()
-                m2 = _norm_exp(l1, e1 + e2)
-                if m2:
-                    out.append((l1, m2))
-        else:
-            e = _norm_exp(letter, e)
-            if e:
-                out.append((letter, e))
+            e += out.pop()[1]
+        e = _norm_exp(letter, e)
+        if e:
+            out.append((letter, e))
     return tuple(out)
-
-
-def nf(syllables) -> FPWord:
-    """Normal form of a raw syllable sequence."""
-    return FPWord(tuple(syllables))
 
 
 S = FPWord((("s", 1),))
@@ -87,20 +73,6 @@ def fp_text(w: FPWord) -> str:
     if not w.syllables:
         return "1"
     return " ".join(l if e == 1 else f"{l}^{e}" for l, e in w.syllables)
-
-
-def fp_parse(text: str) -> FPWord:
-    text = text.strip()
-    if text in ("", "1"):
-        return FP_IDENTITY
-    syls = []
-    for tok in text.split():
-        if "^" in tok:
-            l, e = tok.split("^")
-            syls.append((l, int(e)))
-        else:
-            syls.append((tok, 1))
-    return FPWord(tuple(syls))
 
 
 def evaluate(images: dict[str, FPWord], w: Word) -> FPWord:

@@ -224,18 +224,3 @@ def braid_text(b: ArtinWord) -> str:
         return "1"
     return " ".join(f"s{i}" if s > 0 else f"s{i}^-1" for i, s in b.letters)
 
-
-def parse_braid(text: str, n: int) -> ArtinWord:
-    text = text.strip()
-    if text in ("", "1"):
-        return ArtinWord(n)
-    letters = []
-    for tok in text.split():
-        if not tok.startswith("s"):
-            raise ValueError(f"bad braid letter {tok!r}")
-        if tok.endswith("^-1"):
-            letters.append((int(tok[1:-3]), -1))
-        else:
-            letters.append((int(tok[1:]), 1))
-    return ArtinWord(n, tuple(letters))
-

@@ -24,7 +24,6 @@ Fiber labelings:
 from __future__ import annotations
 
 import enum
-import re
 from dataclasses import dataclass, replace
 
 from .braid import (ABOVE, BELOW, ConjugatedTwist, Skeleton, compile_factor,
@@ -483,62 +482,6 @@ def audit(b: BMF) -> AuditReport:
 
 
 # --------------------------------------------------------------------------
-# shorthand expansion (Z^2_{i,j j'} and Z^2_{i i',j j'})
-# --------------------------------------------------------------------------
-
-class ShorthandError(ValueError):
-    pass
-
-
-_TOKEN = re.compile(r"^Z\^?2_\{([^,}]+),([^,}]+)\}$")
-
-
-def _parse_point_group(text: str) -> list[str]:
-    text = text.strip()
-    if " " in text:
-        return text.split()
-    m = re.fullmatch(r"(\d+)\1'", text)  # compact pair like 22'
-    if m:
-        return [m.group(1), m.group(1) + "'"]
-    if re.fullmatch(r"\d+'?", text):
-        return [text]
-    raise ShorthandError(f"cannot parse point group {text!r}")
-
-
-def expand_shorthand(token: str, names: dict[str, int] | None = None) -> list[ConjugatedTwist]:
-    """Expand Z^2_{i,j j'} -> [Z^2_{i j'}, Z^2_{i j}] and
-    Z^2_{i i',j j'} -> [Z^2_{i' j'}, Z^2_{i' j}, Z^2_{i j'}, Z^2_{i j}].
-
-    Point names resolve to fiber indices through `names`; unprimed names
-    default to their own integer value.
-    """
-    m = _TOKEN.match(token.strip())
-    if not m:
-        raise ShorthandError(f"not a recognized shorthand: {token!r}")
-    left = _parse_point_group(m.group(1))
-    right = _parse_point_group(m.group(2))
-    if len(right) != 2 or right[1] != right[0] + "'":
-        raise ShorthandError(f"right group must be a pair j j': {token!r}")
-    if not (len(left) == 1 or (len(left) == 2 and left[1] == left[0] + "'")):
-        raise ShorthandError(f"left group must be i or i i': {token!r}")
-
-    def resolve(name: str) -> int:
-        if names and name in names:
-            return names[name]
-        if name.endswith("'"):
-            raise ShorthandError(f"primed point {name!r} needs a names mapping")
-        return int(name)
-
-    j, jp = resolve(right[0]), resolve(right[1])
-    sources = [resolve(nm) for nm in left]
-    out = []
-    for a in reversed(sources):  # i' part first when present
-        for b in (jp, j):
-            out.append(ConjugatedTwist(_skel(a, b), 2))
-    return out
-
-
-# --------------------------------------------------------------------------
 # JSON export / import
 # --------------------------------------------------------------------------
 
@@ -621,9 +564,10 @@ def bmf_from_json(d: dict) -> BMF:
 
 def apply_overrides(bmf: BMF, overrides: dict | None) -> BMF:
     """`bmf` with provisional (tilde) factors rebuilt from `overrides`, which
-    maps their origins to {"base_side": side, "conjugators": [...]} (omitted:
-    the factor's side, no conjugators), read against bmf's strand count. A
-    bad origin or spec is a ValueError naming it."""
+    maps their origins to {"base_side": side, "conjugators": [...]}, read
+    against bmf's strand count. An omitted key keeps the factor's own side
+    or conjugator list; "conjugators": [] clears the list. A bad origin or
+    spec is a ValueError naming it."""
     if overrides is None:
         return bmf
     if not isinstance(overrides, dict):
@@ -640,34 +584,14 @@ def apply_overrides(bmf: BMF, overrides: dict | None) -> BMF:
             spec = overrides[f.origin]
             try:
                 if not (isinstance(spec, dict) and spec.keys() <= {"base_side", "conjugators"}):
-                    raise ValueError("expected an object with a 'conjugators' list and an "
-                                     f"optional 'base_side', got {spec!r}")
+                    raise ValueError("expected an object with an optional 'base_side' and "
+                                     f"an optional 'conjugators' list, got {spec!r}")
                 base = replace(f.twist.base, side=spec.get("base_side", f.twist.base.side))
-                f = replace(f, twist=ConjugatedTwist(base, f.twist.power, _read_conjugators(
-                    spec.get("conjugators", []), bmf.strand_count)))
+                conjugators = (_read_conjugators(spec["conjugators"], bmf.strand_count)
+                               if "conjugators" in spec else f.twist.conjugators)
+                f = replace(f, twist=ConjugatedTwist(base, f.twist.power, conjugators))
             except ValueError as exc:
                 raise ValueError(f"override for {f.origin!r}: {exc}") from None
         factors.append(f)
     return replace(bmf, factors=tuple(factors))
 
-
-# --------------------------------------------------------------------------
-# singularity tables for the two smallest arrangements
-# --------------------------------------------------------------------------
-
-def singularity_table_c1() -> list[dict]:
-    return [
-        {"point": "P1", "exponent": 1, "diffeomorphism": "half-twist R.I2 <1>"},
-        {"point": "<2,3>", "exponent": 4, "diffeomorphism": "Delta^2 <2,3>"},
-        {"point": "<1,2>", "exponent": 1, "diffeomorphism": "half-twist I2.R <1>"},
-    ]
-
-
-def singularity_table_c2() -> list[dict]:
-    return [
-        {"point": "P1", "exponent": 1, "diffeomorphism": "half-twist R.I2 <1>"},
-        {"point": "<2,3>", "exponent": 4, "diffeomorphism": "Delta^2 <2,3>"},
-        {"point": "<3,4>", "exponent": 2, "diffeomorphism": "Delta <3,4>"},
-        {"point": "<2,3>", "exponent": 4, "diffeomorphism": "Delta^2 <2,3>"},
-        {"point": "<1,2>", "exponent": 1, "diffeomorphism": "half-twist I2.R <1>"},
-    ]

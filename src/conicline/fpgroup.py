@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .finite_groups import BATTERY, DEFAULT_BATTERY, FiniteGroup
-from .vankampen import Presentation, cyclic_reduce
+from .vankampen import Presentation, cyclic_canonical, cyclic_reduce
 from .words import Word, invert, multiply, substitute
 
 # --------------------------------------------------------------------------
@@ -135,19 +135,6 @@ class TietzeResult:
     exhausted: bool
 
 
-def _canonical_cyclic(w: Word) -> tuple:
-    w = cyclic_reduce(w)
-    if not w:
-        return ()
-    best = None
-    for cand in (w.letters, invert(w).letters):
-        for r in range(len(cand)):
-            rot = cand[r:] + cand[:r]
-            if best is None or rot < best:
-                best = rot
-    return best
-
-
 def _solve_generator(r: Word, label: str) -> Word:
     """Given a relator with exactly one occurrence of `label`, express it in
     the remaining generators: r = p g^s q = e  =>  g^s = p^-1 q^-1."""
@@ -249,7 +236,7 @@ def tietze_simplify(p: Presentation, max_passes: int = 50) -> TietzeResult:
         cleaned = []
         for r in relators:
             r = cyclic_reduce(r)
-            key = _canonical_cyclic(r)
+            key = cyclic_canonical(r)
             if not key or key in seen:
                 changed = changed or bool(r) or key in seen
                 continue

@@ -1,28 +1,19 @@
 """The stated (simplified) fundamental-group presentations for each
 arrangement family, transcribed with the original generator names.
 
-Conventions used throughout: sq(a, b) is the tangency-type relator
-(ab)^2 ((ba)^2)^-1, comm(a, b) the commutator a b a^-1 b^-1; every relation
-"lhs = rhs" is stored as the relator lhs rhs^-1.
+The relators are written with the shapes of `words`: sq(a, b) is the
+tangency relator (ab)^2 ((ba)^2)^-1, commutator(a, b) is a b a^-1 b^-1, and
+every relation "lhs = rhs" is stored as the relator eq(lhs, rhs) = lhs rhs^-1.
 """
 
 from __future__ import annotations
 
 from .vankampen import Presentation, presentation
-from .words import Word, commutator, gen, invert, multiply
+from .words import Word, commutator, eq, gen, invert, multiply, sq
 
 
 def _x(k: int) -> Word:
     return gen(f"x{k}")
-
-
-def sq(a: Word, b: Word) -> Word:
-    ab, ba = multiply(a, b), multiply(b, a)
-    return multiply(ab, ab, invert(ba), invert(ba))
-
-
-def eq(lhs: Word, rhs: Word) -> Word:
-    return multiply(lhs, invert(rhs))
 
 
 def _labels(ks) -> list[str]:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from .braid import ArtinWord, apply_braid, band_transport, conjugator_braid
 from .catalog import BMF, BMFactor, SingType
-from .words import (Generator, Word, gen, invert, multiply, parse_word,
-                    word_text)
+from .words import (Generator, Word, commutator, eq, gen, invert, parse_word,
+                    sq, word_text)
 
 
 def cyclic_reduce(w: Word) -> Word:
@@ -25,6 +25,17 @@ def cyclic_reduce(w: Word) -> Word:
             and letters[0][1] == -letters[-1][1]:
         letters = letters[1:-1]
     return Word(letters)
+
+
+def cyclic_canonical(w: Word) -> tuple:
+    """The least letter tuple among the rotations of cyclic_reduce(w) and of
+    its inverse: two relators are equal up to cyclic rotation and inversion
+    exactly when their canonical forms are equal."""
+    w = cyclic_reduce(w)
+    if not w:
+        return ()
+    return min(cand[r:] + cand[:r] for cand in (w.letters, invert(w).letters)
+               for r in range(len(cand)))
 
 
 @dataclass(frozen=True)
@@ -58,8 +69,9 @@ def presentation(labels, relators, origins=()) -> Presentation:
     return Presentation(gens, tuple(relators), tuple(origins))
 
 
-def relation_pair(f: BMFactor, n: int, labels: tuple[str, ...] | None = None):
-    """The transported endpoint loops (A, B) of a monodromy factor in B_n."""
+def relation_pair(f: BMFactor, n: int, labels: tuple[str, ...]):
+    """The transported endpoint loops (A, B) of a monodromy factor in B_n,
+    written in `labels` (the label of fiber position k is labels[k - 1])."""
     t = f.twist
     if t.power <= 0:
         raise ValueError("monodromy factors must have positive power")
@@ -69,22 +81,15 @@ def relation_pair(f: BMFactor, n: int, labels: tuple[str, ...] | None = None):
     e = d.inverse() * v  # (V^-1 D)^-1
     a = apply_braid(e, gen(f"x{core}"))
     b = apply_braid(e, gen(f"x{core + 1}"))
-    if labels is not None:
-        rename = {f"x{k}": lab for k, lab in enumerate(labels, start=1)}
-        a = Word(tuple((rename[l], s) for l, s in a.letters))
-        b = Word(tuple((rename[l], s) for l, s in b.letters))
-    return a, b
+    rename = {f"x{k}": lab for k, lab in enumerate(labels, start=1)}
+    return tuple(Word(tuple((rename[l], s) for l, s in w.letters)) for w in (a, b))
+
+
+_RELATOR_SHAPES = {SingType.BRANCH: eq, SingType.NODE: commutator, SingType.TANGENCY: sq}
 
 
 def relator_for(sing_type: SingType, a: Word, b: Word) -> Word:
-    if sing_type is SingType.BRANCH:
-        return multiply(a, invert(b))
-    if sing_type is SingType.NODE:
-        return multiply(a, b, invert(a), invert(b))
-    if sing_type is SingType.TANGENCY:
-        ab, ba = multiply(a, b), multiply(b, a)
-        return multiply(ab, ab, invert(ba), invert(ba))
-    raise ValueError(f"unsupported singularity type {sing_type!r}")
+    return _RELATOR_SHAPES[sing_type](a, b)
 
 
 def projective_relator(labels: tuple[str, ...]) -> Word:
@@ -104,33 +109,10 @@ def raw_presentation(b: BMF, projective: bool = False) -> Presentation:
     return presentation(b.labels, relators, origins)
 
 
-def relator_equal_up_to_cyc(a: Word, b: Word) -> bool:
-    """Equality of relators up to cyclic rotation and inversion."""
-    a, b = cyclic_reduce(a), cyclic_reduce(b)
-    if len(a) != len(b):
-        return False
-    if not a:
-        return True
-    for cand in (b, invert(b)):
-        letters = cand.letters
-        for r in range(len(letters)):
-            if a.letters == letters[r:] + letters[:r]:
-                return True
-    return False
-
-
 def presentation_text(p: Presentation) -> str:
     lines = ["gens: " + " ".join(p.labels())]
     lines += [word_text(r) for r in p.relators]
     return "\n".join(lines)
-
-
-def parse_presentation(text: str) -> Presentation:
-    lines = [l for l in (ln.strip() for ln in text.splitlines()) if l]
-    if not lines or not lines[0].startswith("gens:"):
-        raise ValueError("presentation text must start with a 'gens:' line")
-    labels = lines[0][len("gens:"):].split()
-    return presentation(labels, [parse_word(l) for l in lines[1:]])
 
 
 def presentation_to_json(p: Presentation) -> dict:

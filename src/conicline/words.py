@@ -68,9 +68,6 @@ class Word:
         return {lab for lab, _ in self.letters}
 
 
-EMPTY = Word()
-
-
 def gen(label: str) -> Word:
     return Word(((label, 1),))
 
@@ -100,8 +97,19 @@ def conjugate(a: Word, b: Word) -> Word:
 
 
 def commutator(a: Word, b: Word) -> Word:
-    """[a, b] = a b a^-1 b^-1."""
+    """[a, b] = a b a^-1 b^-1, the node relator."""
     return multiply(a, b, invert(a), invert(b))
+
+
+def sq(a: Word, b: Word) -> Word:
+    """(ab)^2 ((ba)^2)^-1, the tangency relator."""
+    ab, ba = multiply(a, b), multiply(b, a)
+    return multiply(ab, ab, invert(ba), invert(ba))
+
+
+def eq(lhs: Word, rhs: Word) -> Word:
+    """lhs rhs^-1, the relator of the relation lhs = rhs (and of a branch point)."""
+    return multiply(lhs, invert(rhs))
 
 
 @dataclass(frozen=True)
@@ -133,11 +141,6 @@ def apply_map(m: GroupMap, w: Word) -> Word:
         if lab not in m.images:
             raise MissingImageError(f"no image for generator {lab!r}")
     return substitute(w, m.images)
-
-
-def compose_maps(m1: GroupMap, m2: GroupMap) -> GroupMap:
-    """apply(compose(m1, m2), w) == apply(m2, apply(m1, w))."""
-    return GroupMap({lab: apply_map(m2, img) for lab, img in m1.images.items()})
 
 
 def word_text(w: Word) -> str:

@@ -1,4 +1,5 @@
-"""The published raw van Kampen relation lists, encoded as relator words.
+"""The published raw van Kampen relation lists, encoded as relator words,
+and the published singularity tables of C_1 and C_2.
 
 Each entry is (tag, sing_kind, A, B) where the relator is branch A B^-1,
 node [A, B], tangency (AB)^2((BA)^2)^-1. C-family generators are x1, x1p
@@ -6,7 +7,7 @@ node [A, B], tangency (AB)^2((BA)^2)^-1. C-family generators are x1, x1p
 """
 
 from conicline.catalog import SingType
-from conicline.vankampen import relator_for
+from conicline.vankampen import cyclic_canonical, relator_for
 from conicline.words import Word, invert, multiply
 
 
@@ -218,19 +219,38 @@ def relator_words(relations):
     return [(tag, relator(kind, a, b)) for tag, kind, a, b in relations]
 
 
-def match_relators(got, want, equal):
-    """Greedy multiset matching; returns (unmatched_want, unmatched_got)."""
+def match_relators(got, want):
+    """Greedy multiset matching of relators up to cyclic rotation and
+    inversion; returns (unmatched_want, unmatched_got)."""
+    keys = [cyclic_canonical(gr) for _, gr in got]
     used = [False] * len(got)
     unmatched_want = []
     for tag, r in want:
-        hit = None
-        for k, (gtag, gr) in enumerate(got):
-            if not used[k] and equal(r, gr):
-                hit = k
-                break
+        key = cyclic_canonical(r)
+        hit = next((k for k in range(len(got)) if not used[k] and keys[k] == key), None)
         if hit is None:
             unmatched_want.append(tag)
         else:
             used[hit] = True
     unmatched_got = [got[k][0] for k in range(len(got)) if not used[k]]
     return unmatched_want, unmatched_got
+
+
+# ---------------------------------------------------------------- singularity tables
+
+def singularity_table_c1():
+    return [
+        {"point": "P1", "exponent": 1, "diffeomorphism": "half-twist R.I2 <1>"},
+        {"point": "<2,3>", "exponent": 4, "diffeomorphism": "Delta^2 <2,3>"},
+        {"point": "<1,2>", "exponent": 1, "diffeomorphism": "half-twist I2.R <1>"},
+    ]
+
+
+def singularity_table_c2():
+    return [
+        {"point": "P1", "exponent": 1, "diffeomorphism": "half-twist R.I2 <1>"},
+        {"point": "<2,3>", "exponent": 4, "diffeomorphism": "Delta^2 <2,3>"},
+        {"point": "<3,4>", "exponent": 2, "diffeomorphism": "Delta <3,4>"},
+        {"point": "<2,3>", "exponent": 4, "diffeomorphism": "Delta^2 <2,3>"},
+        {"point": "<1,2>", "exponent": 1, "diffeomorphism": "half-twist I2.R <1>"},
+    ]

@@ -1,7 +1,8 @@
 """Test-only oracles and input generators: a brute-force hom counter, the
 leaf-visiting backtracking hom search, an exact integer determinant, the
 naive Tietze shortening scan, the letter-by-letter Artin action and
-permutation, and random presentations."""
+permutation, random presentations, and the matrices of Z/2 * Z/3 words in
+SL(2, Z)."""
 
 import itertools
 import random
@@ -271,3 +272,25 @@ def relation_pair(f, n: int, labels: tuple[str, ...]):
     rename = {f"x{k}": lab for k, lab in enumerate(labels, start=1)}
     return tuple(Word(tuple((rename[l], s) for l, s in apply_braid(e, gen(f"x{k}")).letters))
                  for k in (core, core + 1))
+
+
+# Z/2 * Z/3 = <s, t | s^2, t^3> is PSL(2, Z) under s -> [[0, -1], [1, 0]] and
+# t -> [[0, -1], [1, 1]]; these have orders 4 and 6 in SL(2, Z), with squares
+# and cubes -I, so a syllable word's matrix is determined up to sign and is
+# +-I exactly when the word is the identity.
+_SL2Z = {("s", 1): ((0, -1), (1, 0)), ("s", -1): ((0, 1), (-1, 0)),
+         ("t", 1): ((0, -1), (1, 1)), ("t", -1): ((1, 1), (-1, 0))}
+
+
+def psl2z_element(syllables) -> tuple:
+    """The image of a raw syllable word (letter, exponent) in PSL(2, Z): its
+    SL(2, Z) matrix or the negative, whichever has a positive first nonzero
+    entry. Two words are the same element exactly when their images agree."""
+    m = ((1, 0), (0, 1))
+    for letter, e in syllables:
+        g = _SL2Z[letter, 1 if e > 0 else -1]
+        for _ in range(abs(e)):
+            m = tuple(tuple(sum(m[i][k] * g[k][j] for k in range(2)) for j in range(2))
+                      for i in range(2))
+    first = next(x for row in m for x in row if x)
+    return m if first > 0 else tuple(tuple(-x for x in row) for row in m)

@@ -189,6 +189,22 @@ def test_override_spec_typos_are_rejected(spec, message):
     assert repr(origin) in str(info.value)
 
 
+def test_override_keeps_what_it_omits_and_clears_an_empty_list():
+    a = Arrangement("T", 2, 2)
+    f = next(f for f in a.bmf().factors if f.provisional and f.twist.conjugators)
+    flipped = ABOVE if f.twist.base.side == BELOW else BELOW
+
+    def overridden(spec):
+        return next(g for g in a.bmf({f.origin: spec}).factors if g.origin == f.origin).twist
+
+    side_only = overridden({"base_side": flipped})
+    assert side_only.base.side == flipped
+    assert side_only.conjugators == f.twist.conjugators
+    assert overridden({}) == f.twist
+    cleared = overridden({"conjugators": []})
+    assert cleared.conjugators == () and cleared.base == f.twist.base
+
+
 @pytest.mark.parametrize("spec,message", [
     ({"conjugators": [{"i": 1, "power": 2}]}, "conjugator 0 needs integer"),
     ({"conjugators": [{"i": 1, "j": 2, "power": 2.0}]}, "conjugator 0 needs integer"),

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from conicline.bigness import (FP_IDENTITY, S, T, certify,
-                               certify_certificate, fp_parse, fp_text, nf,
+from conicline.bigness import (FP_IDENTITY, FPWord, S, T, certify,
+                               certify_certificate, fp_text,
                                standard_certificate)
 from conicline.paper_groups import presentation_c2_proj
 from conicline.vankampen import presentation
 from conicline.words import gen, multiply
+from oracles import psl2z_element
 
 
 def syl(*items):
@@ -15,11 +16,11 @@ def syl(*items):
 
 
 def test_nf_torsion_collapse():
-    assert nf(syl(("s", 1), ("t", 1), ("t", 1), ("t", 1), ("s", 1), ("s", 1))) == S
-    assert nf(syl(("s", 1), ("t", 1), ("s", 1), ("t", -1))).syllables == \
+    assert FPWord(syl(("s", 1), ("t", 1), ("t", 1), ("t", 1), ("s", 1), ("s", 1))) == S
+    assert FPWord(syl(("s", 1), ("t", 1), ("s", 1), ("t", -1))).syllables == \
         (("s", 1), ("t", 1), ("s", 1), ("t", -1))
-    assert nf(syl(("t", 1), ("t", 1))) == ~T
-    assert nf(syl(("s", 1), ("s", 1))) == FP_IDENTITY
+    assert FPWord(syl(("t", 1), ("t", 1))) == ~T
+    assert FPWord(syl(("s", 1), ("s", 1))) == FP_IDENTITY
 
 
 def test_nf_multiplicative_random():
@@ -27,14 +28,47 @@ def test_nf_multiplicative_random():
     for _ in range(1000):
         raw1 = [(rng.choice("st"), rng.choice((1, -1, 2))) for _ in range(rng.randint(0, 8))]
         raw2 = [(rng.choice("st"), rng.choice((1, -1, 2))) for _ in range(rng.randint(0, 8))]
-        assert nf(raw1 + raw2) == nf(raw1) * nf(raw2)
+        assert FPWord(raw1 + raw2) == FPWord(raw1) * FPWord(raw2)
+
+
+def test_normal_form_is_unique_against_psl2z():
+    """FPWord is the identity exactly when the PSL(2, Z) image is, and two
+    words have equal normal forms exactly when their images agree."""
+    rng = random.Random(11)
+    trivial = [(("s", 2),), (("t", 3),), (("t", 1), ("t", -1)), (("s", 1), ("s", -1)),
+               (("t", 2), ("t", 1)), (("s", 1), ("t", 1), ("t", -1), ("s", 1))]
+
+    def random_word(k):
+        return [(rng.choice("st"), rng.choice((1, -1, 2))) for _ in range(rng.randint(0, k))]
+
+    def padded(w):
+        out = list(w)
+        for _ in range(rng.randint(0, 3)):
+            at = rng.randint(0, len(out))
+            out[at:at] = rng.choice(trivial)
+        return out
+
+    words = []
+    for _ in range(300):
+        u = random_word(6)
+        words += [u, padded(u), padded(u + [(l, -e) for l, e in reversed(u)])]
+    forms = [(w, FPWord(w), psl2z_element(w)) for w in words]
+    identity = psl2z_element([])
+    for w, nf, image in forms:
+        assert (nf == FP_IDENTITY) == (image == identity), w
+    assert sum(image == identity for _, _, image in forms) >= 300
+    equal_pairs = 0
+    for _ in range(20000):
+        (a, nf_a, image_a), (b, nf_b, image_b) = rng.choice(forms), rng.choice(forms)
+        assert (nf_a == nf_b) == (image_a == image_b), (a, b)
+        equal_pairs += image_a == image_b and a != b
+    assert equal_pairs >= 100
 
 
 def test_fp_inverse_and_identity():
-    w = nf(syl(("s", 1), ("t", 1)))
+    w = FPWord(syl(("s", 1), ("t", 1)))
     assert w * ~w == FP_IDENTITY
     assert FP_IDENTITY * w == w
-    assert fp_parse(fp_text(w)) == w
     assert fp_text(FP_IDENTITY) == "1"
 
 

@@ -5,7 +5,7 @@ import pytest
 from conicline.braid import (ABOVE, BELOW, ArtinWord, ConjugatedTwist,
                              Skeleton, apply_braid, artin_action,
                              braid_text, compile_factor, compile_skeleton,
-                             exponent_sum, full_twist, parse_braid, permutation)
+                             exponent_sum, full_twist, permutation)
 from conicline.words import gen, invert, multiply
 
 from oracles import transposition
@@ -158,5 +158,4 @@ def test_exponent_sum_of_factor_equals_power():
 def test_braid_text_roundtrip():
     b = ArtinWord(4, ((1, 1), (2, -1), (1, 1)))
     assert braid_text(b) == "s1 s2^-1 s1"
-    assert parse_braid(braid_text(b), 4) == b
-    assert parse_braid("1", 4) == ArtinWord(4)
+    assert braid_text(ArtinWord(4)) == "1"

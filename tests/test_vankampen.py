@@ -2,11 +2,9 @@ import pytest
 
 import golden
 from conicline.catalog import (SingType, bmf_cn, bmf_tn0, bmf_tnm)
-from conicline.vankampen import (parse_presentation,
-                                 presentation, presentation_from_json,
-                                 presentation_text, presentation_to_json,
-                                 raw_presentation, relation_pair,
-                                 relator_equal_up_to_cyc, relator_for)
+from conicline.vankampen import (cyclic_canonical, presentation,
+                                 presentation_from_json, presentation_to_json,
+                                 raw_presentation, relation_pair, relator_for)
 from conicline.words import Word, gen, invert, multiply, parse_word
 
 
@@ -18,7 +16,7 @@ def rel_words(bmf):
 def assert_matches(bmf, relations, allowed_unmatched=()):
     got = rel_words(bmf)
     want = golden.relator_words(relations)
-    uw, ug = golden.match_relators(got, want, relator_equal_up_to_cyc)
+    uw, ug = golden.match_relators(got, want)
     assert not uw, f"paper relations not produced: {uw}"
     stray = [tag for tag in ug
              if not any(key in tag for key in allowed_unmatched)]
@@ -105,12 +103,12 @@ def test_projective_relator_for_c1():
 
 
 def test_relator_equal_up_to_cyc():
-    a = parse_word("x1 x2 x1^-1 x2^-1")
-    b = parse_word("x2 x1^-1 x2^-1 x1")
-    assert relator_equal_up_to_cyc(a, b)
-    assert relator_equal_up_to_cyc(parse_word("x1 x2^-1"), parse_word("x2 x1^-1"))
-    assert not relator_equal_up_to_cyc(parse_word("x1 x2"), parse_word("x1 x2^-1"))
-    assert relator_equal_up_to_cyc(Word(), Word())
+    def same(a, b):
+        return cyclic_canonical(parse_word(a)) == cyclic_canonical(parse_word(b))
+    assert same("x1 x2 x1^-1 x2^-1", "x2 x1^-1 x2^-1 x1")
+    assert same("x1 x2^-1", "x2 x1^-1")
+    assert not same("x1 x2", "x1 x2^-1")
+    assert cyclic_canonical(Word()) == ()
 
 
 def test_presentation_invariants():
@@ -121,16 +119,8 @@ def test_presentation_invariants():
     assert p.relators[0] == gen("x2")
 
 
-def test_parse_presentation_requires_header():
-    with pytest.raises(ValueError):
-        parse_presentation("x1 x2^-1")
-
-
 def test_presentation_text_roundtrip():
     p = raw_presentation(bmf_cn(1), projective=True)
-    again = parse_presentation(presentation_text(p))
-    assert again.labels() == p.labels()
-    assert again.relators == p.relators
     j = presentation_from_json(presentation_to_json(p))
     assert j.labels() == p.labels()
     assert j.relators == p.relators
@@ -174,8 +164,6 @@ def test_presentation_import_rejects_a_non_object():
 
 
 def test_presentation_import_rejects_powers():
-    with pytest.raises(ValueError, match=r"bad letter 'x1\^2'"):
-        parse_presentation("gens: x1 x2\nx1^2 x2")
     d = presentation_to_json(presentation(["x1", "x2"], [gen("x1")]))
     d["relators"] = ["x2 x1^-2"]
     with pytest.raises(ValueError, match=r"bad letter 'x1\^-2'"):

@@ -4,8 +4,8 @@ import re
 import pytest
 
 from conicline.words import (GroupMap, MissingImageError, Word, apply_map,
-                             compose_maps, conjugate, gen, invert, multiply,
-                             parse_word, substitute, word, word_text)
+                             conjugate, gen, invert, multiply, parse_word,
+                             substitute, word, word_text)
 
 
 def test_reduce_cancellation():
@@ -94,20 +94,6 @@ def test_map_is_homomorphism_random():
                        for _ in range(rng.randint(0, 6))))
         assert apply_map(m, multiply(u, v)) == multiply(apply_map(m, u), apply_map(m, v))
         assert apply_map(m, invert(u)) == invert(apply_map(m, u))
-
-
-def test_compose_maps_contract():
-    rng = random.Random(17)
-    labels = ["a", "b"]
-    for _ in range(100):
-        def rand_map():
-            return GroupMap({lab: Word(tuple((rng.choice(labels), rng.choice((1, -1)))
-                                             for _ in range(rng.randint(0, 4))))
-                             for lab in labels})
-        m1, m2 = rand_map(), rand_map()
-        u = Word(tuple((rng.choice(labels), rng.choice((1, -1)))
-                       for _ in range(rng.randint(0, 6))))
-        assert apply_map(compose_maps(m1, m2), u) == apply_map(m2, apply_map(m1, u))
 
 
 def test_text_roundtrip():
