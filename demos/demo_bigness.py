@@ -7,9 +7,8 @@ classically big), verified by free-product normal forms.
 Run as `python demos/demo_bigness.py`.
 """
 
-from conicline import FPWord, certify_certificate, fp_text, standard_certificate
-from conicline.bigness import FP_IDENTITY, S, T, certify
-from conicline.paper_groups import presentation_c2_proj
+from conicline import Arrangement, FPWord, certify, certify_certificate, fp_text
+from conicline.bigness import FP_IDENTITY, S, T
 from conicline.words import gen, multiply
 
 print("= Normal forms in Z/2 * Z/3 =")
@@ -33,18 +32,18 @@ print()
 
 print("= Standard certificates across the families =")
 print()
-for fam, n, m in (("C", 2, None), ("C", 5, None), ("T00", None, None),
-                  ("Tn0", 3, None), ("T", 2, 2), ("T", 5, 5)):
-    cert = standard_certificate(fam, n, m)
+for arrangement in (Arrangement("C", 2), Arrangement("C", 5), Arrangement("T"),
+                    Arrangement("T", 3), Arrangement("T", 2, 2), Arrangement("T", 5, 5)):
+    cert = arrangement.certificate()
     report = certify_certificate(cert)
     images = {k: fp_text(v) for k, v in cert.images.items() if v}
-    print(f"   {fam} n={n} m={m}: {'passes' if report.passed else 'FAILS'}; "
-          f"nontrivial images {images}")
+    print(f"   {arrangement.family} n={arrangement.n} m={arrangement.m}: "
+          f"{'passes' if report.passed else 'FAILS'}; nontrivial images {images}")
 print()
 
 print("= Negative controls =")
 print()
-p = presentation_c2_proj()
+p = Arrangement("C", 2).certificate().source  # <x1, x2 | (x1 x2)^2 = (x2 x1)^2>
 witnesses = {"s": multiply(gen("x1"), gen("x2")), "t": gen("x2")}
 trivial = certify(p, {"x1": FP_IDENTITY, "x2": FP_IDENTITY}, witnesses)
 print("   map everything to e: relators pass, surjectivity fails ->",

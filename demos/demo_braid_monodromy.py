@@ -5,10 +5,10 @@ Run as `python demos/demo_braid_monodromy.py`.
 
 import json
 
-from conicline import (ABOVE, ConjugatedTwist, Skeleton, artin_action, audit,
-                       bmf_cn, bmf_t22, bmf_tnm, bmf_to_json, braid_text,
-                       compile_factor, compile_skeleton, exponent_sum,
-                       full_twist, word_text)
+from conicline import (ABOVE, Arrangement, ConjugatedTwist, Skeleton, artin_action,
+                       audit, braid_text, compile_factor, compile_skeleton,
+                       exponent_sum, full_twist, word_text)
+from conicline.catalog import bmf_to_json
 
 print("= Half-twists and conjugated factors =")
 print()
@@ -29,7 +29,7 @@ print("= The Artin action =")
 print()
 act = artin_action(compile_skeleton(Skeleton(1, 2), 3))
 print("s_1 acts on the free group by:")
-for lab, img in act.images.items():
+for lab, img in act.items():
     print(f"   {lab} -> {word_text(img)}")
 print()
 print("The full twist Delta^2 generates the center; its exponent sum is")
@@ -42,12 +42,12 @@ print("= Factorization catalogs =")
 print()
 print("One conic with n tangent lines (C_n): factor counts by singularity type")
 for n in (1, 2, 4):
-    b = bmf_cn(n)
+    b = Arrangement("C", n).bmf()
     print(f"   C_{n}: {len(b.factors)} factors, counts {b.counts()}")
 print()
 print("Two tangent conics with n + m tangent lines (T_nm):")
 for n, m in ((1, 1), (2, 2), (3, 4)):
-    b = bmf_tnm(n, m)
+    b = Arrangement("T", n, m).bmf()
     report = audit(b)
     print(f"   T_{n},{m}: {len(b.factors)} factors on {b.strand_count} strands; "
           f"audit {'passes' if report.passed else 'FAILS'} "
@@ -55,14 +55,14 @@ for n, m in ((1, 1), (2, 2), (3, 4)):
 print()
 
 print("= Audit detail for T_2,2 =")
-report = audit(bmf_t22())
+report = audit(Arrangement("T", 2, 2).bmf())
 for check in report.checks:
     print(f"   {check.name}: {'ok' if check.passed else 'FAIL'}  {check.detail}")
 print()
 print("Factors whose skeletons come from solved (figure-dependent) defaults")
 print("are flagged provisional:")
-for origin in audit(bmf_tnm(2, 2)).provisional_factors:
+for origin in audit(Arrangement("T", 2, 2).bmf()).provisional_factors:
     print("   ", origin)
 print()
 print("Everything serializes to JSON (see `conicline bmf T --n 2 --m 2 --json`):")
-print(json.dumps(bmf_to_json(bmf_cn(1)), indent=2)[:400], "...")
+print(json.dumps(bmf_to_json(Arrangement("C", 1).bmf()), indent=2)[:400], "...")

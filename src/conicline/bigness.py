@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import paper_groups as pg
 from .catalog import AuditCheck
 from .vankampen import Presentation
 from .words import Word, gen, multiply
@@ -157,18 +156,11 @@ def _certificate(family, n, m, source, conic_label, helper_label,
 
 def standard_certificate(family: str, n: int | None = None,
                          m: int | None = None) -> BignessCertificate:
-    """The standard certificate for `family`: "C" and "T" with n (and m)
-    name an arrangement (see `Arrangement.certificate`), "Tn0" is T_{n,0}
-    and "T00" is T_{0,0}; "T10", "T20" and "T11" use the published
-    small-case presentations with their own labelings."""
+    """The standard certificate of an arrangement (see
+    `Arrangement.certificate`): "C" and "T" with n (and m), "Tn0" for
+    T_{n,0} and "T00" for T_{0,0}."""
     from .arrangement import Arrangement
     fam = family.upper()
-    published = {"T10": (1, 0, pg.presentation_t10, "x1", "x2"),
-                 "T20": (2, 0, pg.presentation_t20, "x1", "x3"),
-                 "T11": (1, 1, pg.presentation_t11, "x2", "x3")}
-    if fam in published:
-        n, m, source, conic, helper = published[fam]
-        return _certificate(fam, n, m, source(), conic, helper)
     named = {"C": ("C", n, m), "T": ("T", n, m), "TN0": ("T", n, 0), "T00": ("T", 0, 0)}
     if fam in named:
         return Arrangement(*named[fam]).certificate()

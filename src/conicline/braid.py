@@ -1,4 +1,4 @@
-"""The braid group B_N: Artin words, half-twist bands, conjugated twists, and
+"""The braid group B_N: Artin words, half-twist bands, twists under conjugation, and
 the action on the free group F_N = <x1, ..., xN>.
 
 Convention (calibrated against the source computations, see the golden tests):
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import GroupMap, Letter, Word, _reduce, gen
+from .words import Letter, Word, _reduce, gen
 
 BELOW = "below"
 ABOVE = "above"
@@ -49,7 +49,7 @@ class Skeleton:
 
 @dataclass(frozen=True)
 class ConjugatedTwist:
-    """A power of a half-twist, conjugated by full twists of other skeletons."""
+    """A power of a half-twist under conjugation by full twists of other skeletons."""
     base: Skeleton
     power: int = 1
     conjugators: tuple[tuple[Skeleton, int], ...] = ()
@@ -104,9 +104,6 @@ class Permutation:
         if sorted(self.images) != list(range(1, len(self.images) + 1)):
             raise ValueError("not a bijection of 1..N")
 
-    def __call__(self, k: int) -> int:
-        return self.images[k - 1]
-
     def __mul__(self, other: "Permutation") -> "Permutation":
         """self then other."""
         return Permutation(tuple(other.images[i - 1] for i in self.images))
@@ -145,7 +142,7 @@ def conjugator_braid(t: ConjugatedTwist, n: int) -> ArtinWord:
 
 
 def compile_factor(t: ConjugatedTwist, n: int) -> ArtinWord:
-    """Compile base^power conjugated per a^b = b^-1 a b: V^-1 base^power V."""
+    """Compile base^power under conjugation a^b = b^-1 a b: V^-1 base^power V."""
     v = conjugator_braid(t, n)
     core = compile_skeleton(t.base, n) ** t.power
     return v.inverse() * core * v
@@ -188,9 +185,9 @@ def apply_braid(b: ArtinWord, w: Word) -> Word:
     return Word(letters)
 
 
-def artin_action(b: ArtinWord) -> GroupMap:
-    n = b.strand_count
-    return GroupMap({f"x{k}": apply_braid(b, gen(f"x{k}")) for k in range(1, n + 1)})
+def artin_action(b: ArtinWord) -> dict[str, Word]:
+    """The image of each generator x1..xN under b."""
+    return {f"x{k}": apply_braid(b, gen(f"x{k}")) for k in range(1, b.strand_count + 1)}
 
 
 def full_twist(n: int) -> ArtinWord:

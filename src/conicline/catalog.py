@@ -3,7 +3,7 @@ conic-line arrangements C_n (one conic, n tangent lines), T_{n,0} (two
 tangent conics, n lines tangent to one of them) and T_{n,m} (lines tangent
 to both), with combinatorial audits.
 
-Each factor is a conjugated half-twist power tagged with its singularity
+Each factor is a half-twist power under conjugation, tagged with its singularity
 type: branch points have exponent 1, nodes 2, tangencies 4. The factor
 lists are transcribed from the source computations; a handful of factors
 whose skeletons were only ever published as drawings ("tilde" factors)

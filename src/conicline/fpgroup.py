@@ -467,11 +467,18 @@ def fingerprint(p: Presentation, battery=None) -> Fingerprint:
     """Hom counts into each battery group. The input is Tietze-simplified
     first (hom counts are presentation-independent); S4 is skipped when more
     than six generators survive simplification. `battery=None` selects the
-    default battery; an empty battery raises ValueError."""
+    default battery; a battery that is a string, is empty or names an
+    unknown group raises ValueError."""
+    valid = f"(valid groups: {', '.join(BATTERY)})"
+    if isinstance(battery, str):
+        raise ValueError(f"a battery is a sequence of group names, not the string "
+                         f"{battery!r} {valid}")
     names = DEFAULT_BATTERY if battery is None else tuple(battery)
     if not names:
-        raise ValueError("empty fingerprint battery "
-                         f"(valid groups: {', '.join(BATTERY)})")
+        raise ValueError(f"empty fingerprint battery {valid}")
+    unknown = [name for name in names if not isinstance(name, str) or name not in BATTERY]
+    if unknown:
+        raise ValueError(f"unknown battery groups: {', '.join(map(str, unknown))} {valid}")
     q = tietze_simplify(p).presentation
     counts = {}
     skipped = []

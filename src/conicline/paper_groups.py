@@ -22,22 +22,6 @@ def _labels(ks) -> list[str]:
 
 # ---------------------------------------------------------------- C family
 
-def presentation_c1_affine() -> Presentation:
-    return presentation(_labels([1, 2]), [commutator(_x(1), _x(2))])
-
-
-def presentation_c1_proj() -> Presentation:
-    return presentation(_labels([1]), [])
-
-
-def presentation_c2_affine() -> Presentation:
-    x1, x2, x3 = _x(1), _x(2), _x(3)
-    rels = [sq(x1, x2), sq(x1, x3),
-            commutator(x3, multiply(invert(x1), x2, x1)),
-            commutator(multiply(x3, x2), x1)]
-    return presentation(_labels([1, 2, 3]), rels)
-
-
 def presentation_c2_proj() -> Presentation:
     return presentation(_labels([1, 2]), [sq(_x(1), _x(2))])
 
@@ -73,24 +57,6 @@ def presentation_t00() -> Presentation:
     ab = multiply(x1, x2)
     ba = multiply(x2, x1)
     return presentation(_labels([1, 2]), [multiply(ab, ab), multiply(ba, ba)])
-
-
-def presentation_t10() -> Presentation:
-    return presentation(_labels([1, 2]), [sq(_x(1), _x(2))])
-
-
-def presentation_t20() -> Presentation:
-    x1, x2, x3 = _x(1), _x(2), _x(3)
-    rels = [sq(x2, x3), sq(x1, x3), commutator(x1, x2),
-            commutator(x2, multiply(x3, x1, invert(x3)))]
-    return presentation(_labels([1, 2, 3]), rels)
-
-
-def presentation_t11() -> Presentation:
-    """<x1> + <x2, x3 | (x2 x3)^2 = (x3 x2)^2> as a direct sum."""
-    x1, x2, x3 = _x(1), _x(2), _x(3)
-    rels = [sq(x2, x3), commutator(x1, x2), commutator(x1, x3)]
-    return presentation(_labels([1, 2, 3]), rels)
 
 
 def presentation_tn0(n: int) -> Presentation:

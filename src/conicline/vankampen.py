@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 from .braid import ArtinWord, apply_braid, band_transport, conjugator_braid
 from .catalog import BMF, BMFactor, SingType
-from .words import (Generator, Word, commutator, eq, gen, invert, parse_word,
-                    sq, word_text)
+from .words import Generator, Word, commutator, eq, gen, invert, sq, word_text
 
 
 def cyclic_reduce(w: Word) -> Word:
@@ -122,31 +121,3 @@ def presentation_to_json(p: Presentation) -> dict:
         "origins": list(p.origins),
     }
 
-
-def presentation_from_json(d: dict) -> Presentation:
-    """Inverse of `presentation_to_json`: an object with a 'generators' list
-    of {"label": non-empty string, "index": integer} objects, a 'relators'
-    list of strings and an optional 'origins' list of strings. Indices are
-    positive and distinct; gaps are allowed, since Tietze output keeps the
-    original indices. Anything else is a ValueError naming the field."""
-    if not isinstance(d, dict):
-        raise ValueError(f"a presentation must be a JSON object, got {type(d).__name__}")
-    gens = d.get("generators")
-    if not isinstance(gens, list):
-        raise ValueError(f"'generators' must be a list, got {gens!r}")
-    seen: set[int] = set()
-    for k, g in enumerate(gens):
-        if not (isinstance(g, dict) and isinstance(g.get("label"), str) and g["label"]
-                and type(g.get("index")) is int):
-            raise ValueError(f"generator {k} must be an object with a non-empty string "
-                             f"'label' and an integer 'index', got {g!r}")
-        if g["index"] <= 0 or g["index"] in seen:
-            raise ValueError(f"generator {k} ({g['label']!r}) has index {g['index']}; "
-                             "indices must be positive and distinct")
-        seen.add(g["index"])
-    for key, items in (("relators", d.get("relators")), ("origins", d.get("origins", []))):
-        if not (isinstance(items, list) and all(isinstance(x, str) for x in items)):
-            raise ValueError(f"{key!r} must be a list of strings, got {items!r}")
-    return Presentation(tuple(Generator(g["label"], g["index"]) for g in gens),
-                        tuple(parse_word(t) for t in d["relators"]),
-                        tuple(d.get("origins", ())))

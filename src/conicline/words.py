@@ -1,4 +1,5 @@
-"""Free-group words and endomorphisms given by generator images.
+"""Free-group words, substitution of generator images, and the relator
+shapes.
 
 Words are kept freely reduced at all times: constructing a Word reduces its
 letters (`_reduce`, the one free-cancellation loop of the library), and
@@ -9,13 +10,9 @@ pairs; generator identity is by label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 Letter = tuple[str, int]
-
-
-class MissingImageError(KeyError):
-    """A word contains a generator the map has no image for."""
 
 
 @dataclass(frozen=True, order=True)
@@ -51,16 +48,6 @@ class Word:
     def __bool__(self):
         return bool(self.letters)
 
-    def __mul__(self, other: "Word") -> "Word":
-        return multiply(self, other)
-
-    def __invert__(self) -> "Word":
-        return invert(self)
-
-    def __pow__(self, k: int) -> "Word":
-        base = self if k >= 0 else invert(self)
-        return multiply(*([base] * abs(k))) if k else Word()
-
     def __repr__(self):
         return f"Word({word_text(self)!r})"
 
@@ -72,28 +59,12 @@ def gen(label: str) -> Word:
     return Word(((label, 1),))
 
 
-def word(*items) -> Word:
-    """Build a word from labels and (label, sign) pairs."""
-    letters = []
-    for it in items:
-        if isinstance(it, str):
-            letters.append((it, 1))
-        else:
-            letters.append(tuple(it))
-    return Word(tuple(letters))
-
-
 def multiply(*words: Word) -> Word:
     return Word(tuple(letter for w in words for letter in w.letters))
 
 
 def invert(w: Word) -> Word:
     return Word(tuple((lab, -sign) for lab, sign in reversed(w.letters)))
-
-
-def conjugate(a: Word, b: Word) -> Word:
-    """a^b = b^-1 a b."""
-    return multiply(invert(b), a, b)
 
 
 def commutator(a: Word, b: Word) -> Word:
@@ -112,15 +83,6 @@ def eq(lhs: Word, rhs: Word) -> Word:
     return multiply(lhs, invert(rhs))
 
 
-@dataclass(frozen=True)
-class GroupMap:
-    """An endomorphism of a free group, given by images of generators."""
-    images: dict[str, Word] = field(default_factory=dict)
-
-    def __call__(self, w: Word) -> Word:
-        return apply_map(self, w)
-
-
 def substitute(w: Word, images: dict[str, Word]) -> Word:
     """Replace each generator of w that has an image by that image (its
     inverse for a negative letter); generators without one stay."""
@@ -136,32 +98,9 @@ def substitute(w: Word, images: dict[str, Word]) -> Word:
     return Word(tuple(letters))
 
 
-def apply_map(m: GroupMap, w: Word) -> Word:
-    for lab, _ in w.letters:
-        if lab not in m.images:
-            raise MissingImageError(f"no image for generator {lab!r}")
-    return substitute(w, m.images)
-
-
 def word_text(w: Word) -> str:
     """Serialize: letters as `x3` / `x3^-1` separated by spaces; empty word is `1`."""
     if not w.letters:
         return "1"
     return " ".join(lab if sign > 0 else f"{lab}^-1" for lab, sign in w.letters)
 
-
-def parse_word(text: str) -> Word:
-    """Inverse of `word_text`. A token is a generator label, optionally
-    followed by `^1` or `^-1`; any other `^` suffix (`x1^2`, `x^0`) raises
-    ValueError naming the token."""
-    text = text.strip()
-    if text in ("", "1"):
-        return Word()
-    letters = []
-    for tok in text.split():
-        label, caret, power = tok.partition("^")
-        if caret and (not label or power not in ("1", "-1")):
-            raise ValueError(f"bad letter {tok!r}: expected a generator label "
-                             "optionally followed by ^1 or ^-1")
-        letters.append((label, -1 if power == "-1" else 1))
-    return Word(tuple(letters))

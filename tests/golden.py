@@ -1,14 +1,17 @@
 """The published raw van Kampen relation lists, encoded as relator words,
-and the published singularity tables of C_1 and C_2.
+the published singularity tables of C_1 and C_2, and the stated
+small-case presentations of C_1, C_2, T_{1,0}, T_{2,0} and T_{1,1} with
+their own labelings.
 
 Each entry is (tag, sing_kind, A, B) where the relator is branch A B^-1,
 node [A, B], tangency (AB)^2((BA)^2)^-1. C-family generators are x1, x1p
 (the conic pair) and x2.. for the lines; T-family generators are x1..xN.
 """
 
+from conicline.bigness import FP_IDENTITY, ST_INV, T
 from conicline.catalog import SingType
-from conicline.vankampen import cyclic_canonical, relator_for
-from conicline.words import Word, invert, multiply
+from conicline.vankampen import Presentation, cyclic_canonical, presentation, relator_for
+from conicline.words import Word, commutator, gen, invert, multiply, sq
 
 
 def x(k, sign=1):
@@ -254,3 +257,62 @@ def singularity_table_c2():
         {"point": "<2,3>", "exponent": 4, "diffeomorphism": "Delta^2 <2,3>"},
         {"point": "<1,2>", "exponent": 1, "diffeomorphism": "half-twist I2.R <1>"},
     ]
+
+
+# ---------------------------------------------------------------- stated small cases
+
+def _labels(ks):
+    return [f"x{k}" for k in ks]
+
+
+def presentation_c1_affine() -> Presentation:
+    return presentation(_labels([1, 2]), [commutator(x(1), x(2))])
+
+
+def presentation_c1_proj() -> Presentation:
+    return presentation(_labels([1]), [])
+
+
+def presentation_c2_affine() -> Presentation:
+    x1, x2, x3 = x(1), x(2), x(3)
+    rels = [sq(x1, x2), sq(x1, x3),
+            commutator(x3, multiply(invert(x1), x2, x1)),
+            commutator(multiply(x3, x2), x1)]
+    return presentation(_labels([1, 2, 3]), rels)
+
+
+def presentation_t10() -> Presentation:
+    return presentation(_labels([1, 2]), [sq(x(1), x(2))])
+
+
+def presentation_t20() -> Presentation:
+    x1, x2, x3 = x(1), x(2), x(3)
+    rels = [sq(x2, x3), sq(x1, x3), commutator(x1, x2),
+            commutator(x2, multiply(x3, x1, invert(x3)))]
+    return presentation(_labels([1, 2, 3]), rels)
+
+
+def presentation_t11() -> Presentation:
+    """<x1> + <x2, x3 | (x2 x3)^2 = (x3 x2)^2> as a direct sum."""
+    x1, x2, x3 = x(1), x(2), x(3)
+    rels = [sq(x2, x3), commutator(x1, x2), commutator(x1, x3)]
+    return presentation(_labels([1, 2, 3]), rels)
+
+
+# name -> (stated presentation, conic generator, helper generator)
+SMALL_CASE_CERTIFICATES = {"T10": (presentation_t10, "x1", "x2"),
+                           "T20": (presentation_t20, "x1", "x3"),
+                           "T11": (presentation_t11, "x2", "x3")}
+
+
+def small_case_certificate(name: str):
+    """The published surjection of a small case onto Z/2 * Z/3, as the
+    (source, images, witnesses) that `bigness.certify` checks: the conic
+    generator goes to s t^-1, the helper to t and every other generator
+    to 1."""
+    build, conic, helper = SMALL_CASE_CERTIFICATES[name]
+    source = build()
+    images = {g.label: FP_IDENTITY for g in source.generators}
+    images[conic] = ST_INV
+    images[helper] = T
+    return source, images, {"s": multiply(gen(conic), gen(helper)), "t": gen(helper)}

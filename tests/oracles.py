@@ -1,8 +1,8 @@
-"""Test-only oracles and input generators: a brute-force hom counter, the
-leaf-visiting backtracking hom search, an exact integer determinant, the
-naive Tietze shortening scan, the letter-by-letter Artin action and
-permutation, random presentations, and the matrices of Z/2 * Z/3 words in
-SL(2, Z)."""
+"""Test-only oracles, fixtures and input generators: the word builders
+`word` and `parse_word`, a brute-force hom counter, the leaf-visiting
+backtracking hom search, an exact integer determinant, the naive Tietze
+shortening scan, the letter-by-letter Artin action and permutation, random
+presentations, and the matrices of Z/2 * Z/3 words in SL(2, Z)."""
 
 import itertools
 import random
@@ -13,6 +13,34 @@ from conicline.braid import (ArtinWord, Permutation, band_transport, compile_ske
 from conicline.finite_groups import FiniteGroup
 from conicline.vankampen import Presentation, cyclic_reduce, presentation
 from conicline.words import Word, gen, invert, multiply, substitute
+
+
+def word(*items) -> Word:
+    """Build a word from labels and (label, sign) pairs."""
+    letters = []
+    for it in items:
+        if isinstance(it, str):
+            letters.append((it, 1))
+        else:
+            letters.append(tuple(it))
+    return Word(tuple(letters))
+
+
+def parse_word(text: str) -> Word:
+    """Inverse of `word_text`. A token is a generator label, optionally
+    followed by `^1` or `^-1`; any other `^` suffix (`x1^2`, `x^0`) raises
+    ValueError naming the token."""
+    text = text.strip()
+    if text in ("", "1"):
+        return Word()
+    letters = []
+    for tok in text.split():
+        label, caret, power = tok.partition("^")
+        if caret and (not label or power not in ("1", "-1")):
+            raise ValueError(f"bad letter {tok!r}: expected a generator label "
+                             "optionally followed by ^1 or ^-1")
+        letters.append((label, -1 if power == "-1" else 1))
+    return Word(tuple(letters))
 
 
 def det_int(matrix) -> int:

@@ -12,8 +12,8 @@ from conicline.finite_groups import S3
 from conicline.fpgroup import (abelianization, compare, count_homs,
                                fingerprint, tietze_simplify)
 from conicline.paper_groups import (presentation_cn_affine, presentation_cn_proj,
-                                    presentation_t00, presentation_t11,
-                                    presentation_tn0, presentation_tnm)
+                                    presentation_t00, presentation_tn0,
+                                    presentation_tnm)
 from conicline.vankampen import raw_presentation
 from conicline.words import gen, multiply
 from oracles import count_homs_bruteforce, random_presentation
@@ -170,7 +170,7 @@ def test_criterion_08_remark_m0_specialization():
 
 
 def test_criterion_09_t11_cross_check():
-    rep = compare(presentation_t11(), presentation_tnm(1, 1),
+    rep = compare(golden.presentation_t11(), presentation_tnm(1, 1),
                   ("S3", "D4", "A4", "S4"))
     _report(9, "T_{1,1} stated presentation vs general statement at (1,1)",
             rep.consistent and not rep.skipped, str(rep.per_target))

@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
+import golden
 from conicline import catalog, paper_groups as pg
 from conicline.arrangement import Arrangement
-from conicline.bigness import certify_certificate, standard_certificate
+from conicline.bigness import certify, certify_certificate, standard_certificate
 from conicline.braid import ABOVE, BELOW
 from conicline.cli import main
 from conicline.vankampen import presentation_text, raw_presentation
@@ -139,11 +140,8 @@ def test_arrangement_agrees_with_family_functions(family, n, m):
 
 
 def test_published_small_case_certificates_keep_their_labelings():
-    for family, source in (("T10", pg.presentation_t10()), ("T20", pg.presentation_t20()),
-                           ("T11", pg.presentation_t11())):
-        cert = standard_certificate(family)
-        assert cert.family == family and cert.source == source
-        assert certify_certificate(cert).passed
+    for name in golden.SMALL_CASE_CERTIFICATES:
+        assert certify(*golden.small_case_certificate(name)).passed, name
 
 
 @pytest.mark.parametrize("alias", ["CN", "T_N0", "TNM"])

@@ -106,8 +106,7 @@ def test_witness_letter_without_an_image_is_a_failed_check():
 
 
 def test_standard_certificates_families():
-    cases = [("T00", None, None), ("T10", None, None), ("T20", None, None),
-             ("T11", None, None)]
+    cases = [("T00", None, None)]
     cases += [("C", n, None) for n in range(2, 6)]
     cases += [("Tn0", n, None) for n in range(1, 6)]
     cases += [("T", n, m) for n in range(1, 6) for m in range(1, 6)]

@@ -15,9 +15,9 @@ from conicline.paper_groups import (presentation_c2_proj, presentation_cn_affine
                                     presentation_tn0, presentation_tnm)
 from conicline.vankampen import (Presentation, presentation, presentation_text,
                                  raw_presentation)
-from conicline.words import Word, gen, invert, multiply, parse_word
+from conicline.words import Word, gen, invert, multiply
 from oracles import (count_homs_backtrack, count_homs_bruteforce, det_int,
-                     random_presentation, shorten_with_naive)
+                     parse_word, random_presentation, shorten_with_naive)
 
 GROUPS = (S3, D4, A4, S4)
 
@@ -437,10 +437,19 @@ def test_fingerprint_free_group():
 
 def test_empty_battery_is_rejected():
     p = presentation(["a"], [parse_word("a a")])
+    valid = r"\(valid groups: S3, D4, A4, S4\)"
     with pytest.raises(ValueError, match="empty fingerprint battery"):
         fingerprint(p, ())
     with pytest.raises(ValueError, match="empty fingerprint battery"):
         compare(p, p, [])
+    with pytest.raises(ValueError, match=f"^unknown battery groups: S5 {valid}$"):
+        fingerprint(p, ("S5",))
+    with pytest.raises(ValueError, match=f"^unknown battery groups: S5, Z2 {valid}$"):
+        compare(p, p, ["S3", "S5", "Z2"])
+    with pytest.raises(ValueError, match=f"not the string 'S3' {valid}$"):
+        fingerprint(p, "S3")
+    with pytest.raises(ValueError, match=rf"^unknown battery groups: \['S3'\] {valid}$"):
+        fingerprint(p, [["S3"]])
     assert set(fingerprint(p).counts) == set(BATTERY)
 
 

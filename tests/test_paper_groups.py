@@ -1,12 +1,11 @@
 from conicline.fpgroup import abelianization, compare, fingerprint
-from conicline.paper_groups import (presentation_c1_affine, presentation_c1_proj,
-                                    presentation_c2_affine, presentation_c2_proj,
-                                    presentation_cn_affine, presentation_cn_proj,
-                                    presentation_t00, presentation_t10,
-                                    presentation_t20,
+from conicline.paper_groups import (presentation_c2_proj, presentation_cn_affine,
+                                    presentation_cn_proj, presentation_t00,
                                     presentation_tn0, presentation_tnm)
 from conicline.vankampen import cyclic_canonical
-from conicline.words import parse_word
+from golden import (presentation_c1_affine, presentation_c1_proj, presentation_c2_affine,
+                    presentation_t10, presentation_t20)
+from oracles import parse_word
 
 
 def test_small_cases_are_special_cases():

@@ -2,10 +2,10 @@ import pytest
 
 import golden
 from conicline.catalog import (SingType, bmf_cn, bmf_tn0, bmf_tnm)
-from conicline.vankampen import (cyclic_canonical, presentation,
-                                 presentation_from_json, presentation_to_json,
+from conicline.vankampen import (cyclic_canonical, presentation, presentation_to_json,
                                  raw_presentation, relation_pair, relator_for)
-from conicline.words import Word, gen, invert, multiply, parse_word
+from conicline.words import Word, gen, invert, multiply
+from oracles import parse_word
 
 
 def rel_words(bmf):
@@ -121,50 +121,9 @@ def test_presentation_invariants():
 
 def test_presentation_text_roundtrip():
     p = raw_presentation(bmf_cn(1), projective=True)
-    j = presentation_from_json(presentation_to_json(p))
-    assert j.labels() == p.labels()
-    assert j.relators == p.relators
-    assert j.origins == p.origins
+    d = presentation_to_json(p)
+    assert [g["label"] for g in d["generators"]] == list(p.labels())
+    assert [g["index"] for g in d["generators"]] == [g.index for g in p.generators]
+    assert tuple(parse_word(t) for t in d["relators"]) == p.relators
+    assert tuple(d["origins"]) == p.origins
 
-
-@pytest.mark.parametrize("edit, message", [
-    (lambda d: d.pop("generators"), "'generators' must be a list, got None"),
-    (lambda d: d["generators"][0].pop("index"),
-     "generator 0 must be an object with a non-empty string 'label'"),
-    (lambda d: d["generators"][1].update(index=True), "generator 1 must be an object"),
-    (lambda d: d["generators"][0].update(label=5), "generator 0 must be an object"),
-    (lambda d: d["generators"][2].update(label=""), "generator 2 must be an object"),
-    (lambda d: d.update(relators=[7]), r"'relators' must be a list of strings, got \[7\]"),
-    (lambda d: d.update(relators="x1"), "'relators' must be a list of strings, got 'x1'"),
-    (lambda d: d.update(origins=[None]), "'origins' must be a list of strings"),
-    (lambda d: d["generators"][1].update(index=-7),
-     r"generator 1 \('x1p'\) has index -7; indices must be positive and distinct"),
-    (lambda d: d["generators"][0].update(index=0), r"generator 0 \('x1'\) has index 0"),
-    (lambda d: d["generators"][2].update(index=1), r"generator 2 \('x2'\) has index 1"),
-], ids=["generators-missing", "index-missing", "index-bool", "label-int",
-        "label-empty", "relator-int", "relators-str", "origin-null",
-        "index-negative", "index-zero", "index-repeated"])
-def test_presentation_import_rejects_malformed_json(edit, message):
-    d = presentation_to_json(raw_presentation(bmf_cn(1), projective=True))
-    edit(d)
-    with pytest.raises(ValueError, match=message):
-        presentation_from_json(d)
-
-
-def test_presentation_import_keeps_index_gaps():
-    d = presentation_to_json(raw_presentation(bmf_cn(1), projective=True))
-    d["generators"][1]["index"] = 7
-    assert [g.index for g in presentation_from_json(d).generators] == [1, 7, 3]
-
-
-def test_presentation_import_rejects_a_non_object():
-    d = presentation_to_json(raw_presentation(bmf_cn(1), projective=True))
-    with pytest.raises(ValueError, match="must be a JSON object, got list"):
-        presentation_from_json([d])
-
-
-def test_presentation_import_rejects_powers():
-    d = presentation_to_json(presentation(["x1", "x2"], [gen("x1")]))
-    d["relators"] = ["x2 x1^-2"]
-    with pytest.raises(ValueError, match=r"bad letter 'x1\^-2'"):
-        presentation_from_json(d)
