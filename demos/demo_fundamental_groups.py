@@ -18,7 +18,7 @@ print()
 print("Adding the projective relation x_N ... x_1 = e and simplifying:")
 proj = raw_presentation(Arrangement("C", 1).bmf(), projective=True)
 simplified = tietze_simplify(proj).presentation
-print(f"   generators {simplified.labels()}, relators {simplified.relators}")
+print(f"   generators {simplified.generators}, relators {simplified.relators}")
 print("   -> the projective complement of C_1 has fundamental group Z")
 print()
 

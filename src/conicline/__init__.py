@@ -9,7 +9,7 @@ presentation and the bigness certificate. The per-family builders and the
 serializers stay in their modules (`catalog`, `paper_groups`, `vankampen`).
 """
 
-from .words import Generator, Word, commutator, gen, invert, multiply, word_text
+from .words import Word, commutator, gen, invert, multiply, word_text
 from .braid import (ABOVE, BELOW, ArtinWord, ConjugatedTwist, Permutation,
                     Skeleton, artin_action, braid_text, compile_factor,
                     compile_skeleton, exponent_sum, full_twist, permutation)

@@ -119,7 +119,7 @@ def certify(p: Presentation, images: dict[str, FPWord],
     """Check every relator dies and the witnesses hit s and t exactly; a
     witness missing or using a generator without an image fails its check."""
     checks = []
-    missing = [g.label for g in p.generators if g.label not in images]
+    missing = [lab for lab in p.generators if lab not in images]
     checks.append(AuditCheck("images_total", not missing,
                              "" if not missing else f"missing {missing}"))
     if missing:
@@ -144,7 +144,7 @@ ST_INV = S * ~T  # s t^-1, the image of the conic generator
 
 def _certificate(family, n, m, source, conic_label, helper_label,
                  extra=None) -> BignessCertificate:
-    images = {g.label: FP_IDENTITY for g in source.generators}
+    images = dict.fromkeys(source.generators, FP_IDENTITY)
     images[conic_label] = ST_INV
     images[helper_label] = T
     if extra:

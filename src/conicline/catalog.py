@@ -3,9 +3,9 @@ conic-line arrangements C_n (one conic, n tangent lines), T_{n,0} (two
 tangent conics, n lines tangent to one of them) and T_{n,m} (lines tangent
 to both), with combinatorial audits.
 
-Each factor is a half-twist power under conjugation, tagged with its singularity
-type: branch points have exponent 1, nodes 2, tangencies 4. The factor
-lists are transcribed from the source computations; a handful of factors
+Each factor is a half-twist power under conjugation, and its power gives its
+singularity type: branch points have exponent 1, nodes 2, tangencies 4. The
+factor lists are transcribed from the source computations; a handful of factors
 whose skeletons were only ever published as drawings ("tilde" factors)
 carry solved conjugator-list defaults, are flagged provisional, and can be
 overridden per factor origin.
@@ -31,30 +31,25 @@ from .braid import (ABOVE, BELOW, ConjugatedTwist, Skeleton, compile_factor,
 
 
 class SingType(enum.Enum):
+    """The singularity type of a factor, valued by the factor's power."""
     BRANCH = 1
     NODE = 2
     TANGENCY = 4
-
-    @property
-    def exponent(self) -> int:
-        return self.value
-
-
-_BY_EXPONENT = {t.exponent: t for t in SingType}
 
 
 @dataclass(frozen=True)
 class BMFactor:
     twist: ConjugatedTwist
-    sing_type: SingType
     origin: str = ""
     provisional: bool = False
 
     def __post_init__(self):
-        if self.twist.power != self.sing_type.exponent:
-            raise ValueError(
-                f"factor power {self.twist.power} does not match "
-                f"singularity type {self.sing_type.name}")
+        if self.twist.power not in (1, 2, 4):
+            raise ValueError(f"factor power must be 1, 2 or 4, got {self.twist.power}")
+
+    @property
+    def sing_type(self) -> SingType:
+        return SingType(self.twist.power)
 
 
 @dataclass(frozen=True)
@@ -85,7 +80,7 @@ def _skel(i: int, j: int, side: str = BELOW) -> Skeleton:
 def _factor(i, j, power, conjs=(), side=BELOW, origin="", provisional=False) -> BMFactor:
     twist = ConjugatedTwist(_skel(i, j, side), power,
                             tuple((_skel(a, b, sd), p) for (a, b, sd, p) in conjs))
-    return BMFactor(twist, _BY_EXPONENT[power], origin, provisional)
+    return BMFactor(twist, origin, provisional)
 
 
 # --------------------------------------------------------------------------
@@ -549,16 +544,16 @@ def bmf_from_json(d: dict) -> BMF:
             if type(provisional) is not bool:
                 raise ValueError(f"'provisional' must be true or false, got {provisional!r}")
             power = fd.get("power")
-            if type(power) is not int or power not in _BY_EXPONENT:
+            if type(power) is not int or power not in (1, 2, 4):
                 raise ValueError(f"power must be one of 1, 2, 4, got {power!r}")
             twist = ConjugatedTwist(_read_skeleton(fd.get("base"), N), power,
                                     _read_conjugators(fd.get("conjugators", []), N))
-            sing_type = _BY_EXPONENT[power]
-            if fd.get("sing_type", sing_type.name.lower()) != sing_type.name.lower():
+            name = SingType(power).name.lower()
+            if fd.get("sing_type", name) != name:
                 raise ValueError(f"sing_type {fd['sing_type']!r} does not match power {power}")
         except ValueError as exc:
             raise ValueError(f"factor {k}: {exc}") from None
-        factors.append(BMFactor(twist, sing_type, origin, provisional))
+        factors.append(BMFactor(twist, origin, provisional))
     return BMF(N, tuple(factors), tuple(d["labels"]), family=family, n=n, m=m)
 
 

@@ -31,7 +31,7 @@ def _die(msg: str) -> int:
 def _battery_from(args) -> tuple[str, ...]:
     """The --targets comma list, checked by `fpgroup.battery_names`; its
     ValueError is a usage error."""
-    raw = getattr(args, "targets", None)
+    raw = args.targets
     if raw is None:
         return fpgroup.battery_names()
     return fpgroup.battery_names(tuple(t.strip() for t in raw.split(",") if t.strip()))
@@ -62,7 +62,7 @@ def _raw_presentation(arrangement: Arrangement, args) -> vankampen.Presentation:
 
 def _presentation_for(args) -> vankampen.Presentation:
     arrangement = Arrangement(args.family, args.n, args.m)
-    if getattr(args, "paper", False):
+    if args.paper:
         if args.ztilde_override:
             raise ValueError(f"{OVERRIDE_SCOPE}, not to the stated (--paper) presentation")
         return arrangement.stated(projective=not args.affine)
@@ -212,8 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not hasattr(args, "affine"):
-        args.affine = False
     try:
         code = args.func(args)
         sys.stdout.flush()

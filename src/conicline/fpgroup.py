@@ -19,7 +19,7 @@ from .vankampen import Presentation, cyclic_canonical, cyclic_reduce
 from .words import Word, invert, multiply, substitute
 
 # --------------------------------------------------------------------------
-# Smith normal form over the integers, with recorded transforms
+# Smith normal form over the integers: the invariant factors
 # --------------------------------------------------------------------------
 
 
@@ -35,13 +35,10 @@ class SNFResult:
         return tuple(d for d in self.diagonal if d > 1)
 
 
-def _identity_matrix(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def smith_normal_form(matrix: list[list[int]]):
-    """Return (S, U, V) with U @ matrix @ V = S diagonal, U, V unimodular,
-    and the diagonal entries positive and forming a divisibility chain.
+def smith_normal_form(matrix: list[list[int]]) -> tuple[int, ...]:
+    """The invariant factors of an integer matrix: the nonzero diagonal
+    entries of its Smith normal form, positive and forming a divisibility
+    chain d_1 | d_2 | ...
 
     One pivot loop: each step moves the smallest nonzero entry of the
     remaining block to the pivot and reduces its row and column by it. A
@@ -51,19 +48,7 @@ def smith_normal_form(matrix: list[list[int]]):
     a = [row[:] for row in matrix]
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    u = _identity_matrix(rows)
-    v = _identity_matrix(cols)
-
-    def add_row(src, dst, c):
-        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, c):
-        for r in a:
-            r[dst] += c * r[src]
-        for r in v:
-            r[dst] += c * r[src]
-
+    factors = []
     for t in range(min(rows, cols)):
         while True:
             best = None
@@ -74,38 +59,36 @@ def smith_normal_form(matrix: list[list[int]]):
                 if best and best[0] == 1:
                     break
             if best is None:
-                return a, u, v
+                return tuple(factors)
             _, pi, pj = best
             a[t], a[pi] = a[pi], a[t]
-            u[t], u[pi] = u[pi], u[t]
-            for r in a + v:
+            for r in a:
                 r[t], r[pj] = r[pj], r[t]
             p = a[t][t]
             for i in range(t + 1, rows):
                 q = a[i][t] // p
                 if q:
-                    add_row(t, i, -q)
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
             for j in range(t + 1, cols):
                 q = a[t][j] // p
                 if q:
-                    add_col(t, j, -q)
+                    for r in a:
+                        r[j] -= q * r[t]
             if any(a[i][t] for i in range(t + 1, rows)) or any(a[t][t + 1:]):
                 continue
             if p not in (1, -1):
                 bad = next((i for i in range(t + 1, rows)
                             if any(x % p for x in a[i][t + 1:])), None)
                 if bad is not None:
-                    add_row(bad, t, 1)
+                    a[t] = [x + y for x, y in zip(a[t], a[bad])]
                     continue
             break
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-    return a, u, v
+        factors.append(abs(a[t][t]))
+    return tuple(factors)
 
 
 def relator_matrix(p: Presentation) -> list[list[int]]:
-    cols = {g.label: k for k, g in enumerate(p.generators)}
+    cols = {lab: k for k, lab in enumerate(p.generators)}
     rows = []
     for r in p.relators:
         row = [0] * len(cols)
@@ -116,12 +99,8 @@ def relator_matrix(p: Presentation) -> list[list[int]]:
 
 
 def abelianization(p: Presentation) -> SNFResult:
-    m = relator_matrix(p)
-    if not m:
-        return SNFResult((), len(p.generators))
-    s, _, _ = smith_normal_form(m)
-    diag = [s[i][i] for i in range(min(len(s), len(s[0]))) if s[i][i] != 0]
-    return SNFResult(tuple(diag), len(p.generators) - len(diag))
+    diagonal = smith_normal_form(relator_matrix(p))
+    return SNFResult(diagonal, len(p.generators) - len(diagonal))
 
 
 # --------------------------------------------------------------------------
@@ -263,7 +242,7 @@ def tietze_simplify(p: Presentation, max_passes: int = 50) -> TietzeResult:
             image = _solve_generator(relators[ridx], label)
             relators = [cyclic_reduce(substitute(r, {label: image}))
                         for k, r in enumerate(relators) if k != ridx]
-            gens = [g for g in gens if g.label != label]
+            gens = [g for g in gens if g != label]
             changed = True
         else:
             # (c) bounded shortening of relators against each other
@@ -338,7 +317,7 @@ def count_homs(p: Presentation, target: FiniteGroup) -> int:
     depth's pending mask, with no copy of the pending masks and no deeper
     call.
     """
-    labels = [g.label for g in p.generators]
+    labels = p.generators
     k = len(labels)
     if k == 0:
         return 1 if all(not r for r in p.relators) else 0

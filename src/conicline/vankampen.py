@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .braid import ArtinWord, apply_braid, band_transport, conjugator_braid
 from .catalog import BMF, BMFactor, SingType
-from .words import Generator, Word, commutator, eq, gen, invert, sq, word_text
+from .words import Word, commutator, eq, gen, invert, sq, word_text
 
 
 def cyclic_reduce(w: Word) -> Word:
@@ -39,8 +39,8 @@ def cyclic_canonical(w: Word) -> tuple:
 
 @dataclass(frozen=True)
 class Presentation:
-    """Generators plus relators, with per-relator provenance."""
-    generators: tuple[Generator, ...]
+    """Generator labels plus relators, with per-relator provenance."""
+    generators: tuple[str, ...]
     relators: tuple[Word, ...]
     origins: tuple[str, ...] = ()
 
@@ -49,7 +49,7 @@ class Presentation:
             object.__setattr__(self, "origins", ("",) * len(self.relators))
         if len(self.origins) != len(self.relators):
             raise ValueError("origins must align with relators")
-        labels = {g.label for g in self.generators}
+        labels = set(self.generators)
         if len(labels) != len(self.generators):
             raise ValueError("generator labels must be unique")
         reduced = tuple(cyclic_reduce(r) for r in self.relators)
@@ -59,21 +59,15 @@ class Presentation:
                 raise ValueError(f"relator uses unknown generators {stray}")
         object.__setattr__(self, "relators", reduced)
 
-    def labels(self) -> tuple[str, ...]:
-        return tuple(g.label for g in self.generators)
-
 
 def presentation(labels, relators, origins=()) -> Presentation:
-    gens = tuple(Generator(lab, k) for k, lab in enumerate(labels, start=1))
-    return Presentation(gens, tuple(relators), tuple(origins))
+    return Presentation(tuple(labels), tuple(relators), tuple(origins))
 
 
 def relation_pair(f: BMFactor, n: int, labels: tuple[str, ...]):
     """The transported endpoint loops (A, B) of a monodromy factor in B_n,
     written in `labels` (the label of fiber position k is labels[k - 1])."""
     t = f.twist
-    if t.power <= 0:
-        raise ValueError("monodromy factors must have positive power")
     v = conjugator_braid(t, n)
     d_letters, core = band_transport(t.base)
     d = ArtinWord(n, d_letters)
@@ -109,14 +103,16 @@ def raw_presentation(b: BMF, projective: bool = False) -> Presentation:
 
 
 def presentation_text(p: Presentation) -> str:
-    lines = ["gens: " + " ".join(p.labels())]
+    lines = ["gens: " + " ".join(p.generators)]
     lines += [word_text(r) for r in p.relators]
     return "\n".join(lines)
 
 
 def presentation_to_json(p: Presentation) -> dict:
+    """`index` is the 1-based position of the generator."""
     return {
-        "generators": [{"label": g.label, "index": g.index} for g in p.generators],
+        "generators": [{"label": lab, "index": k}
+                       for k, lab in enumerate(p.generators, start=1)],
         "relators": [word_text(r) for r in p.relators],
         "origins": list(p.origins),
     }

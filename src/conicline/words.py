@@ -5,7 +5,7 @@ Words are kept freely reduced at all times: constructing a Word reduces its
 letters (`_reduce`, the one free-cancellation loop of the library), and
 every operation concatenates letters and constructs one Word, so equality
 of Word values is equality in the free group. Letters are (label, sign)
-pairs; generator identity is by label.
+pairs, and a generator is its label.
 """
 
 from __future__ import annotations
@@ -13,13 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 Letter = tuple[str, int]
-
-
-@dataclass(frozen=True, order=True)
-class Generator:
-    """A named free-group generator with a display/ordering index."""
-    label: str
-    index: int
 
 
 def _reduce(letters) -> tuple[Letter, ...]:

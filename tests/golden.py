@@ -312,7 +312,7 @@ def small_case_certificate(name: str):
     to 1."""
     build, conic, helper = SMALL_CASE_CERTIFICATES[name]
     source = build()
-    images = {g.label: FP_IDENTITY for g in source.generators}
+    images = dict.fromkeys(source.generators, FP_IDENTITY)
     images[conic] = ST_INV
     images[helper] = T
     return source, images, {"s": multiply(gen(conic), gen(helper)), "t": gen(helper)}

@@ -1,12 +1,13 @@
 """Test-only oracles, fixtures and input generators: the word builders
 `word` and `parse_word`, a brute-force hom counter, the leaf-visiting
-backtracking hom search, an exact integer determinant, the naive Tietze
+backtracking hom search, the invariant factors of an integer matrix from
+its minors (the oracle of the Smith normal form), the naive Tietze
 shortening scan, the letter-by-letter Artin action and permutation, random
 presentations, and the matrices of Z/2 * Z/3 words in SL(2, Z)."""
 
 import itertools
+import math
 import random
-from fractions import Fraction
 
 from conicline.braid import (ArtinWord, Permutation, band_transport, compile_skeleton,
                              identity_permutation)
@@ -43,37 +44,32 @@ def parse_word(text: str) -> Word:
     return Word(tuple(letters))
 
 
-def det_int(matrix) -> int:
-    """Determinant by Gaussian elimination over `Fraction`; exact for integer
-    matrices."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    m = [[Fraction(x) for x in row] for row in matrix]
-    sign = 1
-    for k in range(n):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            factor = m[i][k] / m[k][k]
-            for j in range(k, n):
-                m[i][j] -= factor * m[k][j]
-    out = Fraction(sign)
-    for k in range(n):
-        out *= m[k][k]
-    assert out.denominator == 1
-    return int(out)
+def invariant_factors_by_minors(matrix) -> tuple[int, ...]:
+    """The nonzero invariant factors of an integer matrix from its
+    determinantal divisors: d_k is the gcd of the k x k minors, and the k-th
+    factor is d_k / d_{k-1}. Each k x k minor is expanded along its first
+    row into the (k-1) x (k-1) minors of the layer before."""
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    minors = {((), ()): 1}
+    factors, previous = [], 1
+    for k in range(1, min(rows, cols) + 1):
+        minors = {(rs, cs): sum((-1) ** x * matrix[rs[0]][c]
+                                * minors[rs[1:], cs[:x] + cs[x + 1:]]
+                                for x, c in enumerate(cs))
+                  for rs in itertools.combinations(range(rows), k)
+                  for cs in itertools.combinations(range(cols), k)}
+        d = math.gcd(*minors.values())
+        if d == 0:
+            break
+        factors.append(d // previous)
+        previous = d
+    return tuple(factors)
 
 
 def count_homs_bruteforce(p: Presentation, target: FiniteGroup) -> int:
     """Plain |G|^g enumeration; the oracle count_homs must agree with."""
-    labels = [g.label for g in p.generators]
+    labels = p.generators
     mult, inv, ident = target.mult, target.inv, target.identity
     total = 0
     for combo in itertools.product(range(target.order), repeat=len(labels)):
@@ -111,7 +107,7 @@ def count_homs_backtrack(p: Presentation, target: FiniteGroup) -> int:
     segments are evaluated once per parent node, so each of the |G| children
     costs two table lookups per occurrence of x_d before the last one.
     """
-    labels = [g.label for g in p.generators]
+    labels = p.generators
     k = len(labels)
     if k == 0:
         return 1 if all(not r for r in p.relators) else 0

@@ -3,7 +3,7 @@ import pytest
 import golden
 from conicline.arrangement import Arrangement
 from conicline.braid import ABOVE, BELOW, ConjugatedTwist, Skeleton
-from conicline.catalog import (SingType, audit, bmf_cn, bmf_from_json,
+from conicline.catalog import (BMFactor, SingType, audit, bmf_cn, bmf_from_json,
                                bmf_t00, bmf_t10, bmf_t11, bmf_t1m, bmf_t20,
                                bmf_t21, bmf_t22, bmf_tn0, bmf_tnm, bmf_to_json)
 
@@ -21,6 +21,11 @@ def test_bmf_c1_matches_explicit_list():
     assert f1.twist == ConjugatedTwist(Skeleton(1, 2), 1)
     assert f2.twist == ConjugatedTwist(Skeleton(1, 3), 4, ((Skeleton(1, 2), 2),))
     assert f3.twist == ConjugatedTwist(Skeleton(1, 2), 1, ((Skeleton(2, 3), -2),))
+
+
+def test_a_factor_power_other_than_1_2_or_4_is_rejected():
+    with pytest.raises(ValueError, match="^factor power must be 1, 2 or 4, got 3$"):
+        BMFactor(ConjugatedTwist(Skeleton(1, 2), 3))
 
 
 def test_bmf_c2_matches_explicit_list():

@@ -26,7 +26,7 @@ def test_t00_relators():
 
 def test_tnm_11_instantiation():
     p = presentation_tnm(1, 1)
-    assert p.labels() == ("x2", "x5", "x6")
+    assert p.generators == ("x2", "x5", "x6")
     by_family = {}
     for origin, rel in zip(p.origins, p.relators):
         by_family.setdefault(origin, []).append(rel)

@@ -41,14 +41,14 @@ def unreached(trees: dict, library) -> list[str]:
     """`module.name` for each public definition of a `library` tree (a key
     of `trees`) that no tree references outside the definition itself."""
     found = []
+    references = {key: _references(tree) for key, tree in trees.items()}
     for home in library:
+        elsewhere = set().union(*(refs for key, refs in references.items() if key != home))
+        body = [(node, _references(node)) for node in trees[home].body]
         for definition in _public_definitions(trees[home]):
             name = definition.name
-            elsewhere = any(name in _references(tree)
-                            for key, tree in trees.items() if key != home)
-            at_home = any(name in _references(node)
-                          for node in trees[home].body if node is not definition)
-            if not (elsewhere or at_home):
+            at_home = any(name in refs for node, refs in body if node is not definition)
+            if not (name in elsewhere or at_home):
                 found.append(f"{home.stem}.{name}")
     return found
 

@@ -122,8 +122,8 @@ def test_presentation_invariants():
 def test_presentation_text_roundtrip():
     p = raw_presentation(bmf_cn(1), projective=True)
     d = presentation_to_json(p)
-    assert [g["label"] for g in d["generators"]] == list(p.labels())
-    assert [g["index"] for g in d["generators"]] == [g.index for g in p.generators]
+    assert [g["label"] for g in d["generators"]] == list(p.generators)
+    assert [g["index"] for g in d["generators"]] == list(range(1, len(p.generators) + 1))
     assert tuple(parse_word(t) for t in d["relators"]) == p.relators
     assert tuple(d["origins"]) == p.origins
 
