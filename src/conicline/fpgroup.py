@@ -147,6 +147,19 @@ def _bigram_index(letters) -> dict:
     return index
 
 
+def _heads(rotations: list) -> frozenset:
+    """The length-half prefixes of the rotations of s and s^-1 (n = |s|,
+    half = n // 2 + 1): every piece `_shorten_with` replaces starts with one."""
+    n = len(rotations) // 2
+    half = n // 2 + 1
+    return frozenset(doubled[start:start + half] for _, doubled, start in rotations)
+
+
+def _windows(letters, half: int) -> set:
+    """The length-half windows of a letter sequence."""
+    return {letters[k:k + half] for k in range(len(letters) - half + 1)}
+
+
 def _shorten_with(r: Word, index: dict, rotations: list, cap: int) -> Word:
     """Shorten r by replacing pieces of a relator s: `index` is
     `_bigram_index(r.letters)` and `rotations` is `_rotations(s)`.
@@ -162,6 +175,11 @@ def _shorten_with(r: Word, index: dict, rotations: list, cap: int) -> Word:
 
     A piece has at least half >= 2 letters, so only the positions of r that
     start with a rotation's leading bigram are extended.
+
+    A call that replaces nothing returns r itself. For n >= 3, half <= n - 1,
+    so a prefix of half..n-1 letters occurs in r exactly when its first half
+    letters, one of `_heads(rotations)`, are in `_windows(r.letters, half)`;
+    `tietze_simplify` skips the call when they are not.
     """
     n = len(rotations) // 2
     if n < 3:
@@ -199,6 +217,13 @@ def tietze_simplify(p: Presentation, max_passes: int = 50) -> TietzeResult:
     isomorphism type is preserved (tested via fingerprints). Returns the
     best presentation found within the pass budget. No relator may grow
     past four times the longest input relator (at least 4 letters).
+
+    Pass (c) calls `_shorten_with(r, ..., s)` only when one of the 2n heads
+    of s (`_heads`, n = |s| >= 3) is one of r's windows of the same length
+    (`_windows`). The test is exact (see `_shorten_with`): a skipped call
+    would have returned r unchanged. Heads are built as pass (c) starts and
+    when a relator is shortened; r's windows once per distinct length,
+    dropped when r changes.
     """
     gens = list(p.generators)
     relators = list(p.relators)
@@ -247,16 +272,27 @@ def tietze_simplify(p: Presentation, max_passes: int = 50) -> TietzeResult:
         else:
             # (c) bounded shortening of relators against each other
             rotations = [_rotations(r) for r in relators]
+            heads = [_heads(rots) for rots in rotations]
             for i in range(len(relators)):
                 index = _bigram_index(relators[i].letters)
+                windows: dict = {}
                 for j in range(len(relators)):
-                    if i == j:
+                    n = len(relators[j])
+                    if i == j or n < 3:
+                        continue
+                    half = n // 2 + 1
+                    win = windows.get(half)
+                    if win is None:
+                        win = windows[half] = _windows(relators[i].letters, half)
+                    if win.isdisjoint(heads[j]):
                         continue
                     shorter = _shorten_with(relators[i], index, rotations[j], cap)
                     if len(shorter) < len(relators[i]):
                         relators[i] = shorter
                         index = _bigram_index(shorter.letters)
+                        windows = {}
                         rotations[i] = _rotations(shorter)
+                        heads[i] = _heads(rotations[i])
                         changed = True
         if not changed:
             break

@@ -23,7 +23,7 @@ def cyclic_reduce(w: Word) -> Word:
     while len(letters) >= 2 and letters[0][0] == letters[-1][0] \
             and letters[0][1] == -letters[-1][1]:
         letters = letters[1:-1]
-    return Word(letters)
+    return w if letters is w.letters else Word(letters)
 
 
 def cyclic_canonical(w: Word) -> tuple:

@@ -8,8 +8,8 @@ import pytest
 from conicline.arrangement import Arrangement
 from conicline.catalog import bmf_cn, bmf_tn0, bmf_tnm
 from conicline.finite_groups import A4, BATTERY, D4, S3, S4
-from conicline.fpgroup import (_bigram_index, _rotations, _shorten_with,
-                               abelianization, compare, count_homs,
+from conicline.fpgroup import (_bigram_index, _heads, _rotations, _shorten_with,
+                               _windows, abelianization, compare, count_homs,
                                fingerprint, smith_normal_form, tietze_simplify)
 from conicline.paper_groups import (presentation_c2_proj, presentation_cn_affine,
                                     presentation_cn_proj, presentation_t00,
@@ -166,7 +166,11 @@ def _criterion_06_raw():
 def test_shorten_with_matches_naive_scan():
     """The indexed shortening returns the naive window scan's word on random
     reduced words, at caps around |r|, and on every ordered relator pair of
-    the criterion-06 raw presentations at the cap Tietze uses."""
+    the criterion-06 raw presentations at the cap Tietze uses.
+
+    The set test Tietze runs before `_shorten_with` is exact: with
+    |s| >= 3 and |r| <= cap, r's half-windows miss the heads of s exactly
+    when the naive scan leaves r unchanged."""
     rng = random.Random(53)
     cases = []
     for _ in range(1000):
@@ -182,13 +186,19 @@ def test_shorten_with_matches_naive_scan():
     # dict.fromkeys drops repeated triples, e.g. the affine C_n pairs, which
     # recur in the projective presentation at the same cap
     cases = list(dict.fromkeys(cases))
-    shortened = 0
+    shortened = skips = 0
     for r, s, cap in cases:
         want = shorten_with_naive(r, s, cap)
-        got = _shorten_with(r, _bigram_index(r.letters), _rotations(s), cap)
+        rotations = _rotations(s)
+        got = _shorten_with(r, _bigram_index(r.letters), rotations, cap)
         assert got == want, (r, s, cap)
         shortened += len(want) < len(r)
+        if len(s) >= 3 and len(r) <= cap:
+            disjoint = _windows(r.letters, len(s) // 2 + 1).isdisjoint(_heads(rotations))
+            assert disjoint == (want == r), (r, s, cap)
+            skips += disjoint
     assert shortened > len(cases) // 10
+    assert skips > len(cases) // 10
 
 
 def test_tietze_pinned_raw_outputs():
@@ -202,6 +212,10 @@ def test_tietze_pinned_raw_outputs():
          "197159e619e39af48072ac80fd386b76e40d4cdeb422b8956f1dd5917aa596e3"),
         (bmf_cn(5), 6,
          "06e60ec59cd980ed25af5331961104dd0f1aa84a88cc6ba9ce9fd7d18b39d22d"),
+        (bmf_tnm(5, 5), 11,
+         "89f657a4c1834366caf860694be72ca7ddc4ac8bec0ca45bceb0a98d6570e184"),
+        (bmf_cn(10), 6,
+         "873dbb4fd932412970cfa7a22e3503d1a2363ff4daf14bd08f666967771e1cf7"),
     ]
     for b, passes, digest in cases:
         res = tietze_simplify(raw_presentation(b, projective=True))

@@ -2,8 +2,9 @@ import pytest
 
 import golden
 from conicline.catalog import (SingType, bmf_cn, bmf_tn0, bmf_tnm)
-from conicline.vankampen import (cyclic_canonical, presentation, presentation_to_json,
-                                 raw_presentation, relation_pair, relator_for)
+from conicline.vankampen import (cyclic_canonical, cyclic_reduce, presentation,
+                                 presentation_to_json, raw_presentation, relation_pair,
+                                 relator_for)
 from conicline.words import Word, gen, invert, multiply
 from oracles import parse_word
 
@@ -109,6 +110,17 @@ def test_relator_equal_up_to_cyc():
     assert same("x1 x2^-1", "x2 x1^-1")
     assert not same("x1 x2", "x1 x2^-1")
     assert cyclic_canonical(Word()) == ()
+
+
+def test_cyclic_reduce_keeps_reduced_words():
+    """A cyclically reduced word comes back as the same object; cancelling
+    ends are stripped."""
+    for text in ("", "x1", "x1 x2 x1", "x1 x2 x1^-1 x2^-1"):
+        w = parse_word(text)
+        assert cyclic_reduce(w) is w
+    assert cyclic_reduce(parse_word("x1 x2 x3 x1^-1")) == parse_word("x2 x3")
+    assert cyclic_reduce(parse_word("x1^-1 x2 x3 x2^-1 x1")) == parse_word("x3")
+    assert cyclic_reduce(parse_word("x1 x2 x2 x1^-1")) == parse_word("x2 x2")
 
 
 def test_presentation_invariants():
