@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .catalog import AuditCheck
 from .vankampen import Presentation
-from .words import Word, gen, multiply
+from .words import Word, gen, multiply, word_text
 
 Syllable = tuple[str, int]  # ("s", 1) or ("t", +-1); t^2 is stored as t^-1
 
@@ -106,7 +106,6 @@ class BignessCertificate:
     witnesses: dict[str, Word] = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        from .words import word_text
         return {
             "family": self.family, "n": self.n, "m": self.m,
             "images": {k: fp_text(v) for k, v in self.images.items()},

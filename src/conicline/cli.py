@@ -171,10 +171,11 @@ def _add_presentation_flags(sub):
                        help="raw van Kampen presentation (default)")
     group.add_argument("--paper", action="store_true",
                        help="the stated simplified presentation")
-    sub.add_argument("--affine", action="store_true",
-                     help="affine group (default is projective)")
-    sub.add_argument("--projective", action="store_true",
-                     help="projective group (the default; kept for clarity)")
+    complement = sub.add_mutually_exclusive_group()
+    complement.add_argument("--affine", action="store_true",
+                            help="affine group (default is projective)")
+    complement.add_argument("--projective", action="store_true",
+                            help="projective group (the default; kept for clarity)")
 
 
 def build_parser() -> argparse.ArgumentParser:

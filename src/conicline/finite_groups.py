@@ -52,16 +52,17 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order {self.order})"
 
 
+def _compose(p, q):
+    """p then q, acting on points."""
+    return tuple(q[p[i]] for i in range(len(p)))
+
+
 def _from_permutations(name: str, perms: list[tuple[int, ...]]) -> FiniteGroup:
     index = {p: k for k, p in enumerate(perms)}
     deg = len(perms[0])
     mult = []
     for p in perms:
-        row = []
-        for q in perms:
-            # p then q, acting on points
-            row.append(index[tuple(q[p[i]] for i in range(deg))])
-        mult.append(tuple(row))
+        mult.append(tuple(index[_compose(p, q)] for q in perms))
     inv = []
     for p in perms:
         pinv = [0] * deg
@@ -94,10 +95,6 @@ A4 = _from_permutations(
 # dihedral group of the square, as permutations of its vertices
 _rot = (1, 2, 3, 0)
 _ref = (1, 0, 3, 2)
-
-
-def _compose(p, q):
-    return tuple(q[p[i]] for i in range(len(p)))
 
 
 def _d4_perms():

@@ -128,31 +128,17 @@ def _solve_generator(r: Word, label: str) -> Word:
 
 def _rotations(s: Word) -> list[tuple]:
     """The cyclic rotations of s, then those of s^-1, each by start offset,
-    as (leading bigram, doubled letters, start) triples: the rotation is
-    doubled[start:start + len(s)]."""
+    as (head, doubled letters, start) triples: the rotation is
+    doubled[start:start + n] and its head is its first half letters
+    (n = |s|, half = n // 2 + 1)."""
+    n = len(s)
+    half = n // 2 + 1
     out = []
     for cand in (s, invert(s)):
         doubled = cand.letters + cand.letters
-        out.extend((doubled[start:start + 2], doubled, start)
-                   for start in range(len(s)))
+        out.extend((doubled[start:start + half], doubled, start)
+                   for start in range(n))
     return out
-
-
-def _bigram_index(letters) -> dict:
-    """Positions k of a letter sequence by the bigram letters[k:k + 2], in
-    ascending order."""
-    index: dict = {}
-    for k in range(len(letters) - 1):
-        index.setdefault(letters[k:k + 2], []).append(k)
-    return index
-
-
-def _heads(rotations: list) -> frozenset:
-    """The length-half prefixes of the rotations of s and s^-1 (n = |s|,
-    half = n // 2 + 1): every piece `_shorten_with` replaces starts with one."""
-    n = len(rotations) // 2
-    half = n // 2 + 1
-    return frozenset(doubled[start:start + half] for _, doubled, start in rotations)
 
 
 def _windows(letters, half: int) -> set:
@@ -160,9 +146,8 @@ def _windows(letters, half: int) -> set:
     return {letters[k:k + half] for k in range(len(letters) - half + 1)}
 
 
-def _shorten_with(r: Word, index: dict, rotations: list, cap: int) -> Word:
-    """Shorten r by replacing pieces of a relator s: `index` is
-    `_bigram_index(r.letters)` and `rotations` is `_rotations(s)`.
+def _shorten_with(r: Word, rotations: list, cap: int) -> Word:
+    """Shorten r by replacing pieces of a relator s, given as `_rotations(s)`.
 
     The rule, on which the golden Tietze outputs depend: with n = |s| and
     half = n // 2 + 1, while |r| <= cap, take the first rotation of s in the
@@ -173,13 +158,13 @@ def _shorten_with(r: Word, index: dict, rotations: list, cap: int) -> Word:
     A piece of pl > n/2 letters becomes n - pl < pl letters, so every
     replacement strictly shortens r.
 
-    A piece has at least half >= 2 letters, so only the positions of r that
-    start with a rotation's leading bigram are extended.
-
-    A call that replaces nothing returns r itself. For n >= 3, half <= n - 1,
-    so a prefix of half..n-1 letters occurs in r exactly when its first half
-    letters, one of `_heads(rotations)`, are in `_windows(r.letters, half)`;
-    `tietze_simplify` skips the call when they are not.
+    For n >= 3, half <= n - 1, so a prefix of half..n-1 letters occurs in r
+    exactly when the rotation's head (its first half letters) is one of r's
+    length-half windows (`_windows`). The first rotation whose head is a
+    window is therefore the one the rule takes; only the positions where
+    that head occurs are extended, in ascending order, so the earliest
+    longest piece wins. `tietze_simplify` skips the call when no head of s
+    is a window of r: it would return r unchanged.
     """
     n = len(rotations) // 2
     if n < 3:
@@ -188,25 +173,27 @@ def _shorten_with(r: Word, index: dict, rotations: list, cap: int) -> Word:
     while len(r) <= cap:
         letters = r.letters
         size = len(letters)
-        for bigram, doubled, start in rotations:
-            longest = half - 1
-            for k in index.get(bigram, ()):
-                m = 2
-                stop = min(n - 1, size - k)
-                while m < stop and letters[k + m] == doubled[start + m]:
-                    m += 1
-                if m > longest:
-                    longest, at = m, k
-                    if m == n - 1:
-                        break
-            if longest >= half:
+        windows = _windows(letters, half)
+        for head, doubled, start in rotations:
+            if head in windows:
                 break
         else:
             return r
+        longest = 0
+        for k in range(size - half + 1):
+            if letters[k:k + half] != head:
+                continue
+            m = half
+            stop = min(n - 1, size - k)
+            while m < stop and letters[k + m] == doubled[start + m]:
+                m += 1
+            if m > longest:
+                longest, at = m, k
+                if m == n - 1:
+                    break
         repl = tuple((lab, -sg) for lab, sg
                      in reversed(doubled[start + longest:start + n]))
         r = cyclic_reduce(Word(letters[:at] + repl + letters[at + longest:]))
-        index = _bigram_index(r.letters)
     return r
 
 
@@ -219,11 +206,10 @@ def tietze_simplify(p: Presentation, max_passes: int = 50) -> TietzeResult:
     past four times the longest input relator (at least 4 letters).
 
     Pass (c) calls `_shorten_with(r, ..., s)` only when one of the 2n heads
-    of s (`_heads`, n = |s| >= 3) is one of r's windows of the same length
-    (`_windows`). The test is exact (see `_shorten_with`): a skipped call
-    would have returned r unchanged. Heads are built as pass (c) starts and
-    when a relator is shortened; r's windows once per distinct length,
-    dropped when r changes.
+    of s (n = |s| >= 3, carried by `_rotations`) is one of r's windows of
+    the same length, which is exact (see `_shorten_with`). Heads are built
+    as pass (c) starts and when a relator is shortened; r's windows once per
+    distinct length, dropped when r changes.
     """
     gens = list(p.generators)
     relators = list(p.relators)
@@ -243,7 +229,6 @@ def tietze_simplify(p: Presentation, max_passes: int = 50) -> TietzeResult:
             r = cyclic_reduce(r)
             key = cyclic_canonical(r)
             if not key or key in seen:
-                changed = changed or bool(r) or key in seen
                 continue
             seen.add(key)
             cleaned.append(r)
@@ -272,9 +257,8 @@ def tietze_simplify(p: Presentation, max_passes: int = 50) -> TietzeResult:
         else:
             # (c) bounded shortening of relators against each other
             rotations = [_rotations(r) for r in relators]
-            heads = [_heads(rots) for rots in rotations]
+            heads = [frozenset(h for h, _, _ in rots) for rots in rotations]
             for i in range(len(relators)):
-                index = _bigram_index(relators[i].letters)
                 windows: dict = {}
                 for j in range(len(relators)):
                     n = len(relators[j])
@@ -286,13 +270,12 @@ def tietze_simplify(p: Presentation, max_passes: int = 50) -> TietzeResult:
                         win = windows[half] = _windows(relators[i].letters, half)
                     if win.isdisjoint(heads[j]):
                         continue
-                    shorter = _shorten_with(relators[i], index, rotations[j], cap)
+                    shorter = _shorten_with(relators[i], rotations[j], cap)
                     if len(shorter) < len(relators[i]):
                         relators[i] = shorter
-                        index = _bigram_index(shorter.letters)
                         windows = {}
                         rotations[i] = _rotations(shorter)
-                        heads[i] = _heads(rotations[i])
+                        heads[i] = frozenset(h for h, _, _ in rotations[i])
                         changed = True
         if not changed:
             break

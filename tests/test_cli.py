@@ -56,6 +56,15 @@ def test_present_and_abelianize(capsys):
     assert data["free_rank"] == 1 and data["torsion"] == []
 
 
+def test_affine_and_projective_together_are_a_usage_error(capsys):
+    for command in ("present", "abelianize", "fingerprint"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "C", "--n", "1", "--affine", "--projective"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == "", command
+        assert "not allowed with argument" in captured.err
+
+
 def test_present_paper(capsys):
     code, out, _ = run(capsys, "present", "T", "--n", "1", "--m", "1", "--paper")
     assert code == 0

@@ -8,9 +8,9 @@ import pytest
 from conicline.arrangement import Arrangement
 from conicline.catalog import bmf_cn, bmf_tn0, bmf_tnm
 from conicline.finite_groups import A4, BATTERY, D4, S3, S4
-from conicline.fpgroup import (_bigram_index, _heads, _rotations, _shorten_with,
-                               _windows, abelianization, compare, count_homs,
-                               fingerprint, smith_normal_form, tietze_simplify)
+from conicline.fpgroup import (_rotations, _shorten_with, _windows, abelianization,
+                               compare, count_homs, fingerprint, smith_normal_form,
+                               tietze_simplify)
 from conicline.paper_groups import (presentation_c2_proj, presentation_cn_affine,
                                     presentation_cn_proj, presentation_t00,
                                     presentation_tn0, presentation_tnm)
@@ -164,13 +164,13 @@ def _criterion_06_raw():
 
 
 def test_shorten_with_matches_naive_scan():
-    """The indexed shortening returns the naive window scan's word on random
+    """`_shorten_with` returns the naive window scan's word on random
     reduced words, at caps around |r|, and on every ordered relator pair of
     the criterion-06 raw presentations at the cap Tietze uses.
 
     The set test Tietze runs before `_shorten_with` is exact: with
-    |s| >= 3 and |r| <= cap, r's half-windows miss the heads of s exactly
-    when the naive scan leaves r unchanged."""
+    |s| >= 3 and |r| <= cap, r's half-windows miss the heads `_rotations`
+    carries exactly when the naive scan leaves r unchanged."""
     rng = random.Random(53)
     cases = []
     for _ in range(1000):
@@ -190,11 +190,12 @@ def test_shorten_with_matches_naive_scan():
     for r, s, cap in cases:
         want = shorten_with_naive(r, s, cap)
         rotations = _rotations(s)
-        got = _shorten_with(r, _bigram_index(r.letters), rotations, cap)
+        got = _shorten_with(r, rotations, cap)
         assert got == want, (r, s, cap)
         shortened += len(want) < len(r)
         if len(s) >= 3 and len(r) <= cap:
-            disjoint = _windows(r.letters, len(s) // 2 + 1).isdisjoint(_heads(rotations))
+            heads = {head for head, _, _ in rotations}
+            disjoint = _windows(r.letters, len(s) // 2 + 1).isdisjoint(heads)
             assert disjoint == (want == r), (r, s, cap)
             skips += disjoint
     assert shortened > len(cases) // 10
