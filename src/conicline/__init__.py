@@ -10,9 +10,9 @@ serializers stay in their modules (`catalog`, `paper_groups`, `vankampen`).
 """
 
 from .words import Word, commutator, gen, invert, multiply, word_text
-from .braid import (ABOVE, BELOW, ArtinWord, ConjugatedTwist, Permutation,
-                    Skeleton, artin_action, braid_text, compile_factor,
-                    compile_skeleton, exponent_sum, full_twist, permutation)
+from .braid import (ABOVE, BELOW, ArtinWord, ConjugatedTwist, Skeleton,
+                    artin_action, braid_text, compile_factor, compile_skeleton,
+                    exponent_sum, full_twist, permutation)
 from .catalog import BMF, BMFactor, SingType, audit
 from .vankampen import (Presentation, cyclic_canonical, presentation,
                         raw_presentation, relation_pair, relator_for)

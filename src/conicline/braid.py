@@ -95,27 +95,6 @@ class ArtinWord:
         return ArtinWord(self.strand_count, base.letters * abs(k))
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection of {1..N}, stored as the tuple of images of 1..N."""
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise ValueError("not a bijection of 1..N")
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """self then other."""
-        return Permutation(tuple(other.images[i - 1] for i in self.images))
-
-    def is_identity(self) -> bool:
-        return all(v == k for k, v in enumerate(self.images, start=1))
-
-
-def identity_permutation(n: int) -> Permutation:
-    return Permutation(tuple(range(1, n + 1)))
-
-
 def band_transport(s: Skeleton) -> tuple[tuple[BraidLetter, ...], int]:
     """Conjugating letters D and core index c with half-twist = D s_c D^-1."""
     sign = 1 if s.side == BELOW else -1
@@ -132,20 +111,25 @@ def compile_skeleton(s: Skeleton, n: int) -> ArtinWord:
     return ArtinWord(n, conj + ((core, 1),) + inv)
 
 
-def conjugator_braid(t: ConjugatedTwist, n: int) -> ArtinWord:
-    """V, the product of the conjugators' full-twist powers, left to right."""
-    letters: list[BraidLetter] = []
+def transport(t: ConjugatedTwist, n: int) -> tuple[ArtinWord, int]:
+    """(e, c) with e = D^-1 V: the factor t is e^-1 s_c^power e, where
+    D s_c D^-1 is the base's half-twist and V the product of the
+    conjugators' full-twist powers, left to right."""
+    if t.base.j > n:
+        raise ValueError(f"skeleton endpoint {t.base.j} exceeds strand count {n}")
+    d, core = band_transport(t.base)
+    letters = [(i, -s) for i, s in reversed(d)]
     for skel, p in t.conjugators:
         band = compile_skeleton(skel, n)
         letters.extend((band if p > 0 else band.inverse()).letters * abs(p))
-    return ArtinWord(n, tuple(letters))
+    return ArtinWord(n, tuple(letters)), core
 
 
 def compile_factor(t: ConjugatedTwist, n: int) -> ArtinWord:
-    """Compile base^power under conjugation a^b = b^-1 a b: V^-1 base^power V."""
-    v = conjugator_braid(t, n)
-    core = compile_skeleton(t.base, n) ** t.power
-    return v.inverse() * core * v
+    """Compile base^power under conjugation a^b = b^-1 a b: e^-1 s_c^power e
+    with (e, c) = transport(t, n), which is V^-1 base^power V."""
+    e, core = transport(t, n)
+    return e.inverse() * ArtinWord(n, ((core, 1),) * t.power) * e
 
 
 class _ImageTable(dict):
@@ -202,8 +186,9 @@ def exponent_sum(b: ArtinWord) -> int:
     return sum(sign for _, sign in b.letters)
 
 
-def permutation(b: ArtinWord) -> Permutation:
-    """The induced permutation, letters composed in written order.
+def permutation(b: ArtinWord) -> tuple[int, ...]:
+    """The induced permutation as the tuple of images of 1..N, letters
+    composed in written order.
 
     `position[v]` is the point sent to v so far; s_idx exchanges the values
     idx and idx + 1, which swaps two entries of `position`."""
@@ -213,7 +198,7 @@ def permutation(b: ArtinWord) -> Permutation:
     images = [0] * b.strand_count
     for value in range(1, b.strand_count + 1):
         images[position[value] - 1] = value
-    return Permutation(tuple(images))
+    return tuple(images)
 
 
 def braid_text(b: ArtinWord) -> str:

@@ -27,7 +27,7 @@ import enum
 from dataclasses import dataclass, replace
 
 from .braid import (ABOVE, BELOW, ConjugatedTwist, Skeleton, compile_factor,
-                    exponent_sum, identity_permutation, permutation)
+                    exponent_sum, permutation)
 
 
 class SingType(enum.Enum):
@@ -73,13 +73,9 @@ class BMF:
         return out
 
 
-def _skel(i: int, j: int, side: str = BELOW) -> Skeleton:
-    return Skeleton(min(i, j), max(i, j), side)
-
-
 def _factor(i, j, power, conjs=(), side=BELOW, origin="", provisional=False) -> BMFactor:
-    twist = ConjugatedTwist(_skel(i, j, side), power,
-                            tuple((_skel(a, b, sd), p) for (a, b, sd, p) in conjs))
+    twist = ConjugatedTwist(Skeleton(i, j, side), power,
+                            tuple((Skeleton(a, b, sd), p) for (a, b, sd, p) in conjs))
     return BMFactor(twist, origin, provisional)
 
 
@@ -446,29 +442,25 @@ def audit(b: BMF) -> AuditReport:
     if exp is not None:
         checks.append(AuditCheck("singularity_counts", counts == exp,
                                  f"{counts} vs {exp}"))
+    identity = tuple(range(1, N + 1))
     impure = []
-    branch_perms = []
+    prod = identity
     exps_ok = True
     for f in b.factors:
         compiled = compile_factor(f.twist, N)
         exps_ok = exps_ok and exponent_sum(compiled) == f.twist.power
         perm = permutation(compiled)
+        want = identity
         if f.sing_type is SingType.BRANCH:
             i, j = f.twist.endpoints()
-            want = list(range(1, N + 1))
-            want[i - 1], want[j - 1] = j, i
-            if perm.images != tuple(want):
-                impure.append(f.origin or str(f.twist.endpoints()))
-            branch_perms.append(perm)
-        elif not perm.is_identity():
+            want = tuple(j if k == i else i if k == j else k for k in identity)
+            prod = tuple(perm[k - 1] for k in prod)
+        if perm != want:
             impure.append(f.origin or str(f.twist.endpoints()))
     checks.append(AuditCheck("factor_purity", not impure,
                              "all even factors pure, branches transpose their endpoints"
                              if not impure else f"violations: {impure}"))
-    prod = identity_permutation(N)
-    for perm in branch_perms:
-        prod = prod * perm
-    checks.append(AuditCheck("branch_product_identity", prod.is_identity(),
+    checks.append(AuditCheck("branch_product_identity", prod == identity,
                              "branch transpositions multiply to the identity"))
     checks.append(AuditCheck("conjugation_exponent_free", exps_ok,
                              "exponent sum of each compiled factor equals its power"))

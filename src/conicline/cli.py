@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success / consistent, 1 a check failed (audit, comparison, or
-certificate), 2 usage error, 141 stdout was closed before the report was
-written (128 + SIGPIPE, as a shell reports a process killed by SIGPIPE).
+Exit codes: 0 success / consistent, 1 a check failed (audit, certificate,
+or a comparison that is not consistent), 2 usage error, 141 stdout was
+closed before the report was written (128 + SIGPIPE, as a shell reports a
+process killed by SIGPIPE).
 Reports go to stdout, diagnostics to stderr.
 """
 
@@ -137,6 +138,8 @@ def cmd_compare(args) -> int:
     else:
         for name, (a, b) in report.per_target.items():
             print(f"{name}: raw {a} vs stated {b}")
+        for name in report.skipped:
+            print(f"{name}: skipped (too many generators)", file=sys.stderr)
         print(report.verdict)
     return 0 if report.consistent else CHECK_FAILED
 

@@ -58,6 +58,7 @@ def _compose(p, q):
 
 
 def _from_permutations(name: str, perms: list[tuple[int, ...]]) -> FiniteGroup:
+    """Number the sorted `perms` 0, 1, ...: the identity, the least tuple, is 0."""
     index = {p: k for k, p in enumerate(perms)}
     deg = len(perms[0])
     mult = []
@@ -72,15 +73,8 @@ def _from_permutations(name: str, perms: list[tuple[int, ...]]) -> FiniteGroup:
     return FiniteGroup(name, tuple(mult), tuple(inv))
 
 
-def _sorted_perms(perms) -> list[tuple[int, ...]]:
-    perms = sorted(set(perms))
-    ident = tuple(range(len(perms[0])))
-    perms.remove(ident)
-    return [ident] + perms
-
-
 def symmetric(n: int, name: str) -> FiniteGroup:
-    return _from_permutations(name, _sorted_perms(itertools.permutations(range(n))))
+    return _from_permutations(name, sorted(itertools.permutations(range(n))))
 
 
 def _parity(p) -> int:
@@ -91,7 +85,7 @@ def _parity(p) -> int:
 S3 = symmetric(3, "S3")
 S4 = symmetric(4, "S4")
 A4 = _from_permutations(
-    "A4", _sorted_perms(p for p in itertools.permutations(range(4)) if _parity(p) == 0))
+    "A4", sorted(p for p in itertools.permutations(range(4)) if _parity(p) == 0))
 # dihedral group of the square, as permutations of its vertices
 _rot = (1, 2, 3, 0)
 _ref = (1, 0, 3, 2)
@@ -107,7 +101,7 @@ def _d4_perms():
     return out
 
 
-D4 = _from_permutations("D4", _sorted_perms(_d4_perms()))
+D4 = _from_permutations("D4", sorted(_d4_perms()))
 
 BATTERY = {"S3": S3, "D4": D4, "A4": A4, "S4": S4}
 DEFAULT_BATTERY = ("S3", "D4", "A4", "S4")

@@ -146,8 +146,10 @@ def _windows(letters, half: int) -> set:
     return {letters[k:k + half] for k in range(len(letters) - half + 1)}
 
 
-def _shorten_with(r: Word, rotations: list, cap: int) -> Word:
-    """Shorten r by replacing pieces of a relator s, given as `_rotations(s)`.
+def _shorten_with(r: Word, rotations: list, cap: int, windows: set) -> Word:
+    """Shorten r by replacing pieces of a relator s, given as `_rotations(s)`;
+    `windows` is `_windows(r.letters, half)`, which the caller's skip test
+    has already built.
 
     The rule, on which the golden Tietze outputs depend: with n = |s| and
     half = n // 2 + 1, while |r| <= cap, take the first rotation of s in the
@@ -173,7 +175,6 @@ def _shorten_with(r: Word, rotations: list, cap: int) -> Word:
     while len(r) <= cap:
         letters = r.letters
         size = len(letters)
-        windows = _windows(letters, half)
         for head, doubled, start in rotations:
             if head in windows:
                 break
@@ -194,6 +195,7 @@ def _shorten_with(r: Word, rotations: list, cap: int) -> Word:
         repl = tuple((lab, -sg) for lab, sg
                      in reversed(doubled[start + longest:start + n]))
         r = cyclic_reduce(Word(letters[:at] + repl + letters[at + longest:]))
+        windows = _windows(r.letters, half)
     return r
 
 
@@ -270,7 +272,7 @@ def tietze_simplify(p: Presentation, max_passes: int = 50) -> TietzeResult:
                         win = windows[half] = _windows(relators[i].letters, half)
                     if win.isdisjoint(heads[j]):
                         continue
-                    shorter = _shorten_with(relators[i], rotations[j], cap)
+                    shorter = _shorten_with(relators[i], rotations[j], cap, win)
                     if len(shorter) < len(relators[i]):
                         relators[i] = shorter
                         windows = {}
@@ -550,7 +552,8 @@ def fingerprint(p: Presentation, battery=None) -> Fingerprint:
 @dataclass(frozen=True)
 class CompareReport:
     per_target: dict[str, tuple[int, int]]
-    verdict: str  # "consistent" | "distinguished"
+    # "consistent" | "distinguished" | "inconclusive" (no target compared)
+    verdict: str
     skipped: tuple[str, ...] = ()
 
     @property
@@ -567,6 +570,7 @@ def compare(p1: Presentation, p2: Presentation, battery=None) -> CompareReport:
     f2 = fingerprint(p2, battery)
     shared = [k for k in f1.counts if k in f2.counts]
     per = {k: (f1.counts[k], f2.counts[k]) for k in shared}
-    verdict = "consistent" if all(a == b for a, b in per.values()) else "distinguished"
+    verdict = ("inconclusive" if not per else
+               "consistent" if all(a == b for a, b in per.values()) else "distinguished")
     skipped = tuple(sorted(set(f1.skipped) | set(f2.skipped)))
     return CompareReport(per, verdict, skipped)

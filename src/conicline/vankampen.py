@@ -2,18 +2,19 @@
 presentation: one relator per factor, plus the optional projective relation
 x_N x_{N-1} ... x_1 = e.
 
-A compiled factor has the shape C s_c^k C^-1; the relation pair (A, B) is
-the pair of endpoint loops transported by C, computed through the Artin
-action of C^-1 (the direction the calibrated conventions make come out in
-the source's own words; see the golden tests). Branch points identify
-A = B, nodes commute them, tangencies impose (AB)^2 = (BA)^2.
+Every factor has the shape e^-1 s_c^k e, with (e, c) = `braid.transport`;
+the relation pair (A, B) is the pair of endpoint loops x_c, x_{c+1}
+transported through the Artin action of e (the direction the calibrated
+conventions make come out in the source's own words; see the golden tests).
+Branch points identify A = B, nodes commute them, tangencies impose
+(AB)^2 = (BA)^2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braid import ArtinWord, apply_braid, band_transport, conjugator_braid
+from .braid import apply_braid, transport
 from .catalog import BMF, BMFactor, SingType
 from .words import Word, commutator, eq, gen, invert, sq, word_text
 
@@ -67,11 +68,7 @@ def presentation(labels, relators, origins=()) -> Presentation:
 def relation_pair(f: BMFactor, n: int, labels: tuple[str, ...]):
     """The transported endpoint loops (A, B) of a monodromy factor in B_n,
     written in `labels` (the label of fiber position k is labels[k - 1])."""
-    t = f.twist
-    v = conjugator_braid(t, n)
-    d_letters, core = band_transport(t.base)
-    d = ArtinWord(n, d_letters)
-    e = d.inverse() * v  # (V^-1 D)^-1
+    e, core = transport(f.twist, n)
     a = apply_braid(e, gen(f"x{core}"))
     b = apply_braid(e, gen(f"x{core + 1}"))
     rename = {f"x{k}": lab for k, lab in enumerate(labels, start=1)}

@@ -9,8 +9,7 @@ import itertools
 import math
 import random
 
-from conicline.braid import (ArtinWord, Permutation, band_transport, compile_skeleton,
-                             identity_permutation)
+from conicline.braid import ArtinWord, band_transport, compile_skeleton
 from conicline.finite_groups import FiniteGroup
 from conicline.vankampen import Presentation, cyclic_reduce, presentation
 from conicline.words import Word, gen, invert, multiply, substitute
@@ -267,16 +266,19 @@ def apply_braid(b: ArtinWord, w: Word) -> Word:
     return w
 
 
-def transposition(n: int, a: int, b: int) -> Permutation:
+def transposition(n: int, a: int, b: int) -> tuple[int, ...]:
     images = list(range(1, n + 1))
     images[a - 1], images[b - 1] = b, a
-    return Permutation(tuple(images))
+    return tuple(images)
 
 
-def permutation(b: ArtinWord) -> Permutation:
-    perm = identity_permutation(b.strand_count)
+def permutation(b: ArtinWord) -> tuple[int, ...]:
+    """The image tuple of b, composing the adjacent transpositions of its
+    letters in written order."""
+    perm = tuple(range(1, b.strand_count + 1))
     for idx, _ in b.letters:
-        perm = perm * transposition(b.strand_count, idx, idx + 1)
+        swap = transposition(b.strand_count, idx, idx + 1)
+        perm = tuple(swap[i - 1] for i in perm)
     return perm
 
 

@@ -5,7 +5,7 @@ import pytest
 from conicline.braid import (ABOVE, BELOW, ArtinWord, ConjugatedTwist,
                              Skeleton, apply_braid, artin_action,
                              braid_text, compile_factor, compile_skeleton,
-                             exponent_sum, full_twist, permutation)
+                             exponent_sum, full_twist, permutation, transport)
 from conicline.words import gen, invert, multiply
 
 from oracles import transposition
@@ -18,6 +18,8 @@ def test_skeleton_validation():
         Skeleton(1, 2, "sideways")
     with pytest.raises(ValueError):
         compile_skeleton(Skeleton(1, 5), 4)
+    with pytest.raises(ValueError, match="exceeds strand count"):
+        transport(ConjugatedTwist(Skeleton(1, 5)), 4)
 
 
 def test_adjacent_skeletons_compile_to_single_letter():
@@ -114,10 +116,10 @@ def test_full_twist_properties():
     b = full_twist(2)
     assert b.letters == ((1, 1), (1, 1))
     assert exponent_sum(b) == 2
-    assert permutation(b).is_identity()
+    assert permutation(b) == (1, 2)
     assert exponent_sum(full_twist(4)) == 12
     for n in (2, 3, 5):
-        assert permutation(full_twist(n)).is_identity()
+        assert permutation(full_twist(n)) == tuple(range(1, n + 1))
 
 
 def test_full_twist_is_central_conjugation():
@@ -146,7 +148,7 @@ def test_even_powers_are_pure():
         side = rng.choice((BELOW, ABOVE))
         p = rng.choice((2, -2, 4))
         b = compile_skeleton(Skeleton(i, j, side), n) ** p
-        assert permutation(b).is_identity()
+        assert permutation(b) == tuple(range(1, n + 1))
 
 
 def test_exponent_sum_of_factor_equals_power():

@@ -1,6 +1,6 @@
 """The Artin-action kernel against the letter-by-letter oracle: seeded
 random braid words with cancelling pairs and repeated conjugated blocks, and
-every factor of the benchmark grid's relation pairs."""
+every factor of the benchmark grid's relation pairs and compiled words."""
 
 import random
 
@@ -9,7 +9,8 @@ import pytest
 import oracles
 from conicline import braid, vankampen
 from conicline.arrangement import Arrangement
-from conicline.braid import ArtinWord, apply_braid, permutation
+from conicline.braid import (ArtinWord, apply_braid, artin_action, compile_factor,
+                             compile_skeleton, exponent_sum, permutation)
 from conicline.words import Word, _reduce, gen
 
 from test_arrangement import BUILD_GRID
@@ -85,3 +86,23 @@ def test_grid_relation_pairs_agree_with_oracle(family, n, m):
         assert vankampen.relation_pair(f, bmf.strand_count, bmf.labels) == \
             oracles.relation_pair(f, bmf.strand_count, bmf.labels), f.origin
 
+
+@pytest.mark.parametrize("family,n,m", BUILD_GRID)
+def test_grid_compiled_factors_equal_conjugated_band_powers(family, n, m):
+    """`compile_factor`'s e^-1 s_c^p e is V^-1 band^p V as a braid: the Artin
+    action is faithful, so equal images of every generator mean equal
+    braids. Only powers 2 and 4 may change the letters (D^-1 D no longer
+    sits between repeated bands), and never lengthen them."""
+    bmf = Arrangement(family, n, m).bmf()
+    N = bmf.strand_count
+    for f in bmf.factors:
+        t = f.twist
+        v = oracles.conjugator_braid(t, N)
+        old = v.inverse() * compile_skeleton(t.base, N) ** t.power * v
+        new = compile_factor(t, N)
+        assert artin_action(new) == artin_action(old), f.origin
+        assert permutation(new) == permutation(old), f.origin
+        assert exponent_sum(new) == exponent_sum(old) == t.power, f.origin
+        assert len(new.letters) <= len(old.letters), f.origin
+        if t.power == 1:
+            assert new.letters == old.letters, f.origin

@@ -98,6 +98,18 @@ def test_compare_consistent_exit_zero(capsys):
     assert "consistent" in out
 
 
+def test_compare_with_every_target_skipped_is_inconclusive(capsys):
+    argv = ("compare", "T", "--n", "3", "--m", "3", "--targets", "S4")
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == "inconclusive\n"
+    assert err == "S4: skipped (too many generators)\n"
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 1
+    assert json.loads(out) == {"per_target": {}, "verdict": "inconclusive",
+                               "skipped": ["S4"]}
+
+
 def test_bigness_pass_and_reject(capsys):
     code, out, _ = run(capsys, "bigness", "T", "--n", "2", "--m", "2", "--json")
     assert code == 0

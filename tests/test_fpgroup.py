@@ -190,12 +190,13 @@ def test_shorten_with_matches_naive_scan():
     for r, s, cap in cases:
         want = shorten_with_naive(r, s, cap)
         rotations = _rotations(s)
-        got = _shorten_with(r, rotations, cap)
+        windows = _windows(r.letters, len(s) // 2 + 1)
+        got = _shorten_with(r, rotations, cap, windows)
         assert got == want, (r, s, cap)
         shortened += len(want) < len(r)
         if len(s) >= 3 and len(r) <= cap:
             heads = {head for head, _, _ in rotations}
-            disjoint = _windows(r.letters, len(s) // 2 + 1).isdisjoint(heads)
+            disjoint = windows.isdisjoint(heads)
             assert disjoint == (want == r), (r, s, cap)
             skips += disjoint
     assert shortened > len(cases) // 10
@@ -529,6 +530,14 @@ def test_compare_t00_vs_free_group():
     rep = compare(presentation_t00(), free2, ("S3",))
     assert rep.verdict == "distinguished"
     assert rep.per_target["S3"] == (24, 36)
+
+
+def test_compare_with_every_target_skipped_is_inconclusive():
+    many = presentation([f"g{i}" for i in range(1, 8)], [])
+    rep = compare(many, many, ("S4",))
+    assert rep.per_target == {} and rep.skipped == ("S4",)
+    assert rep.verdict == "inconclusive" and not rep.consistent
+    assert compare(many, many, ("S3", "S4")).verdict == "consistent"
 
 
 def test_s4_skip_rule():
