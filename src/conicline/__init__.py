@@ -13,9 +13,9 @@ from .words import Word, commutator, gen, invert, multiply, word_text
 from .braid import (ABOVE, BELOW, ArtinWord, ConjugatedTwist, Skeleton,
                     artin_action, braid_text, compile_factor, compile_skeleton,
                     exponent_sum, full_twist, permutation)
-from .catalog import BMF, BMFactor, SingType, audit
+from .catalog import BMF, BMFactor, audit
 from .vankampen import (Presentation, cyclic_canonical, presentation,
-                        raw_presentation, relation_pair, relator_for)
+                        raw_presentation, relation_pair)
 from .fpgroup import (Fingerprint, SNFResult, abelianization, compare,
                       count_homs, fingerprint, smith_normal_form,
                       tietze_simplify)

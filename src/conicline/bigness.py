@@ -90,9 +90,6 @@ class CertReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def to_json(self) -> dict:
-        return {"checks": [c.to_json() for c in self.checks], "passed": self.passed}
-
 
 @dataclass(frozen=True)
 class BignessCertificate:

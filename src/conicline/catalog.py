@@ -23,18 +23,13 @@ Fiber labelings:
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, replace
 
 from .braid import (ABOVE, BELOW, ConjugatedTwist, Skeleton, compile_factor,
                     exponent_sum, permutation)
 
 
-class SingType(enum.Enum):
-    """The singularity type of a factor, valued by the factor's power."""
-    BRANCH = 1
-    NODE = 2
-    TANGENCY = 4
+SING_TYPES = {1: "branch", 2: "node", 4: "tangency"}
 
 
 @dataclass(frozen=True)
@@ -44,12 +39,12 @@ class BMFactor:
     provisional: bool = False
 
     def __post_init__(self):
-        if self.twist.power not in (1, 2, 4):
+        if self.twist.power not in SING_TYPES:
             raise ValueError(f"factor power must be 1, 2 or 4, got {self.twist.power}")
 
     @property
-    def sing_type(self) -> SingType:
-        return SingType(self.twist.power)
+    def sing_type(self) -> str:
+        return SING_TYPES[self.twist.power]
 
 
 @dataclass(frozen=True)
@@ -67,9 +62,9 @@ class BMF:
             raise ValueError("labels must name every fiber point")
 
     def counts(self) -> dict[str, int]:
-        out = {"branch": 0, "node": 0, "tangency": 0}
+        out = dict.fromkeys(SING_TYPES.values(), 0)
         for f in self.factors:
-            out[f.sing_type.name.lower()] += 1
+            out[f.sing_type] += 1
         return out
 
 
@@ -398,35 +393,21 @@ class AuditCheck:
     passed: bool
     detail: str = ""
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
-
 
 @dataclass(frozen=True)
 class AuditReport:
+    """Its JSON is `dataclasses.asdict` plus `passed`."""
     strand_count: int
     exponent_sum: int
     expected_exponent_sum: int
     counts: dict[str, int]
-    expected: dict[str, int] | None
+    expected_counts: dict[str, int] | None
     checks: tuple[AuditCheck, ...]
     provisional_factors: tuple[str, ...]
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def to_json(self) -> dict:
-        return {
-            "strand_count": self.strand_count,
-            "exponent_sum": self.exponent_sum,
-            "expected_exponent_sum": self.expected_exponent_sum,
-            "counts": dict(self.counts),
-            "expected_counts": dict(self.expected) if self.expected else None,
-            "checks": [c.to_json() for c in self.checks],
-            "provisional_factors": list(self.provisional_factors),
-            "passed": self.passed,
-        }
 
 
 def audit(b: BMF) -> AuditReport:
@@ -451,7 +432,7 @@ def audit(b: BMF) -> AuditReport:
         exps_ok = exps_ok and exponent_sum(compiled) == f.twist.power
         perm = permutation(compiled)
         want = identity
-        if f.sing_type is SingType.BRANCH:
+        if f.twist.power == 1:
             i, j = f.twist.endpoints()
             want = tuple(j if k == i else i if k == j else k for k in identity)
             prod = tuple(perm[k - 1] for k in prod)
@@ -481,7 +462,7 @@ def bmf_to_json(b: BMF) -> dict:
             "power": f.twist.power,
             "conjugators": [{"i": s.i, "j": s.j, "side": s.side, "power": p}
                             for s, p in f.twist.conjugators],
-            "sing_type": f.sing_type.name.lower(),
+            "sing_type": f.sing_type,
             "origin": f.origin,
             "provisional": f.provisional,
         } for f in b.factors],
@@ -536,11 +517,11 @@ def bmf_from_json(d: dict) -> BMF:
             if type(provisional) is not bool:
                 raise ValueError(f"'provisional' must be true or false, got {provisional!r}")
             power = fd.get("power")
-            if type(power) is not int or power not in (1, 2, 4):
+            if type(power) is not int or power not in SING_TYPES:
                 raise ValueError(f"power must be one of 1, 2, 4, got {power!r}")
             twist = ConjugatedTwist(_read_skeleton(fd.get("base"), N), power,
                                     _read_conjugators(fd.get("conjugators", []), N))
-            name = SingType(power).name.lower()
+            name = SING_TYPES[power]
             if fd.get("sing_type", name) != name:
                 raise ValueError(f"sing_type {fd['sing_type']!r} does not match power {power}")
         except ValueError as exc:

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success / consistent, 1 a check failed (audit, certificate,
-or a comparison that is not consistent), 2 usage error, 141 stdout was
-closed before the report was written (128 + SIGPIPE, as a shell reports a
-process killed by SIGPIPE).
+a comparison that is not consistent, or a fingerprint that counted no
+target), 2 usage error, 141 stdout was closed before the report was
+written (128 + SIGPIPE, as a shell reports a process killed by SIGPIPE).
 Reports go to stdout, diagnostics to stderr.
 """
 
@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from . import bigness as big
 from . import catalog, fpgroup, vankampen
@@ -75,13 +76,13 @@ def cmd_bmf(args) -> int:
     report = catalog.audit(bmf)
     if args.json:
         print(json.dumps({"bmf": catalog.bmf_to_json(bmf),
-                          "audit": report.to_json()}, indent=2))
+                          "audit": dict(asdict(report), passed=report.passed)}, indent=2))
     else:
         print(f"family {bmf.family} n={bmf.n} m={bmf.m}: "
               f"{len(bmf.factors)} factors on {bmf.strand_count} strands")
         for f in bmf.factors:
             star = " (provisional)" if f.provisional else ""
-            print(f"  [{f.sing_type.name.lower():9}] {f.origin}{star}")
+            print(f"  [{f.sing_type:9}] {f.origin}{star}")
         print(f"exponent sum {report.exponent_sum} "
               f"(expected {report.expected_exponent_sum}); counts {report.counts}")
         for c in report.checks:
@@ -118,13 +119,13 @@ def cmd_fingerprint(args) -> int:
     p = _presentation_for(args)
     fp = fpgroup.fingerprint(p, battery)
     if args.json:
-        print(json.dumps(fp.to_json()))
+        print(json.dumps(asdict(fp)))
     else:
         for name, count in fp.counts.items():
             print(f"{name}: {count}")
         for name in fp.skipped:
             print(f"{name}: skipped (too many generators)", file=sys.stderr)
-    return 0
+    return 0 if fp.counts else CHECK_FAILED
 
 
 def cmd_compare(args) -> int:
@@ -134,7 +135,7 @@ def cmd_compare(args) -> int:
     paper = arrangement.stated(projective=not args.affine)
     report = fpgroup.compare(raw, paper, battery)
     if args.json:
-        print(json.dumps(report.to_json()))
+        print(json.dumps(asdict(report)))
     else:
         for name, (a, b) in report.per_target.items():
             print(f"{name}: raw {a} vs stated {b}")
@@ -150,8 +151,8 @@ def cmd_bigness(args) -> int:
     cert = Arrangement(args.family, args.n, args.m).certificate()
     report = big.certify_certificate(cert)
     if args.json:
-        print(json.dumps(dict(cert.to_json(), checks=report.to_json()["checks"],
-                              passed=report.passed), indent=2))
+        print(json.dumps(dict(cert.to_json(), **asdict(report), passed=report.passed),
+                         indent=2))
     else:
         for c in report.checks:
             print(f"{c.name}: {'ok' if c.passed else 'FAIL'} {c.detail}")
@@ -227,9 +228,6 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return STDOUT_CLOSED
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else USAGE_ERROR
     except ValueError as exc:
         return _die(str(exc))
 

@@ -3,7 +3,6 @@ homomorphism-count targets."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -73,35 +72,23 @@ def _from_permutations(name: str, perms: list[tuple[int, ...]]) -> FiniteGroup:
     return FiniteGroup(name, tuple(mult), tuple(inv))
 
 
-def symmetric(n: int, name: str) -> FiniteGroup:
-    return _from_permutations(name, sorted(itertools.permutations(range(n))))
+def _generated(name: str, *generators: tuple[int, ...]) -> FiniteGroup:
+    """The group the permutations `generators` generate, by closure."""
+    perms = {tuple(range(len(generators[0])))}
+    frontier = list(perms)
+    while frontier:
+        p = frontier.pop()
+        for q in (_compose(p, g) for g in generators):
+            if q not in perms:
+                perms.add(q)
+                frontier.append(q)
+    return _from_permutations(name, sorted(perms))
 
 
-def _parity(p) -> int:
-    inv = sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
-    return inv % 2
-
-
-S3 = symmetric(3, "S3")
-S4 = symmetric(4, "S4")
-A4 = _from_permutations(
-    "A4", sorted(p for p in itertools.permutations(range(4)) if _parity(p) == 0))
-# dihedral group of the square, as permutations of its vertices
-_rot = (1, 2, 3, 0)
-_ref = (1, 0, 3, 2)
-
-
-def _d4_perms():
-    out = set()
-    r = (0, 1, 2, 3)
-    for _ in range(4):
-        out.add(r)
-        out.add(_compose(r, _ref))
-        r = _compose(r, _rot)
-    return out
-
-
-D4 = _from_permutations("D4", sorted(_d4_perms()))
+S3 = _generated("S3", (1, 0, 2), (1, 2, 0))
+S4 = _generated("S4", (1, 0, 2, 3), (1, 2, 3, 0))
+A4 = _generated("A4", (1, 2, 0, 3), (0, 2, 3, 1))
+D4 = _generated("D4", (1, 2, 3, 0), (1, 0, 3, 2))  # the square's symmetries on its vertices
 
 BATTERY = {"S3": S3, "D4": D4, "A4": A4, "S4": S4}
 DEFAULT_BATTERY = ("S3", "D4", "A4", "S4")

@@ -510,9 +510,6 @@ class Fingerprint:
     counts: dict[str, int] = field(default_factory=dict)
     skipped: tuple[str, ...] = ()
 
-    def to_json(self) -> dict:
-        return {"counts": dict(self.counts), "skipped": list(self.skipped)}
-
 
 def battery_names(battery=None) -> tuple[str, ...]:
     """The group names of a fingerprint battery: DEFAULT_BATTERY for None. A
@@ -559,10 +556,6 @@ class CompareReport:
     @property
     def consistent(self) -> bool:
         return self.verdict == "consistent"
-
-    def to_json(self) -> dict:
-        return {"per_target": {k: list(v) for k, v in self.per_target.items()},
-                "verdict": self.verdict, "skipped": list(self.skipped)}
 
 
 def compare(p1: Presentation, p2: Presentation, battery=None) -> CompareReport:

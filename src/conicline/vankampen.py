@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braid import apply_braid, transport
-from .catalog import BMF, BMFactor, SingType
+from .catalog import BMF, BMFactor
 from .words import Word, commutator, eq, gen, invert, sq, word_text
 
 
@@ -75,11 +75,7 @@ def relation_pair(f: BMFactor, n: int, labels: tuple[str, ...]):
     return tuple(Word(tuple((rename[l], s) for l, s in w.letters)) for w in (a, b))
 
 
-_RELATOR_SHAPES = {SingType.BRANCH: eq, SingType.NODE: commutator, SingType.TANGENCY: sq}
-
-
-def relator_for(sing_type: SingType, a: Word, b: Word) -> Word:
-    return _RELATOR_SHAPES[sing_type](a, b)
+RELATOR_SHAPES = {1: eq, 2: commutator, 4: sq}  # keyed by the factor's power
 
 
 def projective_relator(labels: tuple[str, ...]) -> Word:
@@ -91,7 +87,7 @@ def raw_presentation(b: BMF, projective: bool = False) -> Presentation:
     relators, origins = [], []
     for f in b.factors:
         a, bb = relation_pair(f, b.strand_count, b.labels)
-        relators.append(relator_for(f.sing_type, a, bb))
+        relators.append(RELATOR_SHAPES[f.twist.power](a, bb))
         origins.append(f.origin)
     if projective:
         relators.append(projective_relator(b.labels))

@@ -9,8 +9,7 @@ node [A, B], tangency (AB)^2((BA)^2)^-1. C-family generators are x1, x1p
 """
 
 from conicline.bigness import FP_IDENTITY, ST_INV, T
-from conicline.catalog import SingType
-from conicline.vankampen import Presentation, cyclic_canonical, presentation, relator_for
+from conicline.vankampen import RELATOR_SHAPES, Presentation, cyclic_canonical, presentation
 from conicline.words import Word, commutator, gen, invert, multiply, sq
 
 
@@ -30,11 +29,8 @@ def desc(lo, hi):
     return list(range(hi, lo - 1, -1))
 
 
-KIND = {1: SingType.BRANCH, 2: SingType.NODE, 4: SingType.TANGENCY}
-
-
 def relator(kind, a, b):
-    return relator_for(KIND[kind], a, b)
+    return RELATOR_SHAPES[kind](a, b)
 
 
 # ---------------------------------------------------------------- C family

@@ -78,7 +78,7 @@ def test_c2_certificate_by_hand():
     images = {"x1": S * ~T, "x2": T}
     witnesses = {"s": multiply(gen("x1"), gen("x2")), "t": gen("x2")}
     report = certify(p, images, witnesses)
-    assert report.passed, report.to_json()
+    assert report.passed, report
     ab = images["x1"] * images["x2"]
     assert ab * ab == FP_IDENTITY
 
@@ -113,7 +113,7 @@ def test_standard_certificates_families():
     for fam, n, m in cases:
         cert = standard_certificate(fam, n, m)
         report = certify_certificate(cert)
-        assert report.passed, (fam, n, m, report.to_json())
+        assert report.passed, (fam, n, m, report)
 
 
 def test_t00_certificate_images():

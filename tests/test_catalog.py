@@ -3,7 +3,7 @@ import pytest
 import golden
 from conicline.arrangement import Arrangement
 from conicline.braid import ABOVE, BELOW, ConjugatedTwist, Skeleton
-from conicline.catalog import (BMFactor, SingType, audit, bmf_cn, bmf_from_json,
+from conicline.catalog import (BMFactor, audit, bmf_cn, bmf_from_json,
                                bmf_t00, bmf_t10, bmf_t11, bmf_t1m, bmf_t20,
                                bmf_t21, bmf_t22, bmf_tn0, bmf_tnm, bmf_to_json)
 
@@ -15,8 +15,7 @@ def endpoints_multiset(b):
 def test_bmf_c1_matches_explicit_list():
     b = bmf_cn(1)
     assert b.strand_count == 3
-    assert [f.sing_type for f in b.factors] == [
-        SingType.BRANCH, SingType.TANGENCY, SingType.BRANCH]
+    assert [f.sing_type for f in b.factors] == ["branch", "tangency", "branch"]
     f1, f2, f3 = b.factors
     assert f1.twist == ConjugatedTwist(Skeleton(1, 2), 1)
     assert f2.twist == ConjugatedTwist(Skeleton(1, 3), 4, ((Skeleton(1, 2), 2),))
@@ -49,7 +48,7 @@ def test_bmf_c3_exponent_sum():
 def test_cn_audits():
     for n in range(1, 11):
         report = audit(bmf_cn(n))
-        assert report.passed, report.to_json()
+        assert report.passed, report
         assert report.counts == {"branch": 2, "tangency": n, "node": n * (n - 1) // 2}
 
 
@@ -59,7 +58,7 @@ def test_fixed_case_audits():
         (bmf_t11, (4, 4, 5)), (bmf_t21, (4, 5, 9)), (bmf_t22, (4, 6, 14)),
     ]:
         report = audit(fn())
-        assert report.passed, (fn.__name__, report.to_json())
+        assert report.passed, (fn.__name__, report)
         br, tg, nd = counts
         assert report.counts == {"branch": br, "tangency": tg, "node": nd}
 
@@ -87,14 +86,14 @@ def test_t21_keeps_duplicated_factor():
 def test_tn0_audits():
     for n in range(1, 9):
         report = audit(bmf_tn0(n))
-        assert report.passed, (n, report.to_json())
+        assert report.passed, (n, report)
 
 
 def test_tnm_audits():
     for n in range(1, 6):
         for m in range(1, 6):
             report = audit(bmf_tnm(n, m))
-            assert report.passed, (n, m, report.to_json())
+            assert report.passed, (n, m, report)
             N = n + m + 4
             assert report.exponent_sum == N * (N - 1)
 
@@ -150,7 +149,7 @@ def test_json_roundtrip():
     for b in (bmf_cn(3), bmf_tnm(2, 2), bmf_tn0(3)):
         again = bmf_from_json(bmf_to_json(b))
         assert again == b
-        assert audit(again).to_json() == audit(b).to_json()
+        assert audit(again) == audit(b)
 
 
 @pytest.mark.parametrize("where, i, j", [
@@ -171,12 +170,13 @@ def test_json_import_rejects_bad_endpoints(where, i, j):
     (lambda f: f["conjugators"][0].update(i="1"), "conjugator 0 needs integer"),
     (lambda f: f["base"].update(i=1.0), "base needs integer"),
     (lambda f: f.update(power=1.0), "power must be"),
+    (lambda f: f.update(power=True), "power must be"),
     (lambda f: f["conjugators"][0].pop("j"), "conjugator 0 needs integer"),
     (lambda f: f.update(sing_type="node"), "sing_type 'node' does not match power 1"),
     (lambda f: f["base"].update(power=1), r"base has unknown keys \['power'\]"),
     (lambda f: f.update(conjugators={}), "expected a 'conjugators' list"),
-], ids=["i-str", "i-float", "power-float", "j-missing", "sing_type-contradicts",
-        "base-extra-key", "conjugators-object"])
+], ids=["i-str", "i-float", "power-float", "power-bool", "j-missing",
+        "sing_type-contradicts", "base-extra-key", "conjugators-object"])
 def test_json_import_rejects_malformed_factors(edit, message):
     d = bmf_to_json(bmf_cn(2))
     k = len(d["factors"]) - 1

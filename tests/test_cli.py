@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -30,7 +32,8 @@ def test_bmf_t22_json_roundtrip(capsys):
     assert len(data["bmf"]["factors"]) == 24
     assert data["audit"]["passed"]
     again = bmf_from_json(data["bmf"])
-    assert audit(again).to_json() == data["audit"]
+    report = audit(again)
+    assert json.loads(json.dumps(dict(asdict(report), passed=report.passed))) == data["audit"]
     assert bmf_to_json(again) == data["bmf"]
 
 
@@ -108,6 +111,33 @@ def test_compare_with_every_target_skipped_is_inconclusive(capsys):
     assert code == 1
     assert json.loads(out) == {"per_target": {}, "verdict": "inconclusive",
                                "skipped": ["S4"]}
+
+
+def test_fingerprint_with_every_target_skipped_exits_one(capsys):
+    argv = ("fingerprint", "T", "--n", "3", "--m", "3", "--targets", "S4")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "S4: skipped (too many generators)\n"
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 1
+    assert out == '{"counts": {}, "skipped": ["S4"]}\n'
+
+
+# "fingerprint ..." or "compare ..." argv -> [exit code, SHA-256 of stdout,
+# SHA-256 of stderr]
+REPORT_DIGESTS = json.loads((Path(__file__).parent / "report_digests.json").read_text())
+
+
+def test_fingerprint_and_compare_outputs_match_pins(capsys):
+    assert len(REPORT_DIGESTS) == 30
+    assert {k.split()[0] for k in REPORT_DIGESTS} == {"fingerprint", "compare"}
+    changed = []
+    for argv, pinned in REPORT_DIGESTS.items():
+        code, out, err = run(capsys, *argv.split())
+        got = [code] + [hashlib.sha256(s.encode()).hexdigest() for s in (out, err)]
+        if got != pinned:
+            changed.append(argv)
+    assert not changed
 
 
 def test_bigness_pass_and_reject(capsys):

@@ -1,10 +1,10 @@
 import pytest
 
 import golden
-from conicline.catalog import (SingType, bmf_cn, bmf_tn0, bmf_tnm)
-from conicline.vankampen import (cyclic_canonical, cyclic_reduce, presentation,
-                                 presentation_to_json, raw_presentation, relation_pair,
-                                 relator_for)
+from conicline.catalog import bmf_cn, bmf_tn0, bmf_tnm
+from conicline.vankampen import (RELATOR_SHAPES, cyclic_canonical, cyclic_reduce,
+                                 presentation, presentation_to_json, raw_presentation,
+                                 relation_pair)
 from conicline.words import Word, gen, invert, multiply
 from oracles import parse_word
 
@@ -26,10 +26,10 @@ def assert_matches(bmf, relations, allowed_unmatched=()):
 
 def test_relator_for_shapes():
     a, b = gen("a"), gen("b")
-    assert relator_for(SingType.BRANCH, a, b) == multiply(a, invert(b))
-    assert relator_for(SingType.NODE, a, b) == parse_word("a b a^-1 b^-1")
-    assert relator_for(SingType.TANGENCY, a, b) == \
-        parse_word("a b a b a^-1 b^-1 a^-1 b^-1")
+    assert RELATOR_SHAPES.keys() == {1, 2, 4}
+    assert RELATOR_SHAPES[1](a, b) == multiply(a, invert(b))
+    assert RELATOR_SHAPES[2](a, b) == parse_word("a b a^-1 b^-1")
+    assert RELATOR_SHAPES[4](a, b) == parse_word("a b a b a^-1 b^-1 a^-1 b^-1")
 
 
 def test_relation_pair_c1_verbatim():
