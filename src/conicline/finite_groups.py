@@ -1,10 +1,12 @@
 """Small permutation groups with precomputed multiplication tables, used as
-homomorphism-count targets."""
+homomorphism-count targets, and their automorphism tables, built on first
+use."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
 
 @dataclass(frozen=True)
@@ -12,6 +14,7 @@ class FiniteGroup:
     name: str
     mult: tuple[tuple[int, ...], ...]
     inv: tuple[int, ...]
+    generators: tuple[int, ...]  # elements that generate the group
 
     @property
     def order(self) -> int:
@@ -19,33 +22,63 @@ class FiniteGroup:
 
     identity = 0
 
-    def _conjugation_orbits(self, by) -> dict[int, int]:
-        """Orbits of the elements `by` acting on the group by conjugation, as
-        {smallest element: orbit size}."""
-        mult, inv = self.mult, self.inv
-        orbits: dict[int, int] = {}
-        seen: set[int] = set()
-        for x in range(self.order):
-            if x not in seen:
-                orbit = {mult[mult[g][x]][inv[g]] for g in by}
-                seen |= orbit
-                orbits[x] = len(orbit)
-        return orbits
-
-    @cached_property
-    def conjugacy_classes(self) -> dict[int, int]:
-        """Conjugacy classes as {smallest element: class size}."""
-        return self._conjugation_orbits(range(self.order))
-
-    @cached_property
-    def centralizer_orbits(self) -> dict[int, dict[int, int]]:
-        """For each class representative a, the orbits of the centralizer of
-        a acting on the group by conjugation, as {smallest element: orbit
-        size}."""
+    def _extension(self, images) -> tuple[int, ...] | None:
+        """The homomorphism that sends the generators to `images`, as the
+        tuple of element images, extended along the Cayley graph
+        (x g -> phi(x) image(g)); None when two edges disagree."""
         mult = self.mult
-        return {a: self._conjugation_orbits(
-                    [g for g in range(self.order) if mult[g][a] == mult[a][g]])
-                for a in self.conjugacy_classes}
+        phi = {0: 0}
+        frontier = [0]
+        while frontier:
+            x = frontier.pop()
+            for g, a in zip(self.generators, images):
+                y, b = mult[x][g], mult[phi[x]][a]
+                if y not in phi:
+                    phi[y] = b
+                    frontier.append(y)
+                elif phi[y] != b:
+                    return None
+        return tuple(phi[x] for x in range(self.order))
+
+    @cached_property
+    def automorphisms(self) -> tuple[tuple[int, ...], ...]:
+        """The automorphisms as element permutations, sorted, so that the
+        identity is automorphism 0: the bijective extensions of every choice
+        of images for the generators."""
+        maps = map(self._extension, product(range(self.order), repeat=len(self.generators)))
+        return tuple(sorted(m for m in maps if m and len(set(m)) == self.order))
+
+    @cached_property
+    def stabilizers(self) -> tuple[int, ...]:
+        """For each element, the automorphisms that fix it, as a bitmask over
+        `automorphisms`."""
+        return tuple(sum(1 << i for i, a in enumerate(self.automorphisms) if a[x] == x)
+                     for x in range(self.order))
+
+    @cached_property
+    def orbits(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        """For the whole automorphism group and each subgroup obtained from it
+        by fixing orbit representatives one after another, keyed by its
+        bitmask: its orbits on the elements, as (smallest element, orbit
+        size) pairs."""
+        auts, stabilizers = self.automorphisms, self.stabilizers
+        table: dict[int, tuple[tuple[int, int], ...]] = {}
+        todo = [(1 << len(auts)) - 1]
+        while todo:
+            stab = todo.pop()
+            if stab in table:
+                continue
+            by = [a for i, a in enumerate(auts) if stab >> i & 1]
+            seen: set[int] = set()
+            orbits = []
+            for x in range(self.order):
+                if x not in seen:
+                    orbit = {a[x] for a in by}
+                    seen |= orbit
+                    orbits.append((x, len(orbit)))
+                    todo.append(stab & stabilizers[x])
+            table[stab] = tuple(orbits)
+        return table
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order {self.order})"
@@ -56,7 +89,8 @@ def _compose(p, q):
     return tuple(q[p[i]] for i in range(len(p)))
 
 
-def _from_permutations(name: str, perms: list[tuple[int, ...]]) -> FiniteGroup:
+def _from_permutations(name: str, perms: list[tuple[int, ...]],
+                       generators: tuple[tuple[int, ...], ...]) -> FiniteGroup:
     """Number the sorted `perms` 0, 1, ...: the identity, the least tuple, is 0."""
     index = {p: k for k, p in enumerate(perms)}
     deg = len(perms[0])
@@ -69,7 +103,7 @@ def _from_permutations(name: str, perms: list[tuple[int, ...]]) -> FiniteGroup:
         for i, v in enumerate(p):
             pinv[v] = i
         inv.append(index[tuple(pinv)])
-    return FiniteGroup(name, tuple(mult), tuple(inv))
+    return FiniteGroup(name, tuple(mult), tuple(inv), tuple(index[g] for g in generators))
 
 
 def _generated(name: str, *generators: tuple[int, ...]) -> FiniteGroup:
@@ -82,7 +116,7 @@ def _generated(name: str, *generators: tuple[int, ...]) -> FiniteGroup:
             if q not in perms:
                 perms.add(q)
                 frontier.append(q)
-    return _from_permutations(name, sorted(perms))
+    return _from_permutations(name, sorted(perms), generators)
 
 
 S3 = _generated("S3", (1, 0, 2), (1, 2, 0))

@@ -308,11 +308,16 @@ def count_homs(p: Presentation, target: FiniteGroup) -> int:
     relators close early; a relator closes at the depth d of its last
     generator in that order.
 
-    Conjugation symmetry: if phi is a homomorphism, so is g phi g^-1. The
-    first generator therefore takes one representative per conjugacy class
-    of the target, weighted by the class size, and the second takes one
-    representative per orbit of that representative's centralizer (acting
-    by conjugation), weighted by the orbit size.
+    Automorphism orbits at every depth: if phi is a homomorphism, so is
+    alpha phi for every automorphism alpha of the target. Let S be the
+    automorphisms that fix the values of x_0 .. x_{d-1}. Every pending mask
+    is computed from those values, so it is S-invariant, and the
+    completions with x_d = e and with x_d = alpha(e), alpha in S, are in
+    bijection. So x_d takes one representative per S-orbit of its pending
+    mask (`target.orbits`), weighted by the orbit size, and its subtree
+    carries S intersected with the stabilizer of the representative. Depth
+    0 starts from the whole of Aut(target); once S is trivial, x_d walks the
+    bits of its mask.
 
     Candidate masks: a relator closing at depth d is rotated to end with an
     x_d letter and split into a head and the segments between its x_d
@@ -447,55 +452,42 @@ def count_homs(p: Presentation, target: FiniteGroup) -> int:
             pending[d] = mask
         return pending
 
-    def below(depth: int, pending: list[int]) -> int:
-        """Completions of the assignment of x_0 .. x_{depth-1}."""
+    orbits, stabilizers = target.orbits, target.stabilizers
+
+    def below(depth: int, pending: list[int], stab: int) -> int:
+        """Completions of the assignment of x_0 .. x_{depth-1}, whose
+        stabilizer in Aut(target) is the bitmask `stab`."""
         mask = pending[depth]
         if depth + 1 == k:
             return mask.bit_count()
+        if stab == 1:
+            # only the identity automorphism: each candidate is its own orbit
+            walk = []
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                walk.append((low.bit_length() - 1, 1))
+        else:
+            walk = [(e, size) for e, size in orbits[stab] if mask >> e & 1]
         total = 0
         if depth + 2 == k:
             rels = hoisted[depth]
             last = pending[depth + 1]
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                assignment[depth] = low.bit_length() - 1
+            for e, size in walk:
+                assignment[depth] = e
                 left = last
                 for rel in rels:
                     left &= lookup(rel)
-                total += left.bit_count()
+                total += size * left.bit_count()
             return total
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            assignment[depth] = low.bit_length() - 1
-            child = narrow(depth, pending)
-            if child is not None:
-                total += below(depth + 1, child)
-        return total
-
-    def weighted(depth: int, pending: list[int], sizes: dict[int, int]) -> int:
-        """below() at depths 0 and 1, where x_depth takes one representative
-        per conjugation orbit, weighted by the orbit size."""
-        mask = pending[depth]
-        total = 0
-        for e, size in sizes.items():
-            if not mask >> e & 1:
-                continue
-            if depth + 1 == k:
-                total += size
-                continue
+        for e, size in walk:
             assignment[depth] = e
             child = narrow(depth, pending)
-            if child is None:
-                continue
-            if depth == 0:
-                total += size * weighted(1, child, target.centralizer_orbits[e])
-            else:
-                total += size * below(2, child)
+            if child is not None:
+                total += size * below(depth + 1, child, stab & stabilizers[e])
         return total
 
-    return weighted(0, pending, target.conjugacy_classes)
+    return below(0, pending, (1 << len(target.automorphisms)) - 1)
 
 
 # --------------------------------------------------------------------------
@@ -514,7 +506,8 @@ class Fingerprint:
 def battery_names(battery=None) -> tuple[str, ...]:
     """The group names of a fingerprint battery: DEFAULT_BATTERY for None. A
     battery that is a string, is empty or names an unknown group raises
-    ValueError naming the valid groups."""
+    ValueError naming the valid groups; one that names a group twice raises
+    ValueError naming that group."""
     valid = f"(valid groups: {', '.join(BATTERY)})"
     if isinstance(battery, str):
         raise ValueError(f"a battery is a sequence of group names, not the string "
@@ -525,6 +518,9 @@ def battery_names(battery=None) -> tuple[str, ...]:
     unknown = [name for name in names if not isinstance(name, str) or name not in BATTERY]
     if unknown:
         raise ValueError(f"unknown battery groups: {', '.join(map(str, unknown))} {valid}")
+    repeated = dict.fromkeys(name for i, name in enumerate(names) if name in names[:i])
+    if repeated:
+        raise ValueError(f"repeated battery groups: {', '.join(repeated)}")
     return names
 
 

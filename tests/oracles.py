@@ -1,10 +1,12 @@
 """Test-only oracles, fixtures and input generators: the word builders
 `word` and `parse_word`, a brute-force hom counter, the leaf-visiting
-backtracking hom search, the invariant factors of an integer matrix from
+backtracking hom search with the conjugacy class and centralizer orbit
+tables it weights by, the invariant factors of an integer matrix from
 its minors (the oracle of the Smith normal form), the naive Tietze
 shortening scan, the letter-by-letter Artin action and permutation, random
 presentations, and the matrices of Z/2 * Z/3 words in SL(2, Z)."""
 
+import functools
 import itertools
 import math
 import random
@@ -85,6 +87,37 @@ def count_homs_bruteforce(p: Presentation, target: FiniteGroup) -> int:
         if ok:
             total += 1
     return total
+
+
+def _conjugation_orbits(group: FiniteGroup, by) -> dict[int, int]:
+    """Orbits of the elements `by` acting on the group by conjugation, as
+    {smallest element: orbit size}."""
+    mult, inv = group.mult, group.inv
+    orbits: dict[int, int] = {}
+    seen: set[int] = set()
+    for x in range(group.order):
+        if x not in seen:
+            orbit = {mult[mult[g][x]][inv[g]] for g in by}
+            seen |= orbit
+            orbits[x] = len(orbit)
+    return orbits
+
+
+@functools.cache
+def conjugacy_classes(group: FiniteGroup) -> dict[int, int]:
+    """Conjugacy classes as {smallest element: class size}."""
+    return _conjugation_orbits(group, range(group.order))
+
+
+@functools.cache
+def centralizer_orbits(group: FiniteGroup) -> dict[int, dict[int, int]]:
+    """For each class representative a, the orbits of the centralizer of
+    a acting on the group by conjugation, as {smallest element: orbit
+    size}."""
+    mult = group.mult
+    return {a: _conjugation_orbits(
+                group, [g for g in range(group.order) if mult[g][a] == mult[a][g]])
+            for a in conjugacy_classes(group)}
 
 
 def count_homs_backtrack(p: Presentation, target: FiniteGroup) -> int:
@@ -190,14 +223,14 @@ def count_homs_backtrack(p: Presentation, target: FiniteGroup) -> int:
             total += below(depth + 1)
         return total
 
-    classes = target.conjugacy_classes
+    classes = conjugacy_classes(target)
     total = 0
     for a in survivors(0, classes):
         assignment[0] = a
         if k == 1:
             total += classes[a]
             continue
-        orbits = target.centralizer_orbits[a]
+        orbits = centralizer_orbits(target)[a]
         for b in survivors(1, orbits):
             assignment[1] = b
             total += classes[a] * orbits[b] * below(2)

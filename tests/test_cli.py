@@ -94,6 +94,16 @@ def test_unknown_target_is_a_usage_error(capsys):
     assert err == "unknown battery groups: S5 (valid groups: S3, D4, A4, S4)\n"
 
 
+def test_repeated_target_is_a_usage_error(capsys):
+    for targets in ("S4,S4", "S3, S3"):
+        for command in (("fingerprint", "T", "--n", "3", "--m", "3"),
+                        ("fingerprint", "C", "--n", "2", "--json"),
+                        ("compare", "C", "--n", "2")):
+            code, out, err = run(capsys, *command, "--targets", targets)
+            assert code == 2 and out == "", (command, targets)
+            assert err == f"repeated battery groups: {targets[:2]}\n"
+
+
 def test_compare_consistent_exit_zero(capsys):
     code, out, _ = run(capsys, "compare", "T", "--n", "1", "--m", "1",
                        "--targets", "S3,A4")

@@ -17,9 +17,9 @@ from conicline.paper_groups import (presentation_c2_proj, presentation_cn_affine
 from conicline.vankampen import (Presentation, presentation, presentation_text,
                                  raw_presentation)
 from conicline.words import Word, gen, invert, multiply
-from oracles import (count_homs_backtrack, count_homs_bruteforce,
-                     invariant_factors_by_minors, parse_word, random_presentation,
-                     shorten_with_naive)
+from oracles import (centralizer_orbits, conjugacy_classes, count_homs_backtrack,
+                     count_homs_bruteforce, invariant_factors_by_minors, parse_word,
+                     random_presentation, shorten_with_naive)
 
 GROUPS = (S3, D4, A4, S4)
 
@@ -34,16 +34,67 @@ def test_group_tables():
 
 
 def test_conjugacy_classes_and_centralizer_orbits():
-    sizes = {g.name: sorted(g.conjugacy_classes.values()) for g in GROUPS}
+    sizes = {g.name: sorted(conjugacy_classes(g).values()) for g in GROUPS}
     assert sizes == {"S3": [1, 2, 3], "D4": [1, 1, 2, 2, 2],
                      "A4": [1, 3, 4, 4], "S4": [1, 3, 6, 6, 8]}
     for g in GROUPS:
         mult = g.mult
-        for a, orbits in g.centralizer_orbits.items():
+        for a, orbits in centralizer_orbits(g).items():
             assert sum(orbits.values()) == g.order
             centralizer = sum(1 for c in range(g.order) if mult[c][a] == mult[a][c])
-            assert centralizer * g.conjugacy_classes[a] == g.order
-        assert g.centralizer_orbits[g.identity] == g.conjugacy_classes
+            assert centralizer * conjugacy_classes(g)[a] == g.order
+        assert centralizer_orbits(g)[g.identity] == conjugacy_classes(g)
+
+
+def _element_order(g, x):
+    n, y = 1, x
+    while y != g.identity:
+        n, y = n + 1, g.mult[y][x]
+    return n
+
+
+def test_automorphism_tables():
+    """Aut(G) as element permutations, the stabilizer bitmasks and the orbit
+    table `count_homs` walks: |Aut| is 6, 8, 24 and 24; every automorphism
+    is a bijection that preserves `mult`; the orbits of every stabilizer in
+    the table partition G; and the orbits of the whole of Aut are the
+    conjugacy classes on S3 and S4, while on D4 they merge the two classes
+    of reflections and on A4 the two classes of 3-cycles."""
+    assert [len(g.automorphisms) for g in GROUPS] == [6, 8, 24, 24]
+    for g in GROUPS:
+        n, mult, auts = g.order, g.mult, g.automorphisms
+        assert auts[0] == tuple(range(n))
+        for a in auts:
+            assert sorted(a) == list(range(n))
+            assert all(a[mult[x][y]] == mult[a[x]][a[y]] for x in range(n) for y in range(n))
+        assert g.stabilizers == tuple(sum(1 << i for i, a in enumerate(auts) if a[x] == x)
+                                      for x in range(n))
+        whole = (1 << len(auts)) - 1
+        assert whole in g.orbits
+        for stab, orbits in g.orbits.items():
+            assert sum(size for _, size in orbits) == n
+            members = [a for i, a in enumerate(auts) if stab >> i & 1]
+            covered = set()
+            for rep, size in orbits:
+                orbit = {a[rep] for a in members}
+                assert (min(orbit), len(orbit)) == (rep, size) and not orbit & covered
+                covered |= orbit
+                assert stab & g.stabilizers[rep] in g.orbits
+    for g in (S3, S4):
+        assert dict(g.orbits[(1 << len(g.automorphisms)) - 1]) == conjugacy_classes(g)
+
+    def merged(g):
+        """The whole of Aut's orbits that are not conjugacy classes."""
+        classes = conjugacy_classes(g)
+        return [{a[rep] for a in g.automorphisms}
+                for rep, size in g.orbits[(1 << len(g.automorphisms)) - 1]
+                if classes.get(rep) != size]
+
+    center = [x for x in range(D4.order)
+              if all(D4.mult[x][y] == D4.mult[y][x] for y in range(D4.order))]
+    assert merged(D4) == [{x for x in range(D4.order)
+                           if _element_order(D4, x) == 2 and x not in center}]
+    assert merged(A4) == [{x for x in range(A4.order) if _element_order(A4, x) == 3}]
 
 
 def test_snf_examples():
@@ -307,7 +358,11 @@ def _search_branches(p, g):
       part values; 'part-value-only': a lookup of a relator that reads more
       than VALUE_KEY_GENERATORS generators and has no value-keyed memo;
     - 'forward-prune': a subtree cut because the mask of a depth beyond the
-      next one emptied."""
+      next one emptied;
+    - 'orbit-weighted-2+': a depth of two or more that walks a candidate
+      orbit of more than one element, its stabilizer in Aut(g) being
+      larger than the identity (for example when x_0 and x_1 are
+      trivial)."""
     seen = set()
     missed = []  # per open lookup(): whether it called allowed()
 
@@ -339,6 +394,9 @@ def _search_branches(p, g):
         elif event == "return" and name == "narrow" and arg is None:
             if frame.f_locals["d"] > frame.f_locals["depth"] + 1:
                 seen.add("forward-prune")
+        elif event == "return" and name == "below" and frame.f_locals["depth"] >= 2:
+            if any(size > 1 for _, size in frame.f_locals.get("walk", ())):
+                seen.add("orbit-weighted-2+")
 
     sys.setprofile(hook)
     try:
@@ -393,7 +451,7 @@ def test_count_homs_mask_branches_match_bruteforce():
             reached |= seen
     assert reached == {"before-search", "hoisted-0", "hoisted-1", "hoisted-2+",
                        "last-two-popcount", "value-hit", "value-miss-part-hit",
-                       "part-value-only", "forward-prune"}
+                       "part-value-only", "forward-prune", "orbit-weighted-2+"}
 
 
 # The stated presentations of the `homcount-stated` benchmark workload, as
@@ -504,6 +562,8 @@ def test_empty_battery_is_rejected():
         fingerprint(p, "S3")
     with pytest.raises(ValueError, match=rf"^unknown battery groups: \['S3'\] {valid}$"):
         fingerprint(p, [["S3"]])
+    with pytest.raises(ValueError, match="^repeated battery groups: S3, A4$"):
+        compare(p, p, ["S3", "A4", "S3", "A4", "S3"])
     assert set(fingerprint(p).counts) == set(BATTERY)
 
 
