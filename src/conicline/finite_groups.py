@@ -56,28 +56,29 @@ class FiniteGroup:
                      for x in range(self.order))
 
     @cached_property
-    def orbits(self) -> dict[int, tuple[tuple[int, int], ...]]:
+    def orbits(self) -> dict[int, tuple[int, tuple[int, ...]]]:
         """For the whole automorphism group and each subgroup obtained from it
         by fixing orbit representatives one after another, keyed by its
-        bitmask: its orbits on the elements, as (smallest element, orbit
-        size) pairs."""
+        bitmask: its orbits on the elements, as the bitmask of their smallest
+        elements and the orbit size of each element. The identity alone,
+        key 1, has every element as a representative of size 1."""
         auts, stabilizers = self.automorphisms, self.stabilizers
-        table: dict[int, tuple[tuple[int, int], ...]] = {}
+        table: dict[int, tuple[int, tuple[int, ...]]] = {}
         todo = [(1 << len(auts)) - 1]
         while todo:
             stab = todo.pop()
             if stab in table:
                 continue
             by = [a for i, a in enumerate(auts) if stab >> i & 1]
-            seen: set[int] = set()
-            orbits = []
+            reps, sizes = 0, [0] * self.order
             for x in range(self.order):
-                if x not in seen:
+                if not sizes[x]:
                     orbit = {a[x] for a in by}
-                    seen |= orbit
-                    orbits.append((x, len(orbit)))
+                    for y in orbit:
+                        sizes[y] = len(orbit)
+                    reps |= 1 << x
                     todo.append(stab & stabilizers[x])
-            table[stab] = tuple(orbits)
+            table[stab] = (reps, tuple(sizes))
         return table
 
     def __repr__(self):

@@ -316,8 +316,8 @@ def count_homs(p: Presentation, target: FiniteGroup) -> int:
     bijection. So x_d takes one representative per S-orbit of its pending
     mask (`target.orbits`), weighted by the orbit size, and its subtree
     carries S intersected with the stabilizer of the representative. Depth
-    0 starts from the whole of Aut(target); once S is trivial, x_d walks the
-    bits of its mask.
+    0 starts from the whole of Aut(target). x_d walks the bits of its mask
+    that are S-orbit representatives: every bit once S is trivial.
 
     Candidate masks: a relator closing at depth d is rotated to end with an
     x_d letter and split into a head and the segments between its x_d
@@ -460,31 +460,31 @@ def count_homs(p: Presentation, target: FiniteGroup) -> int:
         mask = pending[depth]
         if depth + 1 == k:
             return mask.bit_count()
-        if stab == 1:
-            # only the identity automorphism: each candidate is its own orbit
-            walk = []
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                walk.append((low.bit_length() - 1, 1))
-        else:
-            walk = [(e, size) for e, size in orbits[stab] if mask >> e & 1]
+        # the mask is a union of orbits: walk the representatives in it
+        reps, sizes = orbits[stab]
+        mask &= reps
         total = 0
         if depth + 2 == k:
             rels = hoisted[depth]
             last = pending[depth + 1]
-            for e, size in walk:
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                e = low.bit_length() - 1
                 assignment[depth] = e
                 left = last
                 for rel in rels:
                     left &= lookup(rel)
-                total += size * left.bit_count()
+                total += sizes[e] * left.bit_count()
             return total
-        for e, size in walk:
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            e = low.bit_length() - 1
             assignment[depth] = e
             child = narrow(depth, pending)
             if child is not None:
-                total += size * below(depth + 1, child, stab & stabilizers[e])
+                total += sizes[e] * below(depth + 1, child, stab & stabilizers[e])
         return total
 
     return below(0, pending, (1 << len(target.automorphisms)) - 1)

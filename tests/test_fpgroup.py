@@ -53,6 +53,16 @@ def _element_order(g, x):
     return n
 
 
+def _bits(mask):
+    return [x for x in range(mask.bit_length()) if mask >> x & 1]
+
+
+def _whole_orbits(g):
+    """The orbits of the whole of Aut(g), as {representative: orbit size}."""
+    reps, sizes = g.orbits[(1 << len(g.automorphisms)) - 1]
+    return {x: sizes[x] for x in _bits(reps)}
+
+
 def test_automorphism_tables():
     """Aut(G) as element permutations, the stabilizer bitmasks and the orbit
     table `count_homs` walks: |Aut| is 6, 8, 24 and 24; every automorphism
@@ -69,26 +79,23 @@ def test_automorphism_tables():
             assert all(a[mult[x][y]] == mult[a[x]][a[y]] for x in range(n) for y in range(n))
         assert g.stabilizers == tuple(sum(1 << i for i, a in enumerate(auts) if a[x] == x)
                                       for x in range(n))
-        whole = (1 << len(auts)) - 1
-        assert whole in g.orbits
-        for stab, orbits in g.orbits.items():
-            assert sum(size for _, size in orbits) == n
+        assert (1 << len(auts)) - 1 in g.orbits
+        assert g.orbits[1] == ((1 << n) - 1, (1,) * n)
+        for stab, (reps, sizes) in g.orbits.items():
             members = [a for i, a in enumerate(auts) if stab >> i & 1]
-            covered = set()
-            for rep, size in orbits:
-                orbit = {a[rep] for a in members}
-                assert (min(orbit), len(orbit)) == (rep, size) and not orbit & covered
-                covered |= orbit
-                assert stab & g.stabilizers[rep] in g.orbits
+            orbits = [{a[x] for a in members} for x in range(n)]
+            assert sizes == tuple(map(len, orbits))
+            assert reps == sum(1 << x for x in range(n) if x == min(orbits[x]))
+            assert sum(sizes[x] for x in _bits(reps)) == n
+            assert all(stab & g.stabilizers[x] in g.orbits for x in _bits(reps))
     for g in (S3, S4):
-        assert dict(g.orbits[(1 << len(g.automorphisms)) - 1]) == conjugacy_classes(g)
+        assert _whole_orbits(g) == conjugacy_classes(g)
 
     def merged(g):
         """The whole of Aut's orbits that are not conjugacy classes."""
         classes = conjugacy_classes(g)
         return [{a[rep] for a in g.automorphisms}
-                for rep, size in g.orbits[(1 << len(g.automorphisms)) - 1]
-                if classes.get(rep) != size]
+                for rep, size in _whole_orbits(g).items() if classes.get(rep) != size]
 
     center = [x for x in range(D4.order)
               if all(D4.mult[x][y] == D4.mult[y][x] for y in range(D4.order))]
@@ -394,8 +401,11 @@ def _search_branches(p, g):
         elif event == "return" and name == "narrow" and arg is None:
             if frame.f_locals["d"] > frame.f_locals["depth"] + 1:
                 seen.add("forward-prune")
-        elif event == "return" and name == "below" and frame.f_locals["depth"] >= 2:
-            if any(size > 1 for _, size in frame.f_locals.get("walk", ())):
+        elif event == "call" and name == "below":
+            depth, pending = frame.f_locals["depth"], frame.f_locals["pending"]
+            sizes = g.orbits[frame.f_locals["stab"]][1]
+            if (2 <= depth < len(pending) - 1
+                    and any(sizes[x] > 1 for x in _bits(pending[depth]))):
                 seen.add("orbit-weighted-2+")
 
     sys.setprofile(hook)
