@@ -13,12 +13,17 @@ Convention (calibrated against the source computations, see the golden tests):
 * Conjugation is a^b = b^-1 a b; a conjugator list applies left to right
   (leftmost innermost), so (a)^{b c} = (a^b)^c.
 
-The action is computed on the freely reduced braid word (s_i s_i^-1 acts
-trivially, so reducing the letters first changes nothing but the work),
-through a constant table of per-letter generator images: each braid letter
-replaces the letters of the affected generators by the stored image or
-inverse-image letters, and the result is freely reduced once per braid
-letter.
+The action is one substitution step over a constant table of half-twist
+images. The half-twist H along Skeleton(i, j, side), or its inverse, moves
+at most j - i + 1 generators, by closed forms (README, "Conventions"); the
+Artin letter s_k^+-1 is the below-axis half-twist of the band (k, k + 1). A
+step replaces the letters of the moved generators by their stored image or
+inverse-image letters and freely reduces the result once. `apply_braid`
+takes one step per letter of the freely reduced braid word (s_i s_i^-1 acts
+trivially, so reducing the letters first changes nothing but the work);
+`vankampen.relation_pair` starts from a base's `endpoint_loops` and takes
+|p| steps of H^sign(p) per conjugator (skeleton, p), never the letters of
+the compiled band.
 """
 
 from __future__ import annotations
@@ -31,6 +36,12 @@ BELOW = "below"
 ABOVE = "above"
 
 BraidLetter = tuple[int, int]
+TwistKey = tuple[int, int, str, int]
+
+
+def _inverse(letters: tuple) -> tuple:
+    """The inverse of a word of (generator, sign) letters, free or braid."""
+    return tuple((g, -sign) for g, sign in reversed(letters))
 
 
 @dataclass(frozen=True)
@@ -87,8 +98,7 @@ class ArtinWord:
         return ArtinWord(self.strand_count, self.letters + other.letters)
 
     def inverse(self) -> "ArtinWord":
-        return ArtinWord(self.strand_count,
-                         tuple((i, -s) for i, s in reversed(self.letters)))
+        return ArtinWord(self.strand_count, _inverse(self.letters))
 
     def __pow__(self, k: int) -> "ArtinWord":
         base = self if k >= 0 else self.inverse()
@@ -107,8 +117,7 @@ def compile_skeleton(s: Skeleton, n: int) -> ArtinWord:
     if s.j > n:
         raise ValueError(f"skeleton endpoint {s.j} exceeds strand count {n}")
     conj, core = band_transport(s)
-    inv = tuple((i, -sg) for i, sg in reversed(conj))
-    return ArtinWord(n, conj + ((core, 1),) + inv)
+    return ArtinWord(n, conj + ((core, 1),) + _inverse(conj))
 
 
 def transport(t: ConjugatedTwist, n: int) -> tuple[ArtinWord, int]:
@@ -132,40 +141,80 @@ def compile_factor(t: ConjugatedTwist, n: int) -> ArtinWord:
     return e.inverse() * ArtinWord(n, ((core, 1),) * t.power) * e
 
 
-class _ImageTable(dict):
-    """(idx, sign) -> {label: (image letters, inverse-image letters)} for the
-    two generators s_idx^sign moves. Each entry depends only on the letter,
-    so the table is a constant of the action, filled in on first use."""
+def _between(i: int, j: int) -> tuple[Letter, ...]:
+    """W = x_{j-1} ... x_{i+1}, the generators strictly between i and j in
+    descending order."""
+    return tuple((f"x{k}", 1) for k in range(j - 1, i, -1))
 
-    def __missing__(self, key: BraidLetter):
-        idx, sign = key
-        xi, xj = f"x{idx}", f"x{idx + 1}"
-        if sign > 0:
-            images = {xi: ((xj, 1),), xj: ((xj, 1), (xi, 1), (xj, -1))}
+
+class _TwistTable(dict):
+    """Key (i, j, side, sign) -> {label: (image letters, inverse-image letters)}
+    for the generators that the half-twist H along Skeleton(i, j, side)
+    moves (sign 1) or that H^-1 moves (sign -1). The Artin letter s_k^sign
+    is the key (k, k + 1, BELOW, sign). Each entry depends only on its key,
+    so the table is a constant of the action, filled in on first use. A
+    band of width w stores O(w^2) letters, so the images hold one shared
+    tuple per letter value (`letters`) rather than a copy per image."""
+
+    letters: dict[Letter, Letter] = {}
+
+    def __missing__(self, key: TwistKey):
+        i, j, side, sign = key
+        a, b = f"x{i}", f"x{j}"
+        if side == BELOW:
+            c = ((b, 1), (a, -1)) if sign > 0 else ((a, -1), (b, 1))
+            images = {f"x{k}": c + ((f"x{k}", 1),) + _inverse(c) for k in range(i + 1, j)}
+            images[a], images[b] = ((((b, 1),), ((b, 1), (a, 1), (b, -1))) if sign > 0
+                                    else (((a, -1), (b, 1), (a, 1)), ((a, 1),)))
         else:
-            images = {xi: ((xi, -1), (xj, 1), (xi, 1)), xj: ((xi, 1),)}
-        entry = {lab: (img, tuple((l, -s) for l, s in reversed(img)))
+            w = _between(i, j)
+            loop = w + ((a, 1),) + _inverse(w)
+            if sign > 0:
+                images = {a: _inverse(w) + ((b, 1),) + w, b: ((b, 1),) + loop + ((b, -1),)}
+            else:
+                images = {a: ((a, -1),) + _inverse(w) + ((b, 1),) + w + ((a, 1),), b: loop}
+        share = self.letters.setdefault
+        entry = {lab: tuple(tuple(share(x, x) for x in word) for word in (img, _inverse(img)))
                  for lab, img in images.items()}
         self[key] = entry
         return entry
 
 
-_IMAGES = _ImageTable()
+_TWISTS = _TwistTable()
+
+
+def half_twist(letters, key: TwistKey) -> tuple[Letter, ...]:
+    """One substitution step: the letters of a reduced word acted on by
+    H^sign, H the half-twist along Skeleton(i, j, side), for the key
+    (i, j, side, sign). Each letter of a generator that H^sign moves becomes
+    its image (its inverse image for a negative letter), and the result is
+    freely reduced once."""
+    images = _TWISTS[key]
+    out: list[Letter] = []
+    for letter in letters:
+        img = images.get(letter[0])
+        if img is None:
+            out.append(letter)
+        else:
+            out.extend(img[0] if letter[1] > 0 else img[1])
+    return _reduce(out)
+
+
+def endpoint_loops(s: Skeleton) -> tuple[tuple[Letter, ...], tuple[Letter, ...]]:
+    """(x_c, x_{c+1}) acted on by D^-1, where D s_c D^-1 is the half-twist
+    along s: (x_i, x_j) below the axis, (W x_i W^-1, x_j) above it."""
+    xi, xj = (f"x{s.i}", 1), (f"x{s.j}", 1)
+    if s.side == BELOW:
+        return (xi,), (xj,)
+    w = _between(s.i, s.j)
+    return w + (xi,) + _inverse(w), (xj,)
 
 
 def apply_braid(b: ArtinWord, w: Word) -> Word:
     """Act on a word over x1..xN, letters applied in written order."""
     letters = w.letters
-    for key in _reduce(b.letters):
-        images = _IMAGES[key]
-        out: list[Letter] = []
-        for letter in letters:
-            img = images.get(letter[0])
-            if img is None:
-                out.append(letter)
-            else:
-                out.extend(img[0] if letter[1] > 0 else img[1])
-        letters = _reduce(out)
+    for idx, sign in _reduce(b.letters):
+        letters = half_twist(letters, (idx, idx + 1, BELOW, sign))
     return Word(letters)
 
 

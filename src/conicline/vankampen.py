@@ -2,10 +2,14 @@
 presentation: one relator per factor, plus the optional projective relation
 x_N x_{N-1} ... x_1 = e.
 
-Every factor has the shape e^-1 s_c^k e, with (e, c) = `braid.transport`;
-the relation pair (A, B) is the pair of endpoint loops x_c, x_{c+1}
-transported through the Artin action of e (the direction the calibrated
-conventions make come out in the source's own words; see the golden tests).
+Every factor has the shape e^-1 s_c^k e, with (e, c) = `braid.transport`
+and e = D^-1 V; the relation pair (A, B) is the pair of endpoint loops
+x_c, x_{c+1} acted on by e (the direction the calibrated conventions make
+come out in the source's own words; see the golden tests). D^-1 takes them
+to the base's `braid.endpoint_loops`, in closed form, and V, the
+conjugators' full-twist powers (skeleton, p) left to right, acts as |p|
+substitution steps of the skeleton's half-twist to the sign of p
+(`braid.half_twist`).
 Branch points identify A = B, nodes commute them, tangencies impose
 (AB)^2 = (BA)^2.
 """
@@ -14,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braid import apply_braid, transport
+from .braid import endpoint_loops, half_twist
 from .catalog import BMF, BMFactor
-from .words import Word, commutator, eq, gen, invert, sq, word_text
+from .words import Word, commutator, eq, invert, sq, word_text
 
 
 def cyclic_reduce(w: Word) -> Word:
@@ -68,11 +72,17 @@ def presentation(labels, relators, origins=()) -> Presentation:
 def relation_pair(f: BMFactor, n: int, labels: tuple[str, ...]):
     """The transported endpoint loops (A, B) of a monodromy factor in B_n,
     written in `labels` (the label of fiber position k is labels[k - 1])."""
-    e, core = transport(f.twist, n)
-    a = apply_braid(e, gen(f"x{core}"))
-    b = apply_braid(e, gen(f"x{core + 1}"))
+    t = f.twist
+    for skel in (t.base, *(c for c, _ in t.conjugators)):
+        if skel.j > n:
+            raise ValueError(f"skeleton endpoint {skel.j} exceeds strand count {n}")
+    pair = endpoint_loops(t.base)
+    for skel, p in t.conjugators:
+        key = (skel.i, skel.j, skel.side, 1 if p > 0 else -1)
+        for _ in range(abs(p)):
+            pair = tuple(half_twist(w, key) for w in pair)
     rename = {f"x{k}": lab for k, lab in enumerate(labels, start=1)}
-    return tuple(Word(tuple((rename[l], s) for l, s in w.letters)) for w in (a, b))
+    return tuple(Word(tuple((rename[l], s) for l, s in w)) for w in pair)
 
 
 RELATOR_SHAPES = {1: eq, 2: commutator, 4: sq}  # keyed by the factor's power

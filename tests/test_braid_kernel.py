@@ -1,6 +1,7 @@
-"""The Artin-action kernel against the letter-by-letter oracle: seeded
-random braid words with cancelling pairs and repeated conjugated blocks, and
-every factor of the benchmark grid's relation pairs and compiled words."""
+"""The Artin-action kernel against the letter-by-letter oracle: the
+closed-form half-twist images and endpoint loops of every band, seeded random
+braid words with cancelling pairs and repeated conjugated blocks, and every
+factor of the benchmark grid's relation pairs and compiled words."""
 
 import random
 
@@ -9,8 +10,9 @@ import pytest
 import oracles
 from conicline import braid, vankampen
 from conicline.arrangement import Arrangement
-from conicline.braid import (ArtinWord, apply_braid, artin_action, compile_factor,
-                             compile_skeleton, exponent_sum, permutation)
+from conicline.braid import (ABOVE, BELOW, ArtinWord, Skeleton, apply_braid, artin_action,
+                             band_transport, compile_factor, compile_skeleton,
+                             endpoint_loops, exponent_sum, half_twist, permutation)
 from conicline.words import Word, _reduce, gen
 
 from test_arrangement import BUILD_GRID
@@ -42,6 +44,29 @@ def _random_braid(rng, n):
 def _random_word(rng, n):
     return Word(tuple((f"x{rng.randint(1, n)}", rng.choice((1, -1)))
                       for _ in range(rng.randint(0, 8))))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_half_twists_agree_with_oracle(n):
+    """For every band 1 <= i < j <= n, on both sides: one pass of H^sign
+    sends each generator of F_n where the letter-by-letter action of the
+    compiled band word to the power sign does, and the base's endpoint
+    loops are the oracle's (x_c, x_{c+1}) acted on by D^-1."""
+    gens = [gen(f"x{k}") for k in range(1, n + 1)]
+    for i in range(1, n):
+        for j in range(i + 1, n + 1):
+            for side in (BELOW, ABOVE):
+                s = Skeleton(i, j, side)
+                for sign in (1, -1):
+                    band = compile_skeleton(s, n) ** sign
+                    for x in gens:
+                        assert half_twist(x.letters, (i, j, side, sign)) == \
+                            oracles.apply_braid(band, x).letters, (s, sign, x)
+                d, core = band_transport(s)
+                d_inverse = ArtinWord(n, d).inverse()
+                assert endpoint_loops(s) == tuple(
+                    oracles.apply_braid(d_inverse, gen(f"x{k}")).letters
+                    for k in (core, core + 1)), s
 
 
 @pytest.mark.parametrize("n", range(2, 9))

@@ -1,7 +1,8 @@
 import pytest
 
 import golden
-from conicline.catalog import bmf_cn, bmf_tn0, bmf_tnm
+from conicline.braid import ConjugatedTwist, Skeleton
+from conicline.catalog import BMF, BMFactor, bmf_cn, bmf_tn0, bmf_tnm
 from conicline.vankampen import (RELATOR_SHAPES, cyclic_canonical, cyclic_reduce,
                                  presentation, presentation_to_json, raw_presentation,
                                  relation_pair)
@@ -139,3 +140,12 @@ def test_presentation_text_roundtrip():
     assert tuple(parse_word(t) for t in d["relators"]) == p.relators
     assert tuple(d["origins"]) == p.origins
 
+
+def test_raw_presentation_rejects_skeletons_beyond_strand_count():
+    """A base or conjugator skeleton that ends past B_n's last strand is a
+    ValueError, not a relator over a generator the presentation lacks."""
+    for twist in (ConjugatedTwist(Skeleton(1, 4)),
+                  ConjugatedTwist(Skeleton(1, 2), 1, ((Skeleton(2, 4), 2),))):
+        bmf = BMF(3, (BMFactor(twist),), ("x1", "x2", "x3"))
+        with pytest.raises(ValueError, match="exceeds strand count 3"):
+            raw_presentation(bmf)
