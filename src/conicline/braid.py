@@ -30,18 +30,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import Letter, Word, _reduce, gen
+from .words import Letter, Word, _inverse, _reduce, gen
 
 BELOW = "below"
 ABOVE = "above"
 
 BraidLetter = tuple[int, int]
 TwistKey = tuple[int, int, str, int]
-
-
-def _inverse(letters: tuple) -> tuple:
-    """The inverse of a word of (generator, sign) letters, free or braid."""
-    return tuple((g, -sign) for g, sign in reversed(letters))
 
 
 @dataclass(frozen=True)
@@ -75,6 +70,12 @@ class ConjugatedTwist:
 
     def endpoints(self):
         return (self.base.i, self.base.j)
+
+    def check_strands(self, n: int) -> None:
+        """Raise ValueError unless the base and every conjugator lie in B_n."""
+        for skel in (self.base, *(s for s, _ in self.conjugators)):
+            if skel.j > n:
+                raise ValueError(f"skeleton endpoint {skel.j} exceeds strand count {n}")
 
 
 @dataclass(frozen=True)
@@ -120,25 +121,18 @@ def compile_skeleton(s: Skeleton, n: int) -> ArtinWord:
     return ArtinWord(n, conj + ((core, 1),) + _inverse(conj))
 
 
-def transport(t: ConjugatedTwist, n: int) -> tuple[ArtinWord, int]:
-    """(e, c) with e = D^-1 V: the factor t is e^-1 s_c^power e, where
-    D s_c D^-1 is the base's half-twist and V the product of the
-    conjugators' full-twist powers, left to right."""
-    if t.base.j > n:
-        raise ValueError(f"skeleton endpoint {t.base.j} exceeds strand count {n}")
-    d, core = band_transport(t.base)
-    letters = [(i, -s) for i, s in reversed(d)]
-    for skel, p in t.conjugators:
-        band = compile_skeleton(skel, n)
-        letters.extend((band if p > 0 else band.inverse()).letters * abs(p))
-    return ArtinWord(n, tuple(letters)), core
-
-
 def compile_factor(t: ConjugatedTwist, n: int) -> ArtinWord:
-    """Compile base^power under conjugation a^b = b^-1 a b: e^-1 s_c^power e
-    with (e, c) = transport(t, n), which is V^-1 base^power V."""
-    e, core = transport(t, n)
-    return e.inverse() * ArtinWord(n, ((core, 1),) * t.power) * e
+    """Compile base^power under conjugation a^b = b^-1 a b as e^-1 s_c^power e
+    = V^-1 base^power V, one letter tuple validated once: e = D^-1 V, with
+    D s_c D^-1 the base's half-twist and V the conjugators' full-twist powers
+    left to right, each band^p written as (D' s_c'^sign(p) D'^-1)^|p|."""
+    t.check_strands(n)
+    d, core = band_transport(t.base)
+    e = _inverse(d)
+    for skel, p in t.conjugators:
+        conj, c = band_transport(skel)
+        e += (conj + ((c, 1 if p > 0 else -1),) + _inverse(conj)) * abs(p)
+    return ArtinWord(n, _inverse(e) + ((core, 1),) * t.power + e)
 
 
 def _between(i: int, j: int) -> tuple[Letter, ...]:

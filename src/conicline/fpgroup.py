@@ -16,7 +16,7 @@ from operator import itemgetter
 
 from .finite_groups import BATTERY, DEFAULT_BATTERY, FiniteGroup
 from .vankampen import Presentation, cyclic_canonical, cyclic_reduce
-from .words import Word, invert, multiply, substitute
+from .words import Word, _inverse, invert, multiply, substitute
 
 # --------------------------------------------------------------------------
 # Smith normal form over the integers: the invariant factors
@@ -192,8 +192,7 @@ def _shorten_with(r: Word, rotations: list, cap: int, windows: set) -> Word:
                 longest, at = m, k
                 if m == n - 1:
                     break
-        repl = tuple((lab, -sg) for lab, sg
-                     in reversed(doubled[start + longest:start + n]))
+        repl = _inverse(doubled[start + longest:start + n])
         r = cyclic_reduce(Word(letters[:at] + repl + letters[at + longest:]))
         windows = _windows(r.letters, half)
     return r

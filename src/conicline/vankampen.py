@@ -2,11 +2,11 @@
 presentation: one relator per factor, plus the optional projective relation
 x_N x_{N-1} ... x_1 = e.
 
-Every factor has the shape e^-1 s_c^k e, with (e, c) = `braid.transport`
-and e = D^-1 V; the relation pair (A, B) is the pair of endpoint loops
-x_c, x_{c+1} acted on by e (the direction the calibrated conventions make
-come out in the source's own words; see the golden tests). D^-1 takes them
-to the base's `braid.endpoint_loops`, in closed form, and V, the
+Every factor has the shape e^-1 s_c^k e with e = D^-1 V
+(`braid.compile_factor`); the relation pair (A, B) is the pair of endpoint
+loops x_c, x_{c+1} acted on by e (the direction the calibrated conventions
+make come out in the source's own words; see the golden tests). D^-1 takes
+them to the base's `braid.endpoint_loops`, in closed form, and V, the
 conjugators' full-twist powers (skeleton, p) left to right, acts as |p|
 substitution steps of the skeleton's half-twist to the sign of p
 (`braid.half_twist`).
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .braid import endpoint_loops, half_twist
 from .catalog import BMF, BMFactor
-from .words import Word, commutator, eq, invert, sq, word_text
+from .words import Word, _inverse, commutator, eq, sq, word_text
 
 
 def cyclic_reduce(w: Word) -> Word:
@@ -38,7 +38,7 @@ def cyclic_canonical(w: Word) -> tuple:
     w = cyclic_reduce(w)
     if not w:
         return ()
-    return min(cand[r:] + cand[:r] for cand in (w.letters, invert(w).letters)
+    return min(cand[r:] + cand[:r] for cand in (w.letters, _inverse(w.letters))
                for r in range(len(cand)))
 
 
@@ -69,20 +69,17 @@ def presentation(labels, relators, origins=()) -> Presentation:
     return Presentation(tuple(labels), tuple(relators), tuple(origins))
 
 
-def relation_pair(f: BMFactor, n: int, labels: tuple[str, ...]):
-    """The transported endpoint loops (A, B) of a monodromy factor in B_n,
-    written in `labels` (the label of fiber position k is labels[k - 1])."""
-    t = f.twist
-    for skel in (t.base, *(c for c, _ in t.conjugators)):
-        if skel.j > n:
-            raise ValueError(f"skeleton endpoint {skel.j} exceeds strand count {n}")
-    pair = endpoint_loops(t.base)
-    for skel, p in t.conjugators:
+def relation_pair(f: BMFactor, n: int, rename: dict[str, str]):
+    """The transported endpoint loops (A, B) of a monodromy factor in B_n, as
+    freely reduced letter tuples, with fiber generator x_k written
+    rename[x_k]."""
+    f.twist.check_strands(n)
+    pair = endpoint_loops(f.twist.base)
+    for skel, p in f.twist.conjugators:
         key = (skel.i, skel.j, skel.side, 1 if p > 0 else -1)
         for _ in range(abs(p)):
             pair = tuple(half_twist(w, key) for w in pair)
-    rename = {f"x{k}": lab for k, lab in enumerate(labels, start=1)}
-    return tuple(Word(tuple((rename[l], s) for l, s in w)) for w in pair)
+    return tuple(tuple((rename[l], s) for l, s in w) for w in pair)
 
 
 RELATOR_SHAPES = {1: eq, 2: commutator, 4: sq}  # keyed by the factor's power
@@ -94,11 +91,10 @@ def projective_relator(labels: tuple[str, ...]) -> Word:
 
 
 def raw_presentation(b: BMF, projective: bool = False) -> Presentation:
-    relators, origins = [], []
-    for f in b.factors:
-        a, bb = relation_pair(f, b.strand_count, b.labels)
-        relators.append(RELATOR_SHAPES[f.twist.power](a, bb))
-        origins.append(f.origin)
+    rename = {f"x{k}": lab for k, lab in enumerate(b.labels, start=1)}
+    relators = [RELATOR_SHAPES[f.twist.power](*relation_pair(f, b.strand_count, rename))
+                for f in b.factors]
+    origins = [f.origin for f in b.factors]
     if projective:
         relators.append(projective_relator(b.labels))
         origins.append("projective")

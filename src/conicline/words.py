@@ -15,6 +15,11 @@ from dataclasses import dataclass
 Letter = tuple[str, int]
 
 
+def _inverse(letters: tuple) -> tuple:
+    """The inverse of a word of (generator, sign) letters, free or braid."""
+    return tuple([(g, -sign) for g, sign in reversed(letters)])
+
+
 def _reduce(letters) -> tuple[Letter, ...]:
     out: list[Letter] = []
     for lab, sign in letters:
@@ -57,23 +62,29 @@ def multiply(*words: Word) -> Word:
 
 
 def invert(w: Word) -> Word:
-    return Word(tuple((lab, -sign) for lab, sign in reversed(w.letters)))
+    return Word(_inverse(w.letters))
 
 
-def commutator(a: Word, b: Word) -> Word:
+def _letters(w) -> tuple[Letter, ...]:
+    """A relator shape's argument, a Word or a letter tuple, as letters."""
+    return w.letters if isinstance(w, Word) else w
+
+
+def commutator(a, b) -> Word:
     """[a, b] = a b a^-1 b^-1, the node relator."""
-    return multiply(a, b, invert(a), invert(b))
+    a, b = _letters(a), _letters(b)
+    return Word(a + b + _inverse(b + a))
 
 
-def sq(a: Word, b: Word) -> Word:
+def sq(a, b) -> Word:
     """(ab)^2 ((ba)^2)^-1, the tangency relator."""
-    ab, ba = multiply(a, b), multiply(b, a)
-    return multiply(ab, ab, invert(ba), invert(ba))
+    a, b = _letters(a), _letters(b)
+    return Word((a + b) * 2 + _inverse(b + a) * 2)
 
 
-def eq(lhs: Word, rhs: Word) -> Word:
+def eq(lhs, rhs) -> Word:
     """lhs rhs^-1, the relator of the relation lhs = rhs (and of a branch point)."""
-    return multiply(lhs, invert(rhs))
+    return Word(_letters(lhs) + _inverse(_letters(rhs)))
 
 
 def substitute(w: Word, images: dict[str, Word]) -> Word:
@@ -87,7 +98,7 @@ def substitute(w: Word, images: dict[str, Word]) -> Word:
         elif sign > 0:
             letters.extend(img.letters)
         else:
-            letters.extend((l2, -s2) for l2, s2 in reversed(img.letters))
+            letters.extend(_inverse(img.letters))
     return Word(tuple(letters))
 
 

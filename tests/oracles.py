@@ -1,10 +1,11 @@
 """Test-only oracles, fixtures and input generators: the word builders
-`word` and `parse_word`, a brute-force hom counter, the leaf-visiting
-backtracking hom search with the conjugacy class and centralizer orbit
-tables it weights by, the invariant factors of an integer matrix from
-its minors (the oracle of the Smith normal form), the naive Tietze
-shortening scan, the letter-by-letter Artin action and permutation, random
-presentations, and the matrices of Z/2 * Z/3 words in SL(2, Z)."""
+`word` and `parse_word`, the relator shapes composed from `multiply` and
+`invert`, a brute-force hom counter, the leaf-visiting backtracking hom
+search with the conjugacy class and centralizer orbit tables it weights
+by, the invariant factors of an integer matrix from its minors (the
+oracle of the Smith normal form), the naive Tietze shortening scan, the
+letter-by-letter Artin action and permutation, random presentations, and
+the matrices of Z/2 * Z/3 words in SL(2, Z)."""
 
 import functools
 import itertools
@@ -43,6 +44,15 @@ def parse_word(text: str) -> Word:
                              "optionally followed by ^1 or ^-1")
         letters.append((label, -1 if power == "-1" else 1))
     return Word(tuple(letters))
+
+
+def composed_shapes(a: Word, b: Word) -> dict[int, Word]:
+    """`eq`, `commutator` and `sq` of (a, b), keyed by the factor power as
+    `vankampen.RELATOR_SHAPES` is, each composed of reduced products."""
+    ab, ba = multiply(a, b), multiply(b, a)
+    return {1: multiply(a, invert(b)),
+            2: multiply(a, b, invert(a), invert(b)),
+            4: multiply(ab, ab, invert(ba), invert(ba))}
 
 
 def invariant_factors_by_minors(matrix) -> tuple[int, ...]:
@@ -323,12 +333,18 @@ def conjugator_braid(t, n: int) -> ArtinWord:
     return v
 
 
+def fiber_rename(labels: tuple[str, ...]) -> dict[str, str]:
+    """x_k -> labels[k - 1], the rename `vankampen.relation_pair` takes."""
+    return {f"x{k}": lab for k, lab in enumerate(labels, start=1)}
+
+
 def relation_pair(f, n: int, labels: tuple[str, ...]):
-    """`vankampen.relation_pair` through the letter-by-letter action."""
+    """`vankampen.relation_pair` through the letter-by-letter action, as a
+    pair of Words."""
     v = conjugator_braid(f.twist, n)
     d_letters, core = band_transport(f.twist.base)
     e = ArtinWord(n, d_letters).inverse() * v
-    rename = {f"x{k}": lab for k, lab in enumerate(labels, start=1)}
+    rename = fiber_rename(labels)
     return tuple(Word(tuple((rename[l], s) for l, s in apply_braid(e, gen(f"x{k}")).letters))
                  for k in (core, core + 1))
 

@@ -5,7 +5,7 @@ import pytest
 from conicline.braid import (ABOVE, BELOW, ArtinWord, ConjugatedTwist,
                              Skeleton, apply_braid, artin_action,
                              braid_text, compile_factor, compile_skeleton,
-                             exponent_sum, full_twist, permutation, transport)
+                             exponent_sum, full_twist, permutation)
 from conicline.words import gen, invert, multiply
 
 from oracles import transposition
@@ -19,7 +19,14 @@ def test_skeleton_validation():
     with pytest.raises(ValueError):
         compile_skeleton(Skeleton(1, 5), 4)
     with pytest.raises(ValueError, match="exceeds strand count"):
-        transport(ConjugatedTwist(Skeleton(1, 5)), 4)
+        compile_factor(ConjugatedTwist(Skeleton(1, 5)), 4)
+    # the base lies in B_4 and only a conjugator does not; B_5 holds both
+    for conjugators in (((Skeleton(2, 5), 2),),
+                        ((Skeleton(1, 3, ABOVE), -2), (Skeleton(3, 5, ABOVE), 2))):
+        t = ConjugatedTwist(Skeleton(1, 2), 1, conjugators)
+        with pytest.raises(ValueError, match="exceeds strand count 4"):
+            compile_factor(t, 4)
+        assert exponent_sum(compile_factor(t, 5)) == 1
 
 
 def test_adjacent_skeletons_compile_to_single_letter():

@@ -7,7 +7,16 @@ from conicline.vankampen import (RELATOR_SHAPES, cyclic_canonical, cyclic_reduce
                                  presentation, presentation_to_json, raw_presentation,
                                  relation_pair)
 from conicline.words import Word, gen, invert, multiply
-from oracles import parse_word
+from oracles import fiber_rename, parse_word
+
+
+def letter_pairs(b):
+    rename = fiber_rename(b.labels)
+    return [relation_pair(f, b.strand_count, rename) for f in b.factors]
+
+
+def letters(*texts):
+    return tuple(parse_word(text).letters for text in texts)
 
 
 def rel_words(bmf):
@@ -34,23 +43,19 @@ def test_relator_for_shapes():
 
 
 def test_relation_pair_c1_verbatim():
-    b = bmf_cn(1)
-    pairs = [relation_pair(f, b.strand_count, b.labels) for f in b.factors]
-    assert pairs[0] == (gen("x1"), gen("x1p"))
-    assert pairs[1] == (parse_word("x1p x1 x1p^-1"), gen("x2"))
-    assert pairs[2] == (gen("x1"), parse_word("x1p^-1 x2^-1 x1p x2 x1p"))
+    pairs = letter_pairs(bmf_cn(1))
+    assert pairs[0] == letters("x1", "x1p")
+    assert pairs[1] == letters("x1p x1 x1p^-1", "x2")
+    assert pairs[2] == letters("x1", "x1p^-1 x2^-1 x1p x2 x1p")
 
 
 def test_relation_pair_c2_verbatim():
-    b = bmf_cn(2)
-    pairs = [relation_pair(f, b.strand_count, b.labels) for f in b.factors]
-    assert pairs[0] == (gen("x1"), gen("x1p"))
-    assert pairs[1] == (parse_word("x1p x1 x1p^-1"), gen("x2"))
-    assert pairs[2] == (parse_word("x2 x1p x1 x1p^-1 x2 x1p x1^-1 x1p^-1 x2^-1"),
-                        gen("x3"))
-    assert pairs[3] == (parse_word("x2 x1p x1 x1p^-1 x2^-1"), gen("x3"))
-    assert pairs[4] == (gen("x1"),
-                        parse_word("x1p^-1 x2^-1 x3^-1 x1p x3 x2 x1p"))
+    pairs = letter_pairs(bmf_cn(2))
+    assert pairs[0] == letters("x1", "x1p")
+    assert pairs[1] == letters("x1p x1 x1p^-1", "x2")
+    assert pairs[2] == letters("x2 x1p x1 x1p^-1 x2 x1p x1^-1 x1p^-1 x2^-1", "x3")
+    assert pairs[3] == letters("x2 x1p x1 x1p^-1 x2^-1", "x3")
+    assert pairs[4] == letters("x1", "x1p^-1 x2^-1 x3^-1 x1p x3 x2 x1p")
 
 
 def test_c1_raw_presentation_golden():
@@ -80,12 +85,11 @@ def test_tnm_raw_presentation_golden(n, m):
 def test_endpoint_abelianization_of_pairs():
     # A and B abelianize to the base endpoints' generators
     for bmf in (bmf_cn(3), bmf_tnm(2, 2)):
-        for f in bmf.factors:
-            a, b = relation_pair(f, bmf.strand_count, bmf.labels)
+        for f, (a, b) in zip(bmf.factors, letter_pairs(bmf)):
             i, j = f.twist.endpoints()
             for w, endpoint in ((a, i), (b, j)):
                 sums = {}
-                for lab, sign in w.letters:
+                for lab, sign in w:
                     sums[lab] = sums.get(lab, 0) + sign
                 nonzero = {lab for lab, v in sums.items() if v}
                 assert nonzero == {bmf.labels[endpoint - 1]}, (f.origin, w)

@@ -3,8 +3,9 @@ import re
 
 import pytest
 
-from conicline.words import Word, gen, invert, multiply, substitute, word_text
-from oracles import parse_word, word
+from conicline.words import (Word, commutator, eq, gen, invert, multiply, sq,
+                             substitute, word_text)
+from oracles import composed_shapes, parse_word, word
 
 
 def test_reduce_cancellation():
@@ -46,6 +47,40 @@ def test_substitute_keeps_generators_without_image():
 def test_multiply_invert():
     assert invert(word("x1", "x2")) == word(("x2", -1), ("x1", -1))
     assert multiply(word("x1", "x2"), word(("x2", -1), "x3")) == word("x1", "x3")
+
+
+def _seam_pair(rng, labels):
+    """Two random freely reduced words; half the time a ends in the inverse
+    of b's first letter, b is a^-1, or b is a, so the shapes cancel at
+    their seams."""
+    def random_word():
+        return Word(tuple((rng.choice(labels), rng.choice((1, -1)))
+                          for _ in range(rng.randint(0, 7))))
+    a, b = random_word(), random_word()
+    kind = rng.randrange(6)
+    if kind == 0 and b:
+        a = multiply(a, invert(Word(b.letters[:rng.randint(1, len(b))])))
+    elif kind == 1:
+        b = invert(a)
+    elif kind == 2:
+        b = a
+    return a, b
+
+
+def test_shapes_equal_their_composed_forms():
+    """One Word per relator, from Words or from letter tuples, equals the
+    shape composed of reduced products, also where letters cancel across
+    the seams."""
+    rng = random.Random(2112)
+    shapes = {1: eq, 2: commutator, 4: sq}
+    seams = 0
+    for _ in range(600):
+        a, b = _seam_pair(rng, ["x1", "x2", "x3"])
+        seams += bool(a and b and a.letters[-1] == invert(b).letters[-1])
+        for power, want in composed_shapes(a, b).items():
+            assert shapes[power](a, b) == want, (power, a, b)
+            assert shapes[power](a.letters, b.letters) == want, (power, a, b)
+    assert seams > 100
 
 
 def test_substitute_examples():
