@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .catalog import AuditCheck
 from .vankampen import Presentation
-from .words import Word, gen, multiply, word_text
+from .words import Letter, Word, gen, multiply, word_text
 
 Syllable = tuple[str, int]  # ("s", 1) or ("t", +-1); t^2 is stored as t^-1
 
@@ -74,12 +74,18 @@ def fp_text(w: FPWord) -> str:
     return " ".join(l if e == 1 else f"{l}^{e}" for l, e in w.syllables)
 
 
-def evaluate(images: dict[str, FPWord], w: Word) -> FPWord:
-    out = FP_IDENTITY
-    for lab, sign in w.letters:
-        img = images[lab]
-        out = out * (img if sign > 0 else ~img)
-    return out
+def letter_images(images: dict[str, FPWord]) -> dict[Letter, tuple[Syllable, ...]]:
+    """The syllables of each letter's image: the generator's image for
+    (label, 1) and its inverse for (label, -1)."""
+    return {(lab, sign): (img if sign > 0 else ~img).syllables
+            for lab, img in images.items() for sign in (1, -1)}
+
+
+def evaluate(letters: dict[Letter, tuple[Syllable, ...]], w: Word) -> FPWord:
+    """The image of w under the `letter_images` table `letters`, as one
+    FPWord: nf_syllables reduces any concatenation of normal forms in one
+    pass."""
+    return FPWord(tuple(syl for letter in w.letters for syl in letters[letter]))
 
 
 @dataclass(frozen=True)
@@ -120,8 +126,9 @@ def certify(p: Presentation, images: dict[str, FPWord],
                              "" if not missing else f"missing {missing}"))
     if missing:
         return CertReport(tuple(checks))
+    letters = letter_images(images)
     for k, r in enumerate(p.relators):
-        val = evaluate(images, r)
+        val = evaluate(letters, r)
         checks.append(AuditCheck(f"relator[{k}]", not val, fp_text(val)))
     for target, expect in (("s", S), ("t", T)):
         w = witnesses.get(target)
@@ -130,7 +137,7 @@ def certify(p: Presentation, images: dict[str, FPWord],
             detail = f"no image for {unmapped}" if unmapped else "missing"
             checks.append(AuditCheck(f"witness_{target}", False, detail))
             continue
-        val = evaluate(images, w)
+        val = evaluate(letters, w)
         checks.append(AuditCheck(f"witness_{target}", val == expect, fp_text(val)))
     return CertReport(tuple(checks))
 

@@ -93,18 +93,6 @@ class ArtinWord:
             if sign not in (1, -1):
                 raise ValueError(f"letter sign must be +-1, got {sign}")
 
-    def __mul__(self, other: "ArtinWord") -> "ArtinWord":
-        if self.strand_count != other.strand_count:
-            raise ValueError("strand counts differ")
-        return ArtinWord(self.strand_count, self.letters + other.letters)
-
-    def inverse(self) -> "ArtinWord":
-        return ArtinWord(self.strand_count, _inverse(self.letters))
-
-    def __pow__(self, k: int) -> "ArtinWord":
-        base = self if k >= 0 else self.inverse()
-        return ArtinWord(self.strand_count, base.letters * abs(k))
-
 
 def band_transport(s: Skeleton) -> tuple[tuple[BraidLetter, ...], int]:
     """Conjugating letters D and core index c with half-twist = D s_c D^-1."""
@@ -115,24 +103,23 @@ def band_transport(s: Skeleton) -> tuple[tuple[BraidLetter, ...], int]:
 
 def compile_skeleton(s: Skeleton, n: int) -> ArtinWord:
     """The band-generator expansion of the half-twist along s in B_n."""
-    if s.j > n:
-        raise ValueError(f"skeleton endpoint {s.j} exceeds strand count {n}")
-    conj, core = band_transport(s)
-    return ArtinWord(n, conj + ((core, 1),) + _inverse(conj))
+    return compile_factor(ConjugatedTwist(s), n)
 
 
 def compile_factor(t: ConjugatedTwist, n: int) -> ArtinWord:
     """Compile base^power under conjugation a^b = b^-1 a b as e^-1 s_c^power e
     = V^-1 base^power V, one letter tuple validated once: e = D^-1 V, with
     D s_c D^-1 the base's half-twist and V the conjugators' full-twist powers
-    left to right, each band^p written as (D' s_c'^sign(p) D'^-1)^|p|."""
+    left to right, each band^p written as (D' s_c'^sign(p) D'^-1)^|p|, and
+    s_c^power written as s_c^sign(power) repeated |power| times."""
     t.check_strands(n)
     d, core = band_transport(t.base)
     e = _inverse(d)
     for skel, p in t.conjugators:
         conj, c = band_transport(skel)
         e += (conj + ((c, 1 if p > 0 else -1),) + _inverse(conj)) * abs(p)
-    return ArtinWord(n, _inverse(e) + ((core, 1),) * t.power + e)
+    cores = ((core, 1 if t.power > 0 else -1),) * abs(t.power)
+    return ArtinWord(n, _inverse(e) + cores + e)
 
 
 def _between(i: int, j: int) -> tuple[Letter, ...]:

@@ -11,12 +11,13 @@ a proof of isomorphism.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .finite_groups import BATTERY, DEFAULT_BATTERY, FiniteGroup
 from .vankampen import Presentation, cyclic_canonical, cyclic_reduce
-from .words import Word, _inverse, invert, multiply, substitute
+from .words import Word, _inverse, substitute
 
 # --------------------------------------------------------------------------
 # Smith normal form over the integers: the invariant factors
@@ -116,14 +117,11 @@ class TietzeResult:
 
 
 def _solve_generator(r: Word, label: str) -> Word:
-    """Given a relator with exactly one occurrence of `label`, express it in
-    the remaining generators: r = p g^s q = e  =>  g^s = p^-1 q^-1."""
+    """Given a relator r = p g^s q with exactly one occurrence of g = `label`,
+    express g in the remaining generators: g = (q p)^-s."""
     idx = next(k for k, (lab, _) in enumerate(r.letters) if lab == label)
-    sign = r.letters[idx][1]
-    p = Word(r.letters[:idx])
-    q = Word(r.letters[idx + 1:])
-    sol = multiply(invert(p), invert(q))
-    return sol if sign > 0 else invert(sol)
+    qp = r.letters[idx + 1:] + r.letters[:idx]
+    return Word(_inverse(qp) if r.letters[idx][1] > 0 else qp)
 
 
 def _rotations(s: Word) -> list[tuple]:
@@ -134,8 +132,8 @@ def _rotations(s: Word) -> list[tuple]:
     n = len(s)
     half = n // 2 + 1
     out = []
-    for cand in (s, invert(s)):
-        doubled = cand.letters + cand.letters
+    for cand in (s.letters, _inverse(s.letters)):
+        doubled = cand + cand
         out.extend((doubled[start:start + half], doubled, start)
                    for start in range(n))
     return out
@@ -203,8 +201,14 @@ def tietze_simplify(p: Presentation, max_passes: int = 50) -> TietzeResult:
 
     Deterministic; every move is an elementary Tietze transformation, so the
     isomorphism type is preserved (tested via fingerprints). Returns the
-    best presentation found within the pass budget. No relator may grow
-    past four times the longest input relator (at least 4 letters).
+    presentation the last pass left: that of the first pass to change
+    nothing, or of pass `max_passes` when the budget runs out (`exhausted`).
+    It is not the shortest one seen and can be longer than the input: raw
+    projective T_{5,5} goes from 1,454 to 1,692 letters. No relator may
+    grow past four times the longest input relator (at least 4 letters).
+
+    Every relator stays cyclically reduced: `Presentation` reduces its
+    relators, and each move reduces the relators it makes.
 
     Pass (c) calls `_shorten_with(r, ..., s)` only when one of the 2n heads
     of s (n = |s| >= 3, carried by `_rotations`) is one of r's windows of
@@ -223,11 +227,10 @@ def tietze_simplify(p: Presentation, max_passes: int = 50) -> TietzeResult:
             break
         passes += 1
         changed = False
-        # (a) reduce + dedupe (up to rotation and inversion) + drop trivial
+        # (a) dedupe (up to rotation and inversion) + drop trivial
         seen = set()
         cleaned = []
         for r in relators:
-            r = cyclic_reduce(r)
             key = cyclic_canonical(r)
             if not key or key in seen:
                 continue
@@ -238,18 +241,12 @@ def tietze_simplify(p: Presentation, max_passes: int = 50) -> TietzeResult:
         relators = cleaned
         # (b) eliminate a generator occurring exactly once in some relator;
         # primed (conic) generators go first, then shortest defining relator.
-        candidates = []
-        for ridx, r in enumerate(relators):
-            occurrences = {}
-            for lab, _ in r.letters:
-                occurrences[lab] = occurrences.get(lab, 0) + 1
-            for lab, cnt in occurrences.items():
-                if cnt == 1:
-                    primed = 0 if lab.endswith("p") else 1
-                    candidates.append((primed, len(r), lab, ridx))
-        if candidates:
-            candidates.sort()
-            _, _, label, ridx = candidates[0]
+        pick = min(((0 if lab.endswith("p") else 1, len(r), lab, ridx)
+                    for ridx, r in enumerate(relators)
+                    for lab, cnt in Counter(lab for lab, _ in r.letters).items()
+                    if cnt == 1), default=None)
+        if pick is not None:
+            _, _, label, ridx = pick
             image = _solve_generator(relators[ridx], label)
             relators = [cyclic_reduce(substitute(r, {label: image}))
                         for k, r in enumerate(relators) if k != ridx]
@@ -346,18 +343,19 @@ def count_homs(p: Presentation, target: FiniteGroup) -> int:
     k = len(labels)
     if k == 0:
         return 1 if all(not r for r in p.relators) else 0
-    # order generators greedily so short relators close early
+    # order generators greedily so short relators close early: next is the
+    # first unplaced generator that closes the most relators
     rel_labels = [frozenset(lab for lab, _ in r.letters) for r in p.relators]
     order: list[str] = []
-    remaining = set(labels)
-    while remaining:
-        def fire_score(lab):
-            fired = sum(1 for ls in rel_labels
-                        if lab in ls and ls <= set(order) | {lab})
-            return (-fired, labels.index(lab))
-        nxt = min(remaining, key=fire_score)
+    placed: set[str] = set()
+
+    def closes(lab: str) -> int:
+        return sum(lab in ls and ls <= placed | {lab} for ls in rel_labels)
+
+    while len(order) < k:
+        nxt = max((lab for lab in labels if lab not in placed), key=closes)
         order.append(nxt)
-        remaining.discard(nxt)
+        placed.add(nxt)
     pos = {lab: i for i, lab in enumerate(order)}
     mult, inv, ident = target.mult, target.inv, target.identity
     every = range(target.order)

@@ -4,8 +4,9 @@
 search with the conjugacy class and centralizer orbit tables it weights
 by, the invariant factors of an integer matrix from its minors (the
 oracle of the Smith normal form), the naive Tietze shortening scan, the
-letter-by-letter Artin action and permutation, random presentations, and
-the matrices of Z/2 * Z/3 words in SL(2, Z)."""
+letter-by-letter Artin action and permutation, the product, inverse and
+powers of braid words, random presentations, and the matrices of
+Z/2 * Z/3 words in SL(2, Z)."""
 
 import functools
 import itertools
@@ -15,7 +16,7 @@ import random
 from conicline.braid import ArtinWord, band_transport, compile_skeleton
 from conicline.finite_groups import FiniteGroup
 from conicline.vankampen import Presentation, cyclic_reduce, presentation
-from conicline.words import Word, gen, invert, multiply, substitute
+from conicline.words import Word, _inverse, gen, invert, multiply, substitute
 
 
 def word(*items) -> Word:
@@ -325,12 +326,28 @@ def permutation(b: ArtinWord) -> tuple[int, ...]:
     return perm
 
 
+def braid_product(*braids: ArtinWord) -> ArtinWord:
+    """The concatenation of braid words in one B_n."""
+    counts = {b.strand_count for b in braids}
+    if len(counts) != 1:
+        raise ValueError("strand counts differ")
+    return ArtinWord(counts.pop(), tuple(x for b in braids for x in b.letters))
+
+
+def braid_inverse(b: ArtinWord) -> ArtinWord:
+    return ArtinWord(b.strand_count, _inverse(b.letters))
+
+
+def braid_power(b: ArtinWord, k: int) -> ArtinWord:
+    """b^k as its letters (those of b^-1 for k < 0) repeated |k| times."""
+    base = b if k >= 0 else braid_inverse(b)
+    return ArtinWord(b.strand_count, base.letters * abs(k))
+
+
 def conjugator_braid(t, n: int) -> ArtinWord:
     """V, the product of the conjugators' full-twist powers, left to right."""
-    v = ArtinWord(n)
-    for skel, p in t.conjugators:
-        v = v * compile_skeleton(skel, n) ** p
-    return v
+    return braid_product(ArtinWord(n), *(braid_power(compile_skeleton(skel, n), p)
+                                         for skel, p in t.conjugators))
 
 
 def fiber_rename(labels: tuple[str, ...]) -> dict[str, str]:
@@ -343,7 +360,7 @@ def relation_pair(f, n: int, labels: tuple[str, ...]):
     pair of Words."""
     v = conjugator_braid(f.twist, n)
     d_letters, core = band_transport(f.twist.base)
-    e = ArtinWord(n, d_letters).inverse() * v
+    e = braid_product(braid_inverse(ArtinWord(n, d_letters)), v)
     rename = fiber_rename(labels)
     return tuple(Word(tuple((rename[l], s) for l, s in apply_braid(e, gen(f"x{k}")).letters))
                  for k in (core, core + 1))

@@ -3,11 +3,11 @@ import random
 import pytest
 
 from conicline.bigness import (FP_IDENTITY, FPWord, S, T, certify,
-                               certify_certificate, fp_text,
-                               standard_certificate)
+                               certify_certificate, evaluate, fp_text,
+                               letter_images, standard_certificate)
 from conicline.paper_groups import presentation_c2_proj
 from conicline.vankampen import presentation
-from conicline.words import gen, multiply
+from conicline.words import Word, _inverse, gen, multiply
 from oracles import psl2z_element
 
 
@@ -63,6 +63,31 @@ def test_normal_form_is_unique_against_psl2z():
         assert (nf_a == nf_b) == (image_a == image_b), (a, b)
         equal_pairs += image_a == image_b and a != b
     assert equal_pairs >= 100
+
+
+def test_evaluate_is_the_product_of_the_letter_images():
+    """The one FPWord of `evaluate` is the PSL(2, Z) product of the images of
+    a word's letters, an inverse letter taking the inverse image; words of
+    the form u v u^-1 also reach the identity when v's image is trivial."""
+    rng = random.Random(17)
+    labels = ("a", "b", "c", "d")
+    identity = psl2z_element([])
+    trivial = 0
+    for _ in range(500):
+        raw = {lab: [(rng.choice("st"), rng.choice((1, -1, 2)))
+                     for _ in range(rng.randint(0, 4))] for lab in labels}
+        images = {lab: FPWord(w) for lab, w in raw.items()}
+        u = tuple((rng.choice(labels), rng.choice((1, -1))) for _ in range(rng.randint(0, 8)))
+        v = tuple((rng.choice(labels), rng.choice((1, -1))) for _ in range(rng.randint(0, 3)))
+        for letters in (u, u + v + _inverse(u)):
+            w = Word(letters)
+            expected = psl2z_element([syl for lab, sign in w.letters for syl in (
+                raw[lab] if sign > 0 else [(l, -e) for l, e in reversed(raw[lab])])])
+            value = evaluate(letter_images(images), w)
+            assert psl2z_element(value.syllables) == expected, (raw, w)
+            assert value == FPWord(value.syllables)
+            trivial += bool(w) and expected == identity
+    assert trivial >= 20
 
 
 def test_fp_inverse_and_identity():

@@ -8,7 +8,7 @@ from conicline.braid import (ABOVE, BELOW, ArtinWord, ConjugatedTwist,
                              exponent_sum, full_twist, permutation)
 from conicline.words import gen, invert, multiply
 
-from oracles import transposition
+from oracles import braid_inverse, braid_power, braid_product, transposition
 
 
 def test_skeleton_validation():
@@ -61,8 +61,8 @@ def test_compile_factor_example_2a():
     # Z_34 conjugated by the full twist of the above path (1,3), in B_4
     t = ConjugatedTwist(Skeleton(3, 4), 1, ((Skeleton(1, 3, ABOVE), 2),))
     b = compile_factor(t, 4)
-    conj = compile_skeleton(Skeleton(1, 3, ABOVE), 4) ** 2
-    expected = conj.inverse() * compile_skeleton(Skeleton(3, 4), 4) * conj
+    conj = braid_power(compile_skeleton(Skeleton(1, 3, ABOVE), 4), 2)
+    expected = braid_product(braid_inverse(conj), compile_skeleton(Skeleton(3, 4), 4), conj)
     assert b.letters == expected.letters
 
 
@@ -71,10 +71,22 @@ def test_compile_factor_example_2b():
     t = ConjugatedTwist(Skeleton(3, 4), 1,
                         ((Skeleton(2, 3), 2), (Skeleton(1, 3), 2)))
     b = compile_factor(t, 4)
-    c1 = compile_skeleton(Skeleton(2, 3), 4) ** 2
-    c2 = compile_skeleton(Skeleton(1, 3), 4) ** 2
-    expected = c2.inverse() * c1.inverse() * compile_skeleton(Skeleton(3, 4), 4) * c1 * c2
+    c1 = braid_power(compile_skeleton(Skeleton(2, 3), 4), 2)
+    c2 = braid_power(compile_skeleton(Skeleton(1, 3), 4), 2)
+    expected = braid_product(braid_inverse(c2), braid_inverse(c1),
+                             compile_skeleton(Skeleton(3, 4), 4), c1, c2)
     assert b.letters == expected.letters
+
+
+def test_compile_factor_negative_power_inverts_positive():
+    """s_c^power is s_c^sign(power) repeated |power| times, so a negative
+    power gives the inverse braid, not e^-1 e."""
+    for t, n in ((ConjugatedTwist(Skeleton(1, 3)), 3),
+                 (ConjugatedTwist(Skeleton(1, 4, ABOVE), 2, ((Skeleton(2, 4), -2),)), 4)):
+        positive = compile_factor(t, n)
+        negative = compile_factor(ConjugatedTwist(t.base, -t.power, t.conjugators), n)
+        assert exponent_sum(negative) == -t.power
+        assert negative.letters == braid_inverse(positive).letters
 
 
 def test_conjugator_powers_must_be_even():
@@ -154,7 +166,7 @@ def test_even_powers_are_pure():
         j = rng.randint(i + 1, n)
         side = rng.choice((BELOW, ABOVE))
         p = rng.choice((2, -2, 4))
-        b = compile_skeleton(Skeleton(i, j, side), n) ** p
+        b = braid_power(compile_skeleton(Skeleton(i, j, side), n), p)
         assert permutation(b) == tuple(range(1, n + 1))
 
 

@@ -58,12 +58,12 @@ def test_half_twists_agree_with_oracle(n):
             for side in (BELOW, ABOVE):
                 s = Skeleton(i, j, side)
                 for sign in (1, -1):
-                    band = compile_skeleton(s, n) ** sign
+                    band = oracles.braid_power(compile_skeleton(s, n), sign)
                     for x in gens:
                         assert half_twist(x.letters, (i, j, side, sign)) == \
                             oracles.apply_braid(band, x).letters, (s, sign, x)
                 d, core = band_transport(s)
-                d_inverse = ArtinWord(n, d).inverse()
+                d_inverse = oracles.braid_inverse(ArtinWord(n, d))
                 assert endpoint_loops(s) == tuple(
                     oracles.apply_braid(d_inverse, gen(f"x{k}")).letters
                     for k in (core, core + 1)), s
@@ -124,7 +124,8 @@ def test_grid_compiled_factors_equal_conjugated_band_powers(family, n, m):
     for f in bmf.factors:
         t = f.twist
         v = oracles.conjugator_braid(t, N)
-        old = v.inverse() * compile_skeleton(t.base, N) ** t.power * v
+        old = oracles.braid_product(oracles.braid_inverse(v),
+                                    oracles.braid_power(compile_skeleton(t.base, N), t.power), v)
         new = compile_factor(t, N)
         assert artin_action(new) == artin_action(old), f.origin
         assert permutation(new) == permutation(old), f.origin
