@@ -17,8 +17,8 @@ The action is one substitution step over a constant table of half-twist
 images. The half-twist H along Skeleton(i, j, side), or its inverse, moves
 at most j - i + 1 generators, by closed forms (README, "Conventions"); the
 Artin letter s_k^+-1 is the below-axis half-twist of the band (k, k + 1). A
-step replaces the letters of the moved generators by their stored image or
-inverse-image letters and freely reduces the result once. `apply_braid`
+step is one `words.substitute` pass over the stored image and
+inverse-image letters of the moved generators. `apply_braid`
 takes one step per letter of the freely reduced braid word (s_i s_i^-1 acts
 trivially, so reducing the letters first changes nothing but the work);
 `vankampen.relation_pair` starts from a base's `endpoint_loops` and takes
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import Letter, Word, _inverse, _reduce, gen
+from .words import Letter, Word, _inverse, _reduce, gen, substitute
 
 BELOW = "below"
 ABOVE = "above"
@@ -167,18 +167,8 @@ _TWISTS = _TwistTable()
 def half_twist(letters, key: TwistKey) -> tuple[Letter, ...]:
     """One substitution step: the letters of a reduced word acted on by
     H^sign, H the half-twist along Skeleton(i, j, side), for the key
-    (i, j, side, sign). Each letter of a generator that H^sign moves becomes
-    its image (its inverse image for a negative letter), and the result is
-    freely reduced once."""
-    images = _TWISTS[key]
-    out: list[Letter] = []
-    for letter in letters:
-        img = images.get(letter[0])
-        if img is None:
-            out.append(letter)
-        else:
-            out.extend(img[0] if letter[1] > 0 else img[1])
-    return _reduce(out)
+    (i, j, side, sign)."""
+    return substitute(letters, _TWISTS[key])
 
 
 def endpoint_loops(s: Skeleton) -> tuple[tuple[Letter, ...], tuple[Letter, ...]]:

@@ -1,7 +1,7 @@
-"""Parametric constructors for the braid monodromy factorizations of the
+"""Parametric constructors for the braid monodromy factor lists of the
 conic-line arrangements C_n (one conic, n tangent lines), T_{n,0} (two
 tangent conics, n lines tangent to one of them) and T_{n,m} (lines tangent
-to both), with combinatorial audits.
+to both), with combinatorial audits; only the C_n lists are Delta^2.
 
 Each factor is a half-twist power under conjugation, and its power gives its
 singularity type: branch points have exponent 1, nodes 2, tangencies 4. The
@@ -49,7 +49,8 @@ class BMFactor:
 
 @dataclass(frozen=True)
 class BMF:
-    """An ordered braid monodromy factorization of Delta^2 in B_N."""
+    """An ordered list of braid monodromy factors in B_N: Delta^2 for C_n;
+    for T, the published relations but not Delta^2 (ROADMAP items 1-2)."""
     strand_count: int
     factors: tuple[BMFactor, ...]
     labels: tuple[str, ...]
@@ -79,7 +80,7 @@ def _factor(i, j, power, conjs=(), side=BELOW, origin="", provisional=False) -> 
 # --------------------------------------------------------------------------
 
 def bmf_cn(n: int) -> BMF:
-    """Delta^2 of C_n = Q + L_1 + ... + L_n.
+    """Delta^2 of C_n = Q + L_1 + ... + L_n (the tests check n <= 5).
 
     Transcribed from the inductive factorization F_1 ... F_n (Z_{11'})^{...};
     the node factors are routed above the axis with positive conjugating
@@ -236,9 +237,10 @@ def bmf_t22() -> BMF:
 # --------------------------------------------------------------------------
 
 def bmf_tn0(n: int) -> BMF:
-    """Delta^2 of T_{n,0}. The factor for the second crossing of L_{n-1}
-    with the conic (n, n+1) is restored (the general display drops it; the
-    explicit n = 2 list shows it as a duplicated factor)."""
+    """T_{n,0}: the published relations, not Delta^2 (ROADMAP item 2). The
+    factor for the second crossing of L_{n-1} with the conic (n, n+1) is
+    restored (the general display drops it; the explicit n = 2 list shows
+    it as a duplicated factor)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
@@ -294,7 +296,8 @@ def bmf_tn0(n: int) -> BMF:
 # --------------------------------------------------------------------------
 
 def bmf_tnm(n: int, m: int) -> BMF:
-    """Delta^2 of T_{n,m}, n >= 1, m >= 1, from the twelve-row factor table.
+    """T_{n,m}, n >= 1, m >= 1, from the twelve-row factor table: the
+    published relations, not Delta^2 (ROADMAP item 2).
 
     Deviations from the printed table, all matching the explicit small-case
     lists: the second crossing of L_1 with (4,5) is restored in row 8; the

@@ -25,11 +25,6 @@ STDOUT_CLOSED = 141
 OVERRIDE_SCOPE = "--ztilde-override applies only to raw presentations and bmf"
 
 
-def _die(msg: str) -> int:
-    print(msg, file=sys.stderr)
-    return USAGE_ERROR
-
-
 def _battery_from(args) -> tuple[str, ...]:
     """The --targets comma list, checked by `fpgroup.battery_names`; its
     ValueError is a usage error."""
@@ -147,7 +142,7 @@ def cmd_compare(args) -> int:
 
 def cmd_bigness(args) -> int:
     if args.ztilde_override:
-        return _die(f"{OVERRIDE_SCOPE}, not to bigness (it certifies the stated presentation)")
+        raise ValueError(f"{OVERRIDE_SCOPE}, not to bigness (it certifies the stated presentation)")
     cert = Arrangement(args.family, args.n, args.m).certificate()
     report = big.certify_certificate(cert)
     if args.json:
@@ -229,7 +224,8 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         return STDOUT_CLOSED
     except ValueError as exc:
-        return _die(str(exc))
+        print(exc, file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

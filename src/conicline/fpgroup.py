@@ -116,12 +116,12 @@ class TietzeResult:
     exhausted: bool
 
 
-def _solve_generator(r: Word, label: str) -> Word:
+def _solve_generator(r: Word, label: str) -> tuple:
     """Given a relator r = p g^s q with exactly one occurrence of g = `label`,
-    express g in the remaining generators: g = (q p)^-s."""
+    express g in the remaining generators: the letters of g = (q p)^-s."""
     idx = next(k for k, (lab, _) in enumerate(r.letters) if lab == label)
     qp = r.letters[idx + 1:] + r.letters[:idx]
-    return Word(_inverse(qp) if r.letters[idx][1] > 0 else qp)
+    return _inverse(qp) if r.letters[idx][1] > 0 else qp
 
 
 def _rotations(s: Word) -> list[tuple]:
@@ -144,13 +144,13 @@ def _windows(letters, half: int) -> set:
     return {letters[k:k + half] for k in range(len(letters) - half + 1)}
 
 
-def _shorten_with(r: Word, rotations: list, cap: int, windows: set) -> Word:
-    """Shorten r by replacing pieces of a relator s, given as `_rotations(s)`;
-    `windows` is `_windows(r.letters, half)`, which the caller's skip test
-    has already built.
+def _shorten_with(r: Word, rotations: list, windows: set) -> Word:
+    """Shorten r by replacing pieces of a relator s, given as `_rotations(s)`,
+    with |s| >= 3; `windows` is `_windows(r.letters, half)`, which the
+    caller's skip test has already built.
 
     The rule, on which the golden Tietze outputs depend: with n = |s| and
-    half = n // 2 + 1, while |r| <= cap, take the first rotation of s in the
+    half = n // 2 + 1, repeatedly take the first rotation of s in the
     order of `_rotations` (s first, then s^-1, each by start offset) whose
     longest prefix of length half..n-1 occurs in r; replace the first
     occurrence of that longest prefix by the inverse of the rest of the
@@ -158,7 +158,7 @@ def _shorten_with(r: Word, rotations: list, cap: int, windows: set) -> Word:
     A piece of pl > n/2 letters becomes n - pl < pl letters, so every
     replacement strictly shortens r.
 
-    For n >= 3, half <= n - 1, so a prefix of half..n-1 letters occurs in r
+    As n >= 3, half <= n - 1, so a prefix of half..n-1 letters occurs in r
     exactly when the rotation's head (its first half letters) is one of r's
     length-half windows (`_windows`). The first rotation whose head is a
     window is therefore the one the rule takes; only the positions where
@@ -167,10 +167,8 @@ def _shorten_with(r: Word, rotations: list, cap: int, windows: set) -> Word:
     is a window of r: it would return r unchanged.
     """
     n = len(rotations) // 2
-    if n < 3:
-        return r
     half = n // 2 + 1
-    while len(r) <= cap:
+    while True:
         letters = r.letters
         size = len(letters)
         for head, doubled, start in rotations:
@@ -193,19 +191,23 @@ def _shorten_with(r: Word, rotations: list, cap: int, windows: set) -> Word:
         repl = _inverse(doubled[start + longest:start + n])
         r = cyclic_reduce(Word(letters[:at] + repl + letters[at + longest:]))
         windows = _windows(r.letters, half)
-    return r
 
 
-def tietze_simplify(p: Presentation, max_passes: int = 50) -> TietzeResult:
+# Tietze's pass budget; no raw grid presentation takes more than 12 passes.
+TIETZE_PASSES = 50
+
+
+def tietze_simplify(p: Presentation) -> TietzeResult:
     """Eliminate redundant generators and shorten relators.
 
     Deterministic; every move is an elementary Tietze transformation, so the
     isomorphism type is preserved (tested via fingerprints). Returns the
     presentation the last pass left: that of the first pass to change
-    nothing, or of pass `max_passes` when the budget runs out (`exhausted`).
-    It is not the shortest one seen and can be longer than the input: raw
-    projective T_{5,5} goes from 1,454 to 1,692 letters. No relator may
-    grow past four times the longest input relator (at least 4 letters).
+    nothing, or of pass `TIETZE_PASSES` when the budget runs out
+    (`exhausted`). It is not the shortest one seen and can be longer than
+    the input: raw projective T_{5,5} goes from 1,454 to 1,692 letters.
+    Relator lengths are not bounded: the substitutions of pass (b) can
+    lengthen relators, and pass (c) only shortens them.
 
     Every relator stays cyclically reduced: `Presentation` reduces its
     relators, and each move reduces the relators it makes.
@@ -218,11 +220,10 @@ def tietze_simplify(p: Presentation, max_passes: int = 50) -> TietzeResult:
     """
     gens = list(p.generators)
     relators = list(p.relators)
-    cap = max(4, 4 * max((len(r) for r in relators), default=0))
     passes = 0
     exhausted = False
     while True:
-        if passes >= max_passes:
+        if passes >= TIETZE_PASSES:
             exhausted = True
             break
         passes += 1
@@ -248,12 +249,13 @@ def tietze_simplify(p: Presentation, max_passes: int = 50) -> TietzeResult:
         if pick is not None:
             _, _, label, ridx = pick
             image = _solve_generator(relators[ridx], label)
-            relators = [cyclic_reduce(substitute(r, {label: image}))
+            images = {label: (image, _inverse(image))}
+            relators = [cyclic_reduce(Word(substitute(r.letters, images)))
                         for k, r in enumerate(relators) if k != ridx]
             gens = [g for g in gens if g != label]
             changed = True
         else:
-            # (c) bounded shortening of relators against each other
+            # (c) shortening of relators against each other
             rotations = [_rotations(r) for r in relators]
             heads = [frozenset(h for h, _, _ in rots) for rots in rotations]
             for i in range(len(relators)):
@@ -268,7 +270,7 @@ def tietze_simplify(p: Presentation, max_passes: int = 50) -> TietzeResult:
                         win = windows[half] = _windows(relators[i].letters, half)
                     if win.isdisjoint(heads[j]):
                         continue
-                    shorter = _shorten_with(relators[i], rotations[j], cap, win)
+                    shorter = _shorten_with(relators[i], rotations[j], win)
                     if len(shorter) < len(relators[i]):
                         relators[i] = shorter
                         windows = {}

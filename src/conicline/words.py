@@ -4,8 +4,9 @@ shapes.
 Words are kept freely reduced at all times: constructing a Word reduces its
 letters (`_reduce`, the one free-cancellation loop of the library), and
 every operation concatenates letters and constructs one Word, so equality
-of Word values is equality in the free group. Letters are (label, sign)
-pairs, and a generator is its label.
+of Word values is equality in the free group; `substitute` returns freely
+reduced letters, not a Word. Letters are (label, sign) pairs, and a
+generator is its label.
 """
 
 from __future__ import annotations
@@ -87,19 +88,19 @@ def eq(lhs, rhs) -> Word:
     return Word(_letters(lhs) + _inverse(_letters(rhs)))
 
 
-def substitute(w: Word, images: dict[str, Word]) -> Word:
-    """Replace each generator of w that has an image by that image (its
-    inverse for a negative letter); generators without one stay."""
-    letters: list[Letter] = []
-    for lab, sign in w.letters:
-        img = images.get(lab)
+def substitute(letters, images: dict) -> tuple[Letter, ...]:
+    """One substitution pass, the library's only one: each letter of a
+    generator with an entry label -> (image letters, inverse-image letters)
+    in `images` becomes its image (its inverse image for a negative letter),
+    other letters stay, and the result is freely reduced once."""
+    out: list[Letter] = []
+    for letter in letters:
+        img = images.get(letter[0])
         if img is None:
-            letters.append((lab, sign))
-        elif sign > 0:
-            letters.extend(img.letters)
+            out.append(letter)
         else:
-            letters.extend(_inverse(img.letters))
-    return Word(tuple(letters))
+            out.extend(img[0] if letter[1] > 0 else img[1])
+    return _reduce(out)
 
 
 def word_text(w: Word) -> str:

@@ -4,9 +4,9 @@
 search with the conjugacy class and centralizer orbit tables it weights
 by, the invariant factors of an integer matrix from its minors (the
 oracle of the Smith normal form), the naive Tietze shortening scan, the
-letter-by-letter Artin action and permutation, the product, inverse and
-powers of braid words, random presentations, and the matrices of
-Z/2 * Z/3 words in SL(2, Z)."""
+Word-level substitution and the letter-by-letter Artin action built on it,
+the permutation, product, inverse and powers of braid words, random
+presentations, and the matrices of Z/2 * Z/3 words in SL(2, Z)."""
 
 import functools
 import itertools
@@ -16,7 +16,7 @@ import random
 from conicline.braid import ArtinWord, band_transport, compile_skeleton
 from conicline.finite_groups import FiniteGroup
 from conicline.vankampen import Presentation, cyclic_reduce, presentation
-from conicline.words import Word, _inverse, gen, invert, multiply, substitute
+from conicline.words import Word, _inverse, gen, invert, multiply
 
 
 def word(*items) -> Word:
@@ -260,7 +260,7 @@ def random_presentation(rng: random.Random, max_gens: int = 3,
     return presentation(labels, rels)
 
 
-def shorten_with_naive(r: Word, s: Word, cap: int) -> Word:
+def shorten_with_naive(r: Word, s: Word) -> Word:
     """Replace a long subword of r matching more than half of a cyclic
     rotation of s (or s^-1) with the complementary shorter word."""
     best = r
@@ -274,7 +274,7 @@ def shorten_with_naive(r: Word, s: Word, cap: int) -> Word:
             variants.append(doubled[start:start + n])
     half = n // 2 + 1
     changed = True
-    while changed and len(best) <= cap:
+    while changed:
         changed = False
         for rot in variants:
             for piece_len in range(n - 1, half - 1, -1):
@@ -294,6 +294,23 @@ def shorten_with_naive(r: Word, s: Word, cap: int) -> Word:
             if changed:
                 break
     return best
+
+
+def substitute(w: Word, images: dict[str, Word]) -> Word:
+    """Replace each generator of w that has an image by that image (its
+    inverse, built here, for a negative letter); generators without one
+    stay. Word-level, apart from the library's `words.substitute`, which
+    takes precomputed image and inverse-image letters."""
+    letters = []
+    for lab, sign in w.letters:
+        img = images.get(lab)
+        if img is None:
+            letters.append((lab, sign))
+        elif sign > 0:
+            letters.extend(img.letters)
+        else:
+            letters.extend(invert(img).letters)
+    return Word(tuple(letters))
 
 
 def _letter_images(idx: int, sign: int) -> dict[str, Word]:

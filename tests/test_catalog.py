@@ -1,11 +1,14 @@
 import pytest
 
 import golden
+import oracles
 from conicline.arrangement import Arrangement
-from conicline.braid import ABOVE, BELOW, ConjugatedTwist, Skeleton
+from conicline.braid import (ABOVE, BELOW, ArtinWord, ConjugatedTwist, Skeleton,
+                             artin_action, compile_factor, full_twist)
 from conicline.catalog import (BMFactor, audit, bmf_cn, bmf_from_json,
                                bmf_t00, bmf_t10, bmf_t11, bmf_t1m, bmf_t20,
                                bmf_t21, bmf_t22, bmf_tn0, bmf_tnm, bmf_to_json)
+from conicline.words import gen
 
 
 def endpoints_multiset(b):
@@ -43,6 +46,31 @@ def test_bmf_c2_matches_explicit_list():
 def test_bmf_c3_exponent_sum():
     b = bmf_cn(3)
     assert sum(f.twist.power for f in b.factors) == 20
+
+
+NOT_DELTA_SQUARED = pytest.mark.xfail(
+    strict=True, reason="no T list multiplies to Delta^2 (ROADMAP item 2)")
+
+
+@pytest.mark.parametrize("build, args", [
+    *(pytest.param(bmf_cn, (n,), id=f"C{n}") for n in range(1, 6)),
+    pytest.param(bmf_t00, (), id="T00", marks=NOT_DELTA_SQUARED),
+    pytest.param(bmf_tn0, (1,), id="T10", marks=NOT_DELTA_SQUARED),
+])
+def test_factor_product_is_the_full_twist(build, args):
+    """The compiled factors, concatenated in list order, act on F_N as
+    Delta^2 does. Artin's representation of B_N in Aut(F_N) is faithful, so
+    this decides that the list multiplies to Delta^2 in B_N. Up to six
+    strands the letter-by-letter oracle action gives the same verdict."""
+    b = build(*args)
+    n = b.strand_count
+    product = ArtinWord(n, tuple(letter for f in b.factors
+                                 for letter in compile_factor(f.twist, n).letters))
+    assert artin_action(product) == artin_action(full_twist(n))
+    if n <= 6:
+        for k in range(1, n + 1):
+            x = gen(f"x{k}")
+            assert oracles.apply_braid(product, x) == oracles.apply_braid(full_twist(n), x)
 
 
 def test_cn_audits():

@@ -3,9 +3,21 @@ import re
 
 import pytest
 
-from conicline.words import (Word, commutator, eq, gen, invert, multiply, sq,
-                             substitute, word_text)
+import oracles
+from conicline.words import (Word, _inverse, commutator, eq, gen, invert, multiply,
+                             sq, substitute, word_text)
 from oracles import composed_shapes, parse_word, word
+
+
+def table(images: dict[str, Word]) -> dict:
+    """The kernel's image table of Word images: label -> (image letters,
+    inverse-image letters)."""
+    return {lab: (img.letters, _inverse(img.letters)) for lab, img in images.items()}
+
+
+def _random_word(rng, labels, max_len):
+    return Word(tuple((rng.choice(labels), rng.choice((1, -1)))
+                      for _ in range(rng.randint(0, max_len))))
 
 
 def test_reduce_cancellation():
@@ -37,11 +49,18 @@ def test_word_rejects_other_signs(sign):
 
 
 def test_substitute_keeps_generators_without_image():
-    images = {"a": word("b", "c")}
-    assert substitute(word("a", "d", ("a", -1)), images) == \
-        word("b", "c", "d", ("c", -1), ("b", -1))
-    # cancellation across image boundaries
-    assert substitute(word("a", ("c", -1), ("b", -1)), images) == Word()
+    images = table({"a": word("b", "c")})
+    assert substitute(word("a", "d", ("a", -1)).letters, images) == \
+        word("b", "c", "d", ("c", -1), ("b", -1)).letters
+    assert substitute(word("d", ("e", -1)).letters, images) == word("d", ("e", -1)).letters
+
+
+def test_substitute_cancels_across_image_boundaries():
+    images = table({"a": word("b", "c")})
+    assert substitute(word("a", ("c", -1), ("b", -1)).letters, images) == ()
+    # x1 x2 -> x1 x2 x1^-1 x1 = x1 x2: the seam between two images cancels
+    images = table({"x1": word("x1", "x2", ("x1", -1)), "x2": gen("x1")})
+    assert substitute(word("x1", "x2").letters, images) == word("x1", "x2").letters
 
 
 def test_multiply_invert():
@@ -84,27 +103,39 @@ def test_shapes_equal_their_composed_forms():
 
 
 def test_substitute_examples():
-    images = {"x1": word("x1", "x2", ("x1", -1)), "x2": gen("x1")}
-    assert substitute(invert(gen("x2")), images) == invert(gen("x1"))
-    # hand substitution then reduction: x1 x2 -> x1 x2 x1^-1 x1 = x1 x2
-    assert substitute(word("x1", "x2"), images) == word("x1", "x2")
-    ident = {"x1": gen("x1"), "x2": gen("x2")}
-    assert substitute(word("x1", "x2"), ident) == word("x1", "x2")
+    images = table({"x1": word("x1", "x2", ("x1", -1)), "x2": gen("x1")})
+    assert substitute(invert(gen("x2")).letters, images) == invert(gen("x1")).letters
+    ident = table({"x1": gen("x1"), "x2": gen("x2")})
+    assert substitute(word("x1", "x2").letters, ident) == word("x1", "x2").letters
 
 
 def test_map_is_homomorphism_random():
     rng = random.Random(13)
     labels = ["a", "b", "c"]
     for _ in range(100):
-        m = {lab: Word(tuple((rng.choice(labels), rng.choice((1, -1)))
-                             for _ in range(rng.randint(0, 5))))
-             for lab in labels}
-        u = Word(tuple((rng.choice(labels), rng.choice((1, -1)))
-                       for _ in range(rng.randint(0, 6))))
-        v = Word(tuple((rng.choice(labels), rng.choice((1, -1)))
-                       for _ in range(rng.randint(0, 6))))
-        assert substitute(multiply(u, v), m) == multiply(substitute(u, m), substitute(v, m))
-        assert substitute(invert(u), m) == invert(substitute(u, m))
+        images = table({lab: _random_word(rng, labels, 5)
+                        for lab in rng.sample(labels, rng.randint(1, 3))})
+        u, v = _random_word(rng, labels, 6), _random_word(rng, labels, 6)
+
+        def m(w):
+            return Word(substitute(w.letters, images))
+        assert m(multiply(u, v)) == multiply(m(u), m(v))
+        assert m(invert(u)) == invert(m(u))
+
+
+def test_substitute_equals_the_word_level_oracle():
+    """On random words and random partial image maps, the kernel returns the
+    letters of the oracle's Word-level substitution: freely reduced, even
+    where the input letters are not."""
+    rng = random.Random(1729)
+    labels = ["a", "b", "c", "d"]
+    for _ in range(500):
+        images = {lab: _random_word(rng, labels, 6)
+                  for lab in rng.sample(labels, rng.randint(0, 4))}
+        letters = tuple((rng.choice(labels), rng.choice((1, -1)))
+                        for _ in range(rng.randint(0, 10)))
+        assert substitute(letters, table(images)) == \
+            oracles.substitute(Word(letters), images).letters
 
 
 def test_text_roundtrip():
