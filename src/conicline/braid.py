@@ -13,13 +13,14 @@ Convention (calibrated against the source computations, see the golden tests):
 * Conjugation is a^b = b^-1 a b; a conjugator list applies left to right
   (leftmost innermost), so (a)^{b c} = (a^b)^c.
 
-The action is one substitution step over a constant table of half-twist
-images. The half-twist H along Skeleton(i, j, side), or its inverse, moves
-at most j - i + 1 generators, by closed forms (README, "Conventions"); the
-Artin letter s_k^+-1 is the below-axis half-twist of the band (k, k + 1). A
-step is one `words.substitute` pass over the stored image and
-inverse-image letters of the moved generators. `apply_braid`
-takes one step per letter of the freely reduced braid word (s_i s_i^-1 acts
+The band word is the one definition of the half-twist; the action follows
+from it. Only the Artin letter s_k^+-1 has written images (the first
+bullet). The half-twist H along Skeleton(i, j, side), or its inverse,
+moves at most j - i + 1 generators, and its images are those of its
+compiled band word, acted out once per process and kept in a constant
+table. A step is one `words.substitute` pass over the stored image and
+inverse-image letters of the moved generators. `apply_braid` takes one
+step per letter of the freely reduced braid word (s_i s_i^-1 acts
 trivially, so reducing the letters first changes nothing but the work);
 `vankampen.relation_pair` starts from a base's `endpoint_loops` and takes
 |p| steps of H^sign(p) per conjugator (skeleton, p), never the letters of
@@ -122,38 +123,31 @@ def compile_factor(t: ConjugatedTwist, n: int) -> ArtinWord:
     return ArtinWord(n, _inverse(e) + cores + e)
 
 
-def _between(i: int, j: int) -> tuple[Letter, ...]:
-    """W = x_{j-1} ... x_{i+1}, the generators strictly between i and j in
-    descending order."""
-    return tuple((f"x{k}", 1) for k in range(j - 1, i, -1))
-
-
 class _TwistTable(dict):
     """Key (i, j, side, sign) -> {label: (image letters, inverse-image letters)}
     for the generators that the half-twist H along Skeleton(i, j, side)
-    moves (sign 1) or that H^-1 moves (sign -1). The Artin letter s_k^sign
-    is the key (k, k + 1, BELOW, sign). Each entry depends only on its key,
-    so the table is a constant of the action, filled in on first use. A
-    band of width w stores O(w^2) letters, so the images hold one shared
-    tuple per letter value (`letters`) rather than a copy per image."""
+    moves (sign 1) or that H^-1 moves (sign -1). The Artin letter s_i^sign
+    is the key (i, i + 1, BELOW, sign) and the only one with written
+    images; every other entry is derived from the band word that
+    `compile_factor` gives H^sign, acting on x_i .. x_j through
+    `apply_braid`, which reads only Artin-letter keys. Each entry depends
+    only on its key, so the table is a constant of the action, filled in on
+    first use. A band of width w stores O(w^2) letters, so the images hold
+    one shared tuple per letter value (`letters`) rather than a copy per
+    image."""
 
     letters: dict[Letter, Letter] = {}
 
     def __missing__(self, key: TwistKey):
         i, j, side, sign = key
-        a, b = f"x{i}", f"x{j}"
-        if side == BELOW:
-            c = ((b, 1), (a, -1)) if sign > 0 else ((a, -1), (b, 1))
-            images = {f"x{k}": c + ((f"x{k}", 1),) + _inverse(c) for k in range(i + 1, j)}
-            images[a], images[b] = ((((b, 1),), ((b, 1), (a, 1), (b, -1))) if sign > 0
-                                    else (((a, -1), (b, 1), (a, 1)), ((a, 1),)))
+        if (j, side) == (i + 1, BELOW):
+            a, b = f"x{i}", f"x{j}"
+            images = ({a: ((b, 1),), b: ((b, 1), (a, 1), (b, -1))} if sign > 0
+                      else {a: ((a, -1), (b, 1), (a, 1)), b: ((a, 1),)})
         else:
-            w = _between(i, j)
-            loop = w + ((a, 1),) + _inverse(w)
-            if sign > 0:
-                images = {a: _inverse(w) + ((b, 1),) + w, b: ((b, 1),) + loop + ((b, -1),)}
-            else:
-                images = {a: ((a, -1),) + _inverse(w) + ((b, 1),) + w + ((a, 1),), b: loop}
+            band = compile_factor(ConjugatedTwist(Skeleton(i, j, side), sign), j)
+            images = {x: img for x in (f"x{k}" for k in range(i, j + 1))
+                      if (img := apply_braid(band, gen(x)).letters) != ((x, 1),)}
         share = self.letters.setdefault
         entry = {lab: tuple(tuple(share(x, x) for x in word) for word in (img, _inverse(img)))
                  for lab, img in images.items()}
@@ -172,13 +166,11 @@ def half_twist(letters, key: TwistKey) -> tuple[Letter, ...]:
 
 
 def endpoint_loops(s: Skeleton) -> tuple[tuple[Letter, ...], tuple[Letter, ...]]:
-    """(x_c, x_{c+1}) acted on by D^-1, where D s_c D^-1 is the half-twist
-    along s: (x_i, x_j) below the axis, (W x_i W^-1, x_j) above it."""
-    xi, xj = (f"x{s.i}", 1), (f"x{s.j}", 1)
-    if s.side == BELOW:
-        return (xi,), (xj,)
-    w = _between(s.i, s.j)
-    return w + (xi,) + _inverse(w), (xj,)
+    """(x_c, x_{c+1}) acted on by D^-1, where H = D s_c D^-1 is the half-twist
+    along s: D fixes x_j = x_{c+1} and s_c^-1 sends it to x_c, so the pair
+    is (x_j acted on by H^-1, x_j), on both sides of the axis."""
+    xj = ((f"x{s.j}", 1),)
+    return half_twist(xj, (s.i, s.j, s.side, -1)), xj
 
 
 def apply_braid(b: ArtinWord, w: Word) -> Word:

@@ -6,10 +6,10 @@ Every factor has the shape e^-1 s_c^k e with e = D^-1 V
 (`braid.compile_factor`); the relation pair (A, B) is the pair of endpoint
 loops x_c, x_{c+1} acted on by e (the direction the calibrated conventions
 make come out in the source's own words; see the golden tests). D^-1 takes
-them to the base's `braid.endpoint_loops`, in closed form, and V, the
-conjugators' full-twist powers (skeleton, p) left to right, acts as |p|
-substitution steps of the skeleton's half-twist to the sign of p
-(`braid.half_twist`).
+them to the base's `braid.endpoint_loops`, (x_j acted on by H^-1, x_j) for
+the base's half-twist H, and V, the conjugators' full-twist powers
+(skeleton, p) left to right, acts as |p| substitution steps of the
+skeleton's half-twist to the sign of p (`braid.half_twist`).
 Branch points identify A = B, nodes commute them, tangencies impose
 (AB)^2 = (BA)^2.
 """

@@ -1,7 +1,8 @@
-"""The Artin-action kernel against the letter-by-letter oracle: the
-closed-form half-twist images and endpoint loops of every band, seeded random
-braid words with cancelling pairs and repeated conjugated blocks, and every
-factor of the benchmark grid's relation pairs and compiled words."""
+"""The Artin-action kernel against the letter-by-letter oracle, which has its
+own sigma_i table: the half-twist images that the kernel derives from each
+band word and the endpoint loops of every band, seeded random braid words
+with cancelling pairs and repeated conjugated blocks, and every factor of
+the benchmark grid's relation pairs and compiled words."""
 
 import random
 

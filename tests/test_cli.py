@@ -282,3 +282,25 @@ def test_every_readme_cli_example_exits_zero(capsys):
         code = main(argv[1:])
         capsys.readouterr()
         assert code == 0, " ".join(argv)
+
+
+def test_readme_library_quick_start_runs_and_its_comments_hold(capsys):
+    """README's "Library quick start" block runs as written, and the claims
+    in its comments hold: 24 factors on 8 strands, 25 relators, free rank 5
+    with no torsion, and the certificate's images of x2 and x5."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    for claim in ("# 24 factors on 8 strands", "# 25 relators", "# free rank 5, no torsion",
+                  "# x2 -> s t^-1, x5 -> t"):
+        assert claim in block, claim
+    namespace = {}
+    exec(block, namespace)
+    bmf, raw, cert = namespace["bmf"], namespace["raw"], namespace["cert"]
+    assert (len(bmf.factors), bmf.strand_count) == (24, 8)
+    assert len(raw.relators) == 25
+    snf = conicline.abelianization(raw)
+    assert (snf.rank_free, snf.torsion) == (5, ())
+    assert capsys.readouterr().out == f"{snf}\n"
+    assert (repr(cert.images["x2"]), repr(cert.images["x5"])) == \
+        ("FPWord('s t^-1')", "FPWord('t')")
