@@ -293,8 +293,8 @@ def tietze_simplify(p: Presentation) -> TietzeResult:
 # relator, 13,824 for S4. Keying every relator on its values grows the memos
 # as |G|^reads: on the `homcount-stated` benchmark workload it raised the
 # peak RSS from 27.7 to 30.9 MB and was no faster. A value-key miss falls
-# back to the memo keyed on head and segment values, which answers 12,542 of
-# the 21,393 misses in one sweep of that workload.
+# back to the shared memo keyed on signs, head and segment values, which
+# answers 12,834 of the 14,957 misses in one seed-0 sweep of that workload.
 VALUE_KEY_GENERATORS = 3
 
 
@@ -320,26 +320,24 @@ def count_homs(p: Presentation, target: FiniteGroup) -> int:
     Candidate masks: a relator closing at depth d is rotated to end with an
     x_d letter and split into a head and the segments between its x_d
     letters. The x_d images it allows, as a bitmask over the target's
-    elements, depend only on the values of the head and segments. They are
-    computed once per key of those values and kept in a memo that belongs
-    to the relator and lives only inside this call.
+    elements, depend only on the signs of its x_d letters and the values of
+    the head and segments. They are computed once per key of those signs
+    and values and kept in one memo that every relator shares and that
+    lives only inside this call, so a mask one relator computed answers
+    any relator whose signs and values match.
 
     Value keys: a relator whose head and segments read at most
     VALUE_KEY_GENERATORS generators first looks its mask up by the values
     assigned to those generators, so a hit evaluates no word. Only a miss
-    evaluates the head and segments, and falls back to the memo keyed on
-    their values. A relator that reads more generators keeps that memo
-    alone, which bounds the value-keyed memos at |G|^3 entries each.
+    evaluates the head and segments, and falls back to the shared memo. A
+    relator that reads more generators keeps to the shared memo alone,
+    which bounds the value-keyed memos at |G|^3 entries each.
 
     Hoisting and forward checking: the key is fixed once the deepest
     generator read by the head and segments, x_h, is assigned. The mask is
     looked up right then and ANDed into the pending candidate mask of depth
     d; a relator in x_d alone is ANDed in before the search. A subtree is
-    pruned as soon as any pending mask is empty. Every relator hoisted to
-    the last depth but one closes at the last depth, so there each
-    candidate contributes the number of bits its masks leave in the last
-    depth's pending mask, with no copy of the pending masks and no deeper
-    call.
+    pruned as soon as any pending mask is empty.
     """
     labels = p.generators
     k = len(labels)
@@ -370,16 +368,18 @@ def count_homs(p: Presentation, target: FiniteGroup) -> int:
             acc = mult[acc][e if sign > 0 else inv[e]]
         return acc
 
+    masks: dict[tuple, int] = {}
+
     def allowed(shape) -> int:
         """Bitmask of the x_d images under which a relator of this shape
         evaluates to the identity, for the current values of its head and
         segments."""
-        parts, positive, final, memo = shape
-        key = tuple(map(value, parts))
-        mask = memo.get(key)
+        parts, positive, final = shape
+        key = (positive, final, *map(value, parts))
+        mask = masks.get(key)
         if mask is None:
             mask = 0
-            head, *segs = key
+            _, _, head, *segs = key
             steps = tuple(zip(positive, segs))
             for e in every:
                 ie = inv[e]
@@ -389,7 +389,7 @@ def count_homs(p: Presentation, target: FiniteGroup) -> int:
                 # acc * x_d^final is the identity
                 if acc == (ie if final > 0 else e):
                     mask |= 1 << e
-            memo[key] = mask
+            masks[key] = mask
         return mask
 
     def lookup(rel) -> int:
@@ -406,7 +406,7 @@ def count_homs(p: Presentation, target: FiniteGroup) -> int:
 
     # A relator closing at depth d, rotated to end with an x_d letter, reads
     # head * x_d^s1 * seg1 * ... * x_d^s(m-1) * seg(m-1) * x_d^final. Its
-    # shape is ((head, seg1, ...), (s1 > 0, ...), final, part-value memo).
+    # shape is ((head, seg1, ...), (s1 > 0, ...), final).
     # Unless it reads no generator, it is kept as (d, reads, value-keyed
     # memo, shape) in hoisted[h], h being the deepest generator its head
     # and segments read; `reads` is None when they read more than
@@ -427,7 +427,7 @@ def count_homs(p: Presentation, target: FiniteGroup) -> int:
                 positive.append(sign > 0)
             else:
                 parts[-1].append((px, sign))
-        shape = (parts, tuple(positive), lets[last][1], {})
+        shape = (parts, tuple(positive), lets[last][1])
         read = sorted({px for part in parts for px, _ in part})
         if not read:
             pending[depth] &= allowed(shape)
@@ -463,19 +463,6 @@ def count_homs(p: Presentation, target: FiniteGroup) -> int:
         reps, sizes = orbits[stab]
         mask &= reps
         total = 0
-        if depth + 2 == k:
-            rels = hoisted[depth]
-            last = pending[depth + 1]
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                e = low.bit_length() - 1
-                assignment[depth] = e
-                left = last
-                for rel in rels:
-                    left &= lookup(rel)
-                total += sizes[e] * left.bit_count()
-            return total
         while mask:
             low = mask & -mask
             mask ^= low

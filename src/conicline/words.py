@@ -22,10 +22,11 @@ def _inverse(letters: tuple) -> tuple:
 
 
 def _reduce(letters) -> tuple[Letter, ...]:
+    """Free reduction of letters whose signs are +-1: `Word` checks the
+    letters that enter from outside, and every other caller passes letters
+    of Words, braid words or tables built from them."""
     out: list[Letter] = []
     for lab, sign in letters:
-        if sign not in (1, -1):
-            raise ValueError(f"letter sign must be +-1, got {sign}")
         if out and out[-1][0] == lab and out[-1][1] == -sign:
             out.pop()
         else:
@@ -39,6 +40,9 @@ class Word:
     letters: tuple[Letter, ...] = ()
 
     def __post_init__(self):
+        for _, sign in self.letters:
+            if sign not in (1, -1):
+                raise ValueError(f"letter sign must be +-1, got {sign}")
         object.__setattr__(self, "letters", _reduce(self.letters))
 
     def __len__(self):

@@ -364,12 +364,13 @@ def _search_branches(p, g):
     through the profiler hook:
     - 'before-search': a relator in one generator ANDed in before the search;
     - 'hoisted-0', 'hoisted-1', 'hoisted-2+': the depth of a mask lookup in
-      `narrow`, and 'last-two-popcount': a lookup in the popcount over the
-      last two depths;
+      `narrow`;
     - 'value-hit': a lookup answered by the value-keyed memo;
-      'value-miss-part-hit': a value-key miss answered by the memo keyed on
-      part values; 'part-value-only': a lookup of a relator that reads more
-      than VALUE_KEY_GENERATORS generators and has no value-keyed memo;
+      'value-miss-part-hit': a value-key miss answered by the shared memo
+      keyed on signs and part values; 'part-value-only': a lookup of a
+      relator that reads more than VALUE_KEY_GENERATORS generators and has
+      no value-keyed memo; 'cross-relator-hit': a lookup answered by a mask
+      of the shared memo that another relator computed;
     - 'forward-prune': a subtree cut because the mask of a depth beyond the
       next one emptied;
     - 'orbit-weighted-2+': a depth of two or more that walks a candidate
@@ -378,6 +379,7 @@ def _search_branches(p, g):
       trivial)."""
     seen = set()
     missed = []  # per open lookup(): whether it called allowed()
+    owner = {}  # shared-memo key -> the shape whose lookup computed it
 
     def hook(frame, event, arg):
         name = frame.f_code.co_name
@@ -388,11 +390,8 @@ def _search_branches(p, g):
                 missed.append(False)
                 if not has_value_key:
                     seen.add("part-value-only")
-                if caller.f_code.co_name == "below":
-                    seen.add("last-two-popcount")
-                else:
-                    depth = caller.f_locals["depth"]
-                    seen.add(f"hoisted-{depth}" if depth < 2 else "hoisted-2+")
+                depth = caller.f_locals["depth"]
+                seen.add(f"hoisted-{depth}" if depth < 2 else "hoisted-2+")
             elif event == "return" and not missed.pop() and has_value_key:
                 seen.add("value-hit")
         elif name == "allowed":
@@ -400,10 +399,15 @@ def _search_branches(p, g):
                 seen.add("before-search")
             elif event == "call" and caller.f_code.co_name == "lookup":
                 missed[-1] = True
-            elif (event == "return" and "steps" not in frame.f_locals
-                  and caller.f_code.co_name == "lookup"
-                  and caller.f_locals["reads"] is not None):
-                seen.add("value-miss-part-hit")
+            elif event == "return":
+                shape, key = frame.f_locals["shape"], frame.f_locals["key"]
+                if "steps" in frame.f_locals:
+                    owner[key] = shape
+                elif caller.f_code.co_name == "lookup":
+                    if owner[key] is not shape:
+                        seen.add("cross-relator-hit")
+                    if caller.f_locals["reads"] is not None:
+                        seen.add("value-miss-part-hit")
         elif event == "return" and name == "narrow" and arg is None:
             if frame.f_locals["d"] > frame.f_locals["depth"] + 1:
                 seen.add("forward-prune")
@@ -466,8 +470,8 @@ def test_count_homs_mask_branches_match_bruteforce():
             assert count == count_homs_bruteforce(p, g), (g, p)
             reached |= seen
     assert reached == {"before-search", "hoisted-0", "hoisted-1", "hoisted-2+",
-                       "last-two-popcount", "value-hit", "value-miss-part-hit",
-                       "part-value-only", "forward-prune", "orbit-weighted-2+"}
+                       "value-hit", "value-miss-part-hit", "part-value-only",
+                       "cross-relator-hit", "forward-prune", "orbit-weighted-2+"}
 
 
 # The stated presentations of the `homcount-stated` benchmark workload, as
@@ -508,9 +512,11 @@ def test_count_homs_matches_backtracking_on_stated_presentations():
 def test_count_homs_memory_stays_bounded():
     """The peak memory tracemalloc sees in one `count_homs` call, over the
     `homcount-stated` presentations after Tietze into S3/D4/A4/S4. Measured
-    on Python 3.11: 0.07 MB with part-value memos alone, 0.12 MB with value
-    keys bounded by VALUE_KEY_GENERATORS, 0.54 MB (C_5 affine into S4) with
-    every relator keyed on its values. The bound fails the unbounded memos."""
+    on Python 3.11: 0.03 MB with the shared part-value memo alone, 0.07 MB
+    (T_{5,0} projective into S4) with value keys bounded by
+    VALUE_KEY_GENERATORS, 0.23 MB (C_5 affine into S4) with every relator
+    keyed on its values. The bound holds the bounded value keys to about
+    3.5 times their peak; it does not fail the unbounded ones."""
     presentations = [tietze_simplify(a.stated(projective)).presentation
                      for a, projective in HOMCOUNT_STATED]
     peaks = {}
