@@ -15,16 +15,16 @@ Convention (calibrated against the source computations, see the golden tests):
 
 The band word is the one definition of the half-twist; the action follows
 from it. Only the Artin letter s_k^+-1 has written images (the first
-bullet). The half-twist H along Skeleton(i, j, side), or its inverse,
-moves at most j - i + 1 generators, and its images are those of its
-compiled band word, acted out once per process and kept in a constant
-table. A step is one `words.substitute` pass over the stored image and
+bullet). A power H^p of the half-twist H along Skeleton(i, j, side) moves
+at most j - i + 1 generators, and its images are those of its compiled
+band word, acted out once per process and kept in a constant table. A
+step is one `words.substitute` pass over the stored image and
 inverse-image letters of the moved generators. `apply_braid` takes one
 step per letter of the freely reduced braid word (s_i s_i^-1 acts
 trivially, so reducing the letters first changes nothing but the work);
 `vankampen.relation_pair` starts from a base's `endpoint_loops` and takes
-|p| steps of H^sign(p) per conjugator (skeleton, p), never the letters of
-the compiled band.
+one step of H^p per conjugator (skeleton, p), a full twist (p = +-2),
+never the letters of the compiled band.
 """
 
 from __future__ import annotations
@@ -56,7 +56,8 @@ class Skeleton:
 
 @dataclass(frozen=True)
 class ConjugatedTwist:
-    """A power of a half-twist under conjugation by full twists of other skeletons."""
+    """A power of a half-twist under conjugation by full twists (half-twist
+    powers +-2) of other skeletons."""
     base: Skeleton
     power: int = 1
     conjugators: tuple[tuple[Skeleton, int], ...] = ()
@@ -65,8 +66,8 @@ class ConjugatedTwist:
         if self.power == 0:
             raise ValueError("twist power must be nonzero")
         for skel, p in self.conjugators:
-            if p % 2 != 0 or p == 0:
-                raise ValueError(f"conjugator powers must be nonzero and even, got {p}")
+            if p not in (2, -2):
+                raise ValueError(f"conjugator powers must be 2 or -2 (a full twist), got {p}")
         object.__setattr__(self, "conjugators", tuple(self.conjugators))
 
     def endpoints(self):
@@ -124,12 +125,12 @@ def compile_factor(t: ConjugatedTwist, n: int) -> ArtinWord:
 
 
 class _TwistTable(dict):
-    """Key (i, j, side, sign) -> {label: (image letters, inverse-image letters)}
-    for the generators that the half-twist H along Skeleton(i, j, side)
-    moves (sign 1) or that H^-1 moves (sign -1). The Artin letter s_i^sign
-    is the key (i, i + 1, BELOW, sign) and the only one with written
-    images; every other entry is derived from the band word that
-    `compile_factor` gives H^sign, acting on x_i .. x_j through
+    """Key (i, j, side, power) -> {label: (image letters, inverse-image
+    letters)} for the generators that H^power moves, H the half-twist along
+    Skeleton(i, j, side). The Artin letter s_i^+-1 is the key
+    (i, i + 1, BELOW, +-1) and the only one with written images; every
+    other entry, s_i^+-2 included, is derived from the band word that
+    `compile_factor` gives H^power, acting on x_i .. x_j through
     `apply_braid`, which reads only Artin-letter keys. Each entry depends
     only on its key, so the table is a constant of the action, filled in on
     first use. A band of width w stores O(w^2) letters, so the images hold
@@ -139,13 +140,13 @@ class _TwistTable(dict):
     letters: dict[Letter, Letter] = {}
 
     def __missing__(self, key: TwistKey):
-        i, j, side, sign = key
-        if (j, side) == (i + 1, BELOW):
+        i, j, side, power = key
+        if (j, side, abs(power)) == (i + 1, BELOW, 1):
             a, b = f"x{i}", f"x{j}"
-            images = ({a: ((b, 1),), b: ((b, 1), (a, 1), (b, -1))} if sign > 0
+            images = ({a: ((b, 1),), b: ((b, 1), (a, 1), (b, -1))} if power > 0
                       else {a: ((a, -1), (b, 1), (a, 1)), b: ((a, 1),)})
         else:
-            band = compile_factor(ConjugatedTwist(Skeleton(i, j, side), sign), j)
+            band = compile_factor(ConjugatedTwist(Skeleton(i, j, side), power), j)
             images = {x: img for x in (f"x{k}" for k in range(i, j + 1))
                       if (img := apply_braid(band, gen(x)).letters) != ((x, 1),)}
         share = self.letters.setdefault
@@ -158,10 +159,10 @@ class _TwistTable(dict):
 _TWISTS = _TwistTable()
 
 
-def half_twist(letters, key: TwistKey) -> tuple[Letter, ...]:
+def twist(letters, key: TwistKey) -> tuple[Letter, ...]:
     """One substitution step: the letters of a reduced word acted on by
-    H^sign, H the half-twist along Skeleton(i, j, side), for the key
-    (i, j, side, sign)."""
+    H^power, H the half-twist along Skeleton(i, j, side), for the key
+    (i, j, side, power)."""
     return substitute(letters, _TWISTS[key])
 
 
@@ -170,14 +171,14 @@ def endpoint_loops(s: Skeleton) -> tuple[tuple[Letter, ...], tuple[Letter, ...]]
     along s: D fixes x_j = x_{c+1} and s_c^-1 sends it to x_c, so the pair
     is (x_j acted on by H^-1, x_j), on both sides of the axis."""
     xj = ((f"x{s.j}", 1),)
-    return half_twist(xj, (s.i, s.j, s.side, -1)), xj
+    return twist(xj, (s.i, s.j, s.side, -1)), xj
 
 
 def apply_braid(b: ArtinWord, w: Word) -> Word:
     """Act on a word over x1..xN, letters applied in written order."""
     letters = w.letters
     for idx, sign in _reduce(b.letters):
-        letters = half_twist(letters, (idx, idx + 1, BELOW, sign))
+        letters = twist(letters, (idx, idx + 1, BELOW, sign))
     return Word(letters)
 
 

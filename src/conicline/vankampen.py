@@ -7,9 +7,9 @@ Every factor has the shape e^-1 s_c^k e with e = D^-1 V
 loops x_c, x_{c+1} acted on by e (the direction the calibrated conventions
 make come out in the source's own words; see the golden tests). D^-1 takes
 them to the base's `braid.endpoint_loops`, (x_j acted on by H^-1, x_j) for
-the base's half-twist H, and V, the conjugators' full-twist powers
-(skeleton, p) left to right, acts as |p| substitution steps of the
-skeleton's half-twist to the sign of p (`braid.half_twist`).
+the base's half-twist H, and V, the conjugators' full twists (skeleton, p)
+left to right, acts as one substitution step of H^p per conjugator, H the
+skeleton's half-twist (`braid.twist`).
 Branch points identify A = B, nodes commute them, tangencies impose
 (AB)^2 = (BA)^2.
 """
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braid import endpoint_loops, half_twist
+from .braid import endpoint_loops, twist
 from .catalog import BMF, BMFactor
 from .words import Word, _inverse, commutator, eq, sq, word_text
 
@@ -76,9 +76,7 @@ def relation_pair(f: BMFactor, n: int, rename: dict[str, str]):
     f.twist.check_strands(n)
     pair = endpoint_loops(f.twist.base)
     for skel, p in f.twist.conjugators:
-        key = (skel.i, skel.j, skel.side, 1 if p > 0 else -1)
-        for _ in range(abs(p)):
-            pair = tuple(half_twist(w, key) for w in pair)
+        pair = tuple(twist(w, (skel.i, skel.j, skel.side, p)) for w in pair)
     return tuple(tuple((rename[l], s) for l, s in w) for w in pair)
 
 

@@ -209,9 +209,11 @@ def test_override_keeps_what_it_omits_and_clears_an_empty_list():
     ({"conjugators": [{"i": 1, "j": 2, "power": True}]}, "conjugator 0 needs integer"),
     ({"conjugators": [{"i": 1, "j": 2, "side": "left", "power": 2}]}, "side must be"),
     ({"base_side": "left"}, "side must be"),
-    ({"conjugators": [{"i": 1, "j": 2, "power": 3}]}, "nonzero and even"),
+    ({"conjugators": [{"i": 1, "j": 2, "power": 3}]}, "must be 2 or -2"),
     ({"conjugators": {"i": 1}}, "'conjugators' list"),
     ([1, 2], "'conjugators' list"),
+    ({"conjugators": [{"i": 1, "j": 2, "power": 4}]}, "must be 2 or -2"),
+    ({"conjugators": [{"i": 1, "j": 2, "power": 10**12}]}, "must be 2 or -2"),
 ])
 def test_malformed_override_spec_names_the_origin(spec, message):
     origin = next(f.origin for f in catalog.bmf_tnm(1, 1).factors if f.provisional)

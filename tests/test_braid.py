@@ -90,8 +90,9 @@ def test_compile_factor_negative_power_inverts_positive():
 
 
 def test_conjugator_powers_must_be_even():
-    with pytest.raises(ValueError):
-        ConjugatedTwist(Skeleton(1, 2), 1, ((Skeleton(2, 3), 1),))
+    for p in (1, 0, 4, -4, 10**12):
+        with pytest.raises(ValueError, match="must be 2 or -2"):
+            ConjugatedTwist(Skeleton(1, 2), 1, ((Skeleton(2, 3), p),))
 
 
 def test_artin_action_identity_and_inverse():

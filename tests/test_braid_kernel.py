@@ -13,7 +13,7 @@ from conicline import braid, vankampen, words
 from conicline.arrangement import Arrangement
 from conicline.braid import (ABOVE, BELOW, ArtinWord, Skeleton, apply_braid, artin_action,
                              band_transport, compile_factor, compile_skeleton,
-                             endpoint_loops, exponent_sum, half_twist, permutation)
+                             endpoint_loops, exponent_sum, permutation, twist)
 from conicline.words import Word, _reduce, gen
 
 from test_arrangement import BUILD_GRID
@@ -49,20 +49,21 @@ def _random_word(rng, n):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_half_twists_agree_with_oracle(n):
-    """For every band 1 <= i < j <= n, on both sides: one pass of H^sign
-    sends each generator of F_n where the letter-by-letter action of the
-    compiled band word to the power sign does, and the base's endpoint
-    loops are the oracle's (x_c, x_{c+1}) acted on by D^-1."""
+    """For every band 1 <= i < j <= n, on both sides: one pass of H^power,
+    for the half-twist (power +-1) and the full twist (power +-2), sends
+    each generator of F_n where the letter-by-letter action of the compiled
+    band word to that power does, and the base's endpoint loops are the
+    oracle's (x_c, x_{c+1}) acted on by D^-1."""
     gens = [gen(f"x{k}") for k in range(1, n + 1)]
     for i in range(1, n):
         for j in range(i + 1, n + 1):
             for side in (BELOW, ABOVE):
                 s = Skeleton(i, j, side)
-                for sign in (1, -1):
-                    band = oracles.braid_power(compile_skeleton(s, n), sign)
+                for power in (1, -1, 2, -2):
+                    band = oracles.braid_power(compile_skeleton(s, n), power)
                     for x in gens:
-                        assert half_twist(x.letters, (i, j, side, sign)) == \
-                            oracles.apply_braid(band, x).letters, (s, sign, x)
+                        assert twist(x.letters, (i, j, side, power)) == \
+                            oracles.apply_braid(band, x).letters, (s, power, x)
                 d, core = band_transport(s)
                 d_inverse = oracles.braid_inverse(ArtinWord(n, d))
                 assert endpoint_loops(s) == tuple(

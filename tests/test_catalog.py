@@ -203,8 +203,11 @@ def test_json_import_rejects_bad_endpoints(where, i, j):
     (lambda f: f.update(sing_type="node"), "sing_type 'node' does not match power 1"),
     (lambda f: f["base"].update(power=1), r"base has unknown keys \['power'\]"),
     (lambda f: f.update(conjugators={}), "expected a 'conjugators' list"),
+    (lambda f: f["conjugators"][0].update(power=4), "conjugator powers must be 2 or -2"),
+    (lambda f: f["conjugators"][0].update(power=10**12), "conjugator powers must be 2 or -2"),
 ], ids=["i-str", "i-float", "power-float", "power-bool", "j-missing",
-        "sing_type-contradicts", "base-extra-key", "conjugators-object"])
+        "sing_type-contradicts", "base-extra-key", "conjugators-object",
+        "conjugator-power-4", "conjugator-power-huge"])
 def test_json_import_rejects_malformed_factors(edit, message):
     d = bmf_to_json(bmf_cn(2))
     k = len(d["factors"]) - 1
