@@ -14,8 +14,7 @@ from .braid import (ABOVE, BELOW, ArtinWord, ConjugatedTwist, Skeleton,
                     artin_action, braid_text, compile_factor, compile_skeleton,
                     exponent_sum, full_twist, permutation)
 from .catalog import BMF, BMFactor, audit
-from .vankampen import (Presentation, cyclic_canonical, presentation,
-                        raw_presentation, relation_pair)
+from .vankampen import Presentation, presentation, raw_presentation, relation_pair
 from .fpgroup import (Fingerprint, SNFResult, abelianization, compare,
                       count_homs, fingerprint, smith_normal_form,
                       tietze_simplify)

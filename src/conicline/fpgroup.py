@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .finite_groups import BATTERY, DEFAULT_BATTERY, FiniteGroup
-from .vankampen import Presentation, cyclic_canonical, cyclic_reduce
-from .words import Word, _inverse, substitute
+from .vankampen import Presentation
+from .words import Word
 
 # --------------------------------------------------------------------------
 # Smith normal form over the integers: the invariant factors
@@ -116,38 +116,72 @@ class TietzeResult:
     exhausted: bool
 
 
-def _solve_generator(r: Word, label: str) -> tuple:
-    """Given a relator r = p g^s q with exactly one occurrence of g = `label`,
-    express g in the remaining generators: the letters of g = (q p)^-s."""
-    idx = next(k for k, (lab, _) in enumerate(r.letters) if lab == label)
-    qp = r.letters[idx + 1:] + r.letters[:idx]
-    return _inverse(qp) if r.letters[idx][1] > 0 else qp
+def _alphabet(labels) -> tuple[list, dict, dict]:
+    """Tietze's encoding of words over `labels` as strings, one character
+    per letter: generator k is chr(2k) and its inverse chr(2k + 1), so
+    inverting a letter flips the low bit of its code point. Returns the
+    letters by code point, the character of each letter, and `flip`, the
+    `str.translate` table o -> o ^ 1 that `_invert` takes."""
+    letters = [(lab, sign) for lab in labels for sign in (1, -1)]
+    code = {letter: chr(o) for o, letter in enumerate(letters)}
+    return letters, code, {o: o ^ 1 for o in range(len(letters))}
 
 
-def _rotations(s: Word) -> list[tuple]:
-    """The cyclic rotations of s, then those of s^-1, each by start offset,
-    as (head, doubled letters, start) triples: the rotation is
-    doubled[start:start + n] and its head is its first half letters
+def _invert(s: str, flip: dict) -> str:
+    """The inverse of an encoded word."""
+    return s[::-1].translate(flip)
+
+
+def _reduce(s: str) -> str:
+    """The string kernel of Tietze's free reduction: the encoded word s,
+    freely and then cyclically reduced (code points o and o ^ 1 are
+    inverse letters)."""
+    out = []
+    for c in s:
+        if out and ord(out[-1]) ^ 1 == ord(c):
+            out.pop()
+        else:
+            out.append(c)
+    i, j = 0, len(out) - 1
+    while i < j and ord(out[i]) ^ 1 == ord(out[j]):
+        i += 1
+        j -= 1
+    return "".join(out[i:j + 1])
+
+
+def _solve_generator(s: str, pos: str, neg: str, flip: dict) -> str:
+    """Given an encoded relator s = u g^e v with exactly one letter of g,
+    whose characters are `pos` and `neg` (g and g^-1), express g in the
+    remaining generators: the encoded word g = (v u)^-e."""
+    idx = max(s.find(pos), s.find(neg))
+    vu = s[idx + 1:] + s[:idx]
+    return _invert(vu, flip) if s[idx] == pos else vu
+
+
+def _rotations(s: str, flip: dict) -> list[tuple]:
+    """The cyclic rotations of the encoded relator s, then those of s^-1,
+    each by start offset, as (head, doubled, start) triples: the rotation
+    is doubled[start:start + n] and its head is its first half letters
     (n = |s|, half = n // 2 + 1)."""
     n = len(s)
     half = n // 2 + 1
     out = []
-    for cand in (s.letters, _inverse(s.letters)):
+    for cand in (s, _invert(s, flip)):
         doubled = cand + cand
         out.extend((doubled[start:start + half], doubled, start)
                    for start in range(n))
     return out
 
 
-def _windows(letters, half: int) -> set:
-    """The length-half windows of a letter sequence."""
-    return {letters[k:k + half] for k in range(len(letters) - half + 1)}
+def _windows(s: str, half: int) -> set:
+    """The length-half substrings of an encoded word."""
+    return {s[k:k + half] for k in range(len(s) - half + 1)}
 
 
-def _shorten_with(r: Word, rotations: list, windows: set) -> Word:
-    """Shorten r by replacing pieces of a relator s, given as `_rotations(s)`,
-    with |s| >= 3; `windows` is `_windows(r.letters, half)`, which the
-    caller's skip test has already built.
+def _shorten_with(r: str, rotations: list, windows: set, flip: dict) -> str:
+    """Shorten the encoded relator r by replacing pieces of a relator s,
+    given as `_rotations(s, flip)`, with |s| >= 3; `windows` is
+    `_windows(r, half)`, which the caller's skip test has already built.
 
     The rule, on which the golden Tietze outputs depend: with n = |s| and
     half = n // 2 + 1, repeatedly take the first rotation of s in the
@@ -162,35 +196,34 @@ def _shorten_with(r: Word, rotations: list, windows: set) -> Word:
     exactly when the rotation's head (its first half letters) is one of r's
     length-half windows (`_windows`). The first rotation whose head is a
     window is therefore the one the rule takes; only the positions where
-    that head occurs are extended, in ascending order, so the earliest
-    longest piece wins. `tietze_simplify` skips the call when no head of s
-    is a window of r: it would return r unchanged.
+    `str.find` finds that head are extended, in ascending order, so the
+    earliest longest piece wins. `tietze_simplify` skips the call when no
+    head of s is a window of r: it would return r unchanged.
     """
     n = len(rotations) // 2
     half = n // 2 + 1
     while True:
-        letters = r.letters
-        size = len(letters)
         for head, doubled, start in rotations:
             if head in windows:
                 break
         else:
             return r
+        size = len(r)
         longest = 0
-        for k in range(size - half + 1):
-            if letters[k:k + half] != head:
-                continue
+        k = r.find(head)
+        while k >= 0:
             m = half
             stop = min(n - 1, size - k)
-            while m < stop and letters[k + m] == doubled[start + m]:
+            while m < stop and r[k + m] == doubled[start + m]:
                 m += 1
             if m > longest:
                 longest, at = m, k
                 if m == n - 1:
                     break
-        repl = _inverse(doubled[start + longest:start + n])
-        r = cyclic_reduce(Word(letters[:at] + repl + letters[at + longest:]))
-        windows = _windows(r.letters, half)
+            k = r.find(head, k + 1)
+        repl = _invert(doubled[start + longest:start + n], flip)
+        r = _reduce(r[:at] + repl + r[at + longest:])
+        windows = _windows(r, half)
 
 
 # Tietze's pass budget; no raw grid presentation takes more than 12 passes.
@@ -209,8 +242,25 @@ def tietze_simplify(p: Presentation) -> TietzeResult:
     Relator lengths are not bounded: the substitutions of pass (b) can
     lengthen relators, and pass (c) only shortens them.
 
-    Every relator stays cyclically reduced: `Presentation` reduces its
-    relators, and each move reduces the relators it makes.
+    Each pass, until one changes nothing:
+    (a) drops trivial relators and every relator equal to an earlier one up
+        to rotation and inversion;
+    (b) eliminates the generator of the least (primed first, relator
+        length, label, relator index) among the generators that occur
+        exactly once in a relator: it solves that relator for it (the
+        letters after it, then those before, inverted for a positive
+        letter) and substitutes the solution into the other relators;
+    (c) only when (b) found none: for i, then j, over the relators as they
+        stand, shortens r_i with `_shorten_with` against r_j.
+
+    The relators are encoded once on entry, one character per letter
+    (`_alphabet`: generator k of `p.generators` is chr(2k), its inverse
+    chr(2k + 1)), and decoded into Words once on exit. Every relator stays
+    freely and cyclically reduced: `Presentation` reduces its relators, and
+    each move reduces the relators it makes with the kernel `_reduce`. Pass
+    (a) keys a relator by the least string among its rotations and those of
+    its inverse. Pass (b) counts a relator's letters with both signs folded
+    onto the even code point, and substitutes with `str.replace`.
 
     Pass (c) calls `_shorten_with(r, ..., s)` only when one of the 2n heads
     of s (n = |s| >= 3, carried by `_rotations`) is one of r's windows of
@@ -218,8 +268,11 @@ def tietze_simplify(p: Presentation) -> TietzeResult:
     as pass (c) starts and when a relator is shortened; r's windows once per
     distinct length, dropped when r changes.
     """
-    gens = list(p.generators)
-    relators = list(p.relators)
+    labels = p.generators
+    letters, code, flip = _alphabet(labels)
+    fold = {o: o & ~1 for o in flip}
+    gens = list(labels)
+    relators = ["".join(map(code.__getitem__, r.letters)) for r in p.relators]
     passes = 0
     exhausted = False
     while True:
@@ -231,32 +284,36 @@ def tietze_simplify(p: Presentation) -> TietzeResult:
         # (a) dedupe (up to rotation and inversion) + drop trivial
         seen = set()
         cleaned = []
-        for r in relators:
-            key = cyclic_canonical(r)
+        for s in relators:
+            n = len(s)
+            key = min((cand[start:start + n] for cand in (s + s, 2 * _invert(s, flip))
+                       for start in range(n)), default="")
             if not key or key in seen:
                 continue
             seen.add(key)
-            cleaned.append(r)
+            cleaned.append(s)
         if len(cleaned) != len(relators):
             changed = True
         relators = cleaned
         # (b) eliminate a generator occurring exactly once in some relator;
         # primed (conic) generators go first, then shortest defining relator.
-        pick = min(((0 if lab.endswith("p") else 1, len(r), lab, ridx)
-                    for ridx, r in enumerate(relators)
-                    for lab, cnt in Counter(lab for lab, _ in r.letters).items()
+        pick = min(((0 if labels[ord(g) >> 1].endswith("p") else 1, len(s),
+                     labels[ord(g) >> 1], ridx)
+                    for ridx, s in enumerate(relators)
+                    for g, cnt in Counter(s.translate(fold)).items()
                     if cnt == 1), default=None)
         if pick is not None:
             _, _, label, ridx = pick
-            image = _solve_generator(relators[ridx], label)
-            images = {label: (image, _inverse(image))}
-            relators = [cyclic_reduce(Word(substitute(r.letters, images)))
+            pos, neg = code[label, 1], code[label, -1]
+            image = _solve_generator(relators[ridx], pos, neg, flip)
+            inverse = _invert(image, flip)
+            relators = [_reduce(r.replace(pos, image).replace(neg, inverse))
                         for k, r in enumerate(relators) if k != ridx]
             gens = [g for g in gens if g != label]
             changed = True
         else:
             # (c) shortening of relators against each other
-            rotations = [_rotations(r) for r in relators]
+            rotations = [_rotations(s, flip) for s in relators]
             heads = [frozenset(h for h, _, _ in rots) for rots in rotations]
             for i in range(len(relators)):
                 windows: dict = {}
@@ -267,19 +324,20 @@ def tietze_simplify(p: Presentation) -> TietzeResult:
                     half = n // 2 + 1
                     win = windows.get(half)
                     if win is None:
-                        win = windows[half] = _windows(relators[i].letters, half)
+                        win = windows[half] = _windows(relators[i], half)
                     if win.isdisjoint(heads[j]):
                         continue
-                    shorter = _shorten_with(relators[i], rotations[j], win)
+                    shorter = _shorten_with(relators[i], rotations[j], win, flip)
                     if len(shorter) < len(relators[i]):
                         relators[i] = shorter
                         windows = {}
-                        rotations[i] = _rotations(shorter)
+                        rotations[i] = _rotations(shorter, flip)
                         heads[i] = frozenset(h for h, _, _ in rotations[i])
                         changed = True
         if not changed:
             break
-    out = Presentation(tuple(gens), tuple(relators))
+    words = [Word(tuple(letters[ord(c)] for c in s)) for s in relators]
+    out = Presentation(tuple(gens), tuple(words))
     return TietzeResult(out, passes, exhausted)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .braid import endpoint_loops, twist
 from .catalog import BMF, BMFactor
-from .words import Word, _inverse, commutator, eq, sq, word_text
+from .words import Word, commutator, eq, sq, word_text
 
 
 def cyclic_reduce(w: Word) -> Word:
@@ -29,17 +29,6 @@ def cyclic_reduce(w: Word) -> Word:
             and letters[0][1] == -letters[-1][1]:
         letters = letters[1:-1]
     return w if letters is w.letters else Word(letters)
-
-
-def cyclic_canonical(w: Word) -> tuple:
-    """The least letter tuple among the rotations of cyclic_reduce(w) and of
-    its inverse: two relators are equal up to cyclic rotation and inversion
-    exactly when their canonical forms are equal."""
-    w = cyclic_reduce(w)
-    if not w:
-        return ()
-    return min(cand[r:] + cand[:r] for cand in (w.letters, _inverse(w.letters))
-               for r in range(len(cand)))
 
 
 @dataclass(frozen=True)

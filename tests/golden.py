@@ -9,8 +9,9 @@ node [A, B], tangency (AB)^2((BA)^2)^-1. C-family generators are x1, x1p
 """
 
 from conicline.bigness import FP_IDENTITY, ST_INV, T
-from conicline.vankampen import RELATOR_SHAPES, Presentation, cyclic_canonical, presentation
+from conicline.vankampen import RELATOR_SHAPES, Presentation, presentation
 from conicline.words import Word, commutator, gen, invert, multiply, sq
+from oracles import cyclic_canonical
 
 
 def x(k, sign=1):

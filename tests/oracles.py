@@ -3,8 +3,9 @@
 `invert`, a brute-force hom counter, the leaf-visiting backtracking hom
 search with the conjugacy class and centralizer orbit tables it weights
 by, the invariant factors of an integer matrix from its minors (the
-oracle of the Smith normal form), the naive Tietze shortening scan, the
-Word-level substitution and the letter-by-letter Artin action built on it,
+oracle of the Smith normal form), the canonical form of a relator up to
+rotation and inversion, the naive Tietze shortening scan, the reference
+Tietze simplification on letter tuples, the Word-level substitution and the letter-by-letter Artin action built on it,
 the permutation, product, inverse and powers of braid words, random
 presentations, and the matrices of Z/2 * Z/3 words in SL(2, Z)."""
 
@@ -12,7 +13,9 @@ import functools
 import itertools
 import math
 import random
+from collections import Counter
 
+from conicline import fpgroup, words
 from conicline.braid import ArtinWord, band_transport, compile_skeleton
 from conicline.finite_groups import FiniteGroup
 from conicline.vankampen import Presentation, cyclic_reduce, presentation
@@ -294,6 +297,153 @@ def shorten_with_naive(r: Word, s: Word) -> Word:
             if changed:
                 break
     return best
+
+
+def cyclic_canonical(w: Word) -> tuple:
+    """The least letter tuple among the rotations of cyclic_reduce(w) and of
+    its inverse: two relators are equal up to cyclic rotation and inversion
+    exactly when their canonical forms are equal."""
+    w = cyclic_reduce(w)
+    if not w:
+        return ()
+    return min(cand[r:] + cand[:r] for cand in (w.letters, _inverse(w.letters))
+               for r in range(len(cand)))
+
+
+# The reference Tietze simplification: `fpgroup.tietze_simplify` as it was on
+# letter tuples, before it ran on encoded strings. It reads the pass budget
+# `fpgroup.TIETZE_PASSES` at call time, so a test that patches the budget
+# patches both.
+
+
+def _solve_generator(r: Word, label: str) -> tuple:
+    """Given a relator r = p g^s q with exactly one occurrence of g = `label`,
+    express g in the remaining generators: the letters of g = (q p)^-s."""
+    idx = next(k for k, (lab, _) in enumerate(r.letters) if lab == label)
+    qp = r.letters[idx + 1:] + r.letters[:idx]
+    return _inverse(qp) if r.letters[idx][1] > 0 else qp
+
+
+def _rotations(s: Word) -> list[tuple]:
+    """The cyclic rotations of s, then those of s^-1, each by start offset,
+    as (head, doubled letters, start) triples: the rotation is
+    doubled[start:start + n] and its head is its first half letters
+    (n = |s|, half = n // 2 + 1)."""
+    n = len(s)
+    half = n // 2 + 1
+    out = []
+    for cand in (s.letters, _inverse(s.letters)):
+        doubled = cand + cand
+        out.extend((doubled[start:start + half], doubled, start)
+                   for start in range(n))
+    return out
+
+
+def _windows(letters, half: int) -> set:
+    """The length-half windows of a letter sequence."""
+    return {letters[k:k + half] for k in range(len(letters) - half + 1)}
+
+
+def _shorten_with(r: Word, rotations: list, windows: set) -> Word:
+    """Shorten r by replacing pieces of a relator s, given as `_rotations(s)`,
+    with |s| >= 3; `windows` is `_windows(r.letters, half)`. The rule is
+    that of `fpgroup._shorten_with`: the first rotation whose head is a
+    window, its earliest longest piece, replaced and cyclically reduced,
+    until no head is a window."""
+    n = len(rotations) // 2
+    half = n // 2 + 1
+    while True:
+        letters = r.letters
+        size = len(letters)
+        for head, doubled, start in rotations:
+            if head in windows:
+                break
+        else:
+            return r
+        longest = 0
+        for k in range(size - half + 1):
+            if letters[k:k + half] != head:
+                continue
+            m = half
+            stop = min(n - 1, size - k)
+            while m < stop and letters[k + m] == doubled[start + m]:
+                m += 1
+            if m > longest:
+                longest, at = m, k
+                if m == n - 1:
+                    break
+        repl = _inverse(doubled[start + longest:start + n])
+        r = cyclic_reduce(Word(letters[:at] + repl + letters[at + longest:]))
+        windows = _windows(r.letters, half)
+
+
+def tietze_reference(p: Presentation) -> fpgroup.TietzeResult:
+    """The oracle of `fpgroup.tietze_simplify`: the same passes, picks and
+    shortenings on (label, sign) letter tuples, with `cyclic_canonical`
+    keys and `words.substitute`."""
+    gens = list(p.generators)
+    relators = list(p.relators)
+    passes = 0
+    exhausted = False
+    while True:
+        if passes >= fpgroup.TIETZE_PASSES:
+            exhausted = True
+            break
+        passes += 1
+        changed = False
+        # (a) dedupe (up to rotation and inversion) + drop trivial
+        seen = set()
+        cleaned = []
+        for r in relators:
+            key = cyclic_canonical(r)
+            if not key or key in seen:
+                continue
+            seen.add(key)
+            cleaned.append(r)
+        if len(cleaned) != len(relators):
+            changed = True
+        relators = cleaned
+        # (b) eliminate a generator occurring exactly once in some relator;
+        # primed (conic) generators go first, then shortest defining relator.
+        pick = min(((0 if lab.endswith("p") else 1, len(r), lab, ridx)
+                    for ridx, r in enumerate(relators)
+                    for lab, cnt in Counter(lab for lab, _ in r.letters).items()
+                    if cnt == 1), default=None)
+        if pick is not None:
+            _, _, label, ridx = pick
+            image = _solve_generator(relators[ridx], label)
+            images = {label: (image, _inverse(image))}
+            relators = [cyclic_reduce(Word(words.substitute(r.letters, images)))
+                        for k, r in enumerate(relators) if k != ridx]
+            gens = [g for g in gens if g != label]
+            changed = True
+        else:
+            # (c) shortening of relators against each other
+            rotations = [_rotations(r) for r in relators]
+            heads = [frozenset(h for h, _, _ in rots) for rots in rotations]
+            for i in range(len(relators)):
+                windows: dict = {}
+                for j in range(len(relators)):
+                    n = len(relators[j])
+                    if i == j or n < 3:
+                        continue
+                    half = n // 2 + 1
+                    win = windows.get(half)
+                    if win is None:
+                        win = windows[half] = _windows(relators[i].letters, half)
+                    if win.isdisjoint(heads[j]):
+                        continue
+                    shorter = _shorten_with(relators[i], rotations[j], win)
+                    if len(shorter) < len(relators[i]):
+                        relators[i] = shorter
+                        windows = {}
+                        rotations[i] = _rotations(shorter)
+                        heads[i] = frozenset(h for h, _, _ in rotations[i])
+                        changed = True
+        if not changed:
+            break
+    out = Presentation(tuple(gens), tuple(relators))
+    return fpgroup.TietzeResult(out, passes, exhausted)
 
 
 def substitute(w: Word, images: dict[str, Word]) -> Word:

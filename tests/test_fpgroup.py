@@ -9,9 +9,9 @@ from conicline import fpgroup
 from conicline.arrangement import Arrangement
 from conicline.catalog import bmf_cn, bmf_tn0, bmf_tnm
 from conicline.finite_groups import A4, BATTERY, D4, S3, S4
-from conicline.fpgroup import (_rotations, _shorten_with, _windows, abelianization,
-                               compare, count_homs, fingerprint, smith_normal_form,
-                               tietze_simplify)
+from conicline.fpgroup import (_alphabet, _rotations, _shorten_with, _windows,
+                               abelianization, compare, count_homs, fingerprint,
+                               smith_normal_form, tietze_simplify)
 from conicline.paper_groups import (presentation_c2_proj, presentation_cn_affine,
                                     presentation_cn_proj, presentation_t00,
                                     presentation_tn0, presentation_tnm)
@@ -20,7 +20,7 @@ from conicline.vankampen import (Presentation, presentation, presentation_text,
 from conicline.words import Word, gen, invert, multiply
 from oracles import (centralizer_orbits, conjugacy_classes, count_homs_backtrack,
                      count_homs_bruteforce, invariant_factors_by_minors, parse_word,
-                     random_presentation, shorten_with_naive)
+                     random_presentation, shorten_with_naive, tietze_reference)
 
 GROUPS = (S3, D4, A4, S4)
 
@@ -229,7 +229,9 @@ def test_shorten_with_matches_naive_scan():
     reduced words and on every ordered relator pair of the criterion-06 raw
     presentations, for every s with |s| >= 3, its precondition; for a
     shorter s the naive scan leaves r unchanged, as Tietze's skip of such
-    an s assumes.
+    an s assumes. The words go through Tietze's string encoding
+    (`_alphabet`) over every label of the cases, and the result is decoded
+    back into a Word.
 
     The set test Tietze runs before `_shorten_with` is exact: r's
     half-windows miss the heads `_rotations` carries exactly when the naive
@@ -248,16 +250,22 @@ def test_shorten_with_matches_naive_scan():
     # dict.fromkeys drops repeated pairs, e.g. the affine C_n pairs, which
     # recur in the projective presentation
     cases = list(dict.fromkeys(cases))
+    letters, code, flip = _alphabet(sorted({lab for pair in cases for w in pair
+                                            for lab in w.labels()}))
+
+    def encode(w):
+        return "".join(code[letter] for letter in w.letters)
+
     shortened = skips = 0
     for r, s in cases:
         want = shorten_with_naive(r, s)
         if len(s) < 3:
             assert want == r, (r, s)
             continue
-        rotations = _rotations(s)
-        windows = _windows(r.letters, len(s) // 2 + 1)
-        got = _shorten_with(r, rotations, windows)
-        assert got == want, (r, s)
+        rotations = _rotations(encode(s), flip)
+        windows = _windows(encode(r), len(s) // 2 + 1)
+        got = _shorten_with(encode(r), rotations, windows, flip)
+        assert Word(tuple(letters[ord(c)] for c in got)) == want, (r, s)
         shortened += len(want) < len(r)
         heads = {head for head, _, _ in rotations}
         disjoint = windows.isdisjoint(heads)
@@ -288,6 +296,90 @@ def test_tietze_pinned_raw_outputs():
         text = presentation_text(res.presentation)
         assert (hashlib.sha256(text.encode()).hexdigest(), res.passes,
                 res.exhausted) == (digest, passes, False)
+
+
+def _criterion_06_stated():
+    for n in range(1, 5):
+        yield presentation_cn_affine(n)
+        yield presentation_cn_proj(n)
+    for n in range(1, 4):
+        yield presentation_tn0(n)
+    for n, m in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        yield presentation_tnm(n, m)
+
+
+def _relabel(p, rename, generators=None):
+    """p with generator g written rename[g], over `generators` (default:
+    the renamed generators of p, in their order)."""
+    relators = tuple(Word(tuple((rename[lab], sign) for lab, sign in r.letters))
+                     for r in p.relators)
+    return Presentation(tuple(generators or map(rename.get, p.generators)), relators)
+
+
+def _words(rng, labels, count, max_len):
+    return [_reduced_word(rng, labels, max_len) for _ in range(count)]
+
+
+def _encoding_edge_presentations(rng):
+    """Inputs at the edges of Tietze's string encoding.
+
+    - 300 generators, so code points run to 599, past the 1-byte `str`
+      range: raw projective T_{2,2} with its generators renamed to labels
+      whose string order is not their code-point order (g3 sorts last and
+      has the least code point), and random relators over high labels;
+      most of the 300 generators are unused.
+    - Labels that are prefixes of one another (x1, x11, x1p, x110): raw
+      C_3 renamed, and random relators over them.
+    - A primed and an unprimed label, each once in a relator of the same
+      length, and the primed one in a longer relator than the unprimed.
+    - Empty relators, no relators, and unused generators."""
+    wide = [f"g{k}" for k in range(300)]
+    t22 = raw_presentation(bmf_tnm(2, 2), projective=True)
+    high = ("g299", "g298", "g297", "g200", "g150", "g130", "g129", "g3")
+    yield _relabel(t22, dict(zip(t22.generators, high)), wide)
+    for _ in range(3):
+        yield Presentation(tuple(wide), tuple(_words(rng, high[:5], 6, 9)))
+    c3 = raw_presentation(bmf_cn(3))
+    prefixes = ("x11", "x1p", "x1", "x110", "x11p")
+    yield _relabel(c3, dict(zip(c3.generators, prefixes)))
+    yield _relabel(c3, dict(zip(c3.generators, reversed(prefixes))))
+    for _ in range(6):
+        yield Presentation(prefixes, tuple(_words(rng, prefixes, 5, 7)))
+    for labels in (("a", "bp", "c"), ("bp", "c", "a")):
+        yield presentation(labels, [parse_word("a c c"), parse_word("bp c^-1 c^-1")])
+        yield presentation(labels, [parse_word("a c c"), parse_word("bp c c c")])
+        yield presentation(labels, [parse_word("bp c c c"), parse_word("a c c")])
+    yield presentation(["a", "b"], [Word(), parse_word("a a"), Word(), parse_word("b a b")])
+    yield presentation(["a", "b", "c"], [])
+    yield presentation([], [])
+    yield presentation(["a", "b", "c", "d"], [parse_word("a b a^-1 b^-1")])
+
+
+def _assert_tietze_matches_reference(monkeypatch, inputs, rng):
+    """tietze_simplify equals the tuple reference, presentation, passes and
+    budget flag, on each input and three scrambles of it, under the pass
+    budget as shipped and cut to 1 and 2."""
+    cases = [q for p in inputs for q in [p] + [_scramble(p, rng) for _ in range(3)]]
+    for budget in (fpgroup.TIETZE_PASSES, 1, 2):
+        monkeypatch.setattr(fpgroup, "TIETZE_PASSES", budget)
+        for q in cases:
+            assert tietze_simplify(q) == tietze_reference(q), (budget, q)
+
+
+def test_tietze_matches_the_tuple_reference_on_criterion_06(monkeypatch):
+    """The string-encoded Tietze gives the tuple-based one's results on the
+    criterion-06 raw and stated presentations."""
+    inputs = [*_criterion_06_raw(), *_criterion_06_stated()]
+    _assert_tietze_matches_reference(monkeypatch, inputs, random.Random(73))
+
+
+def test_tietze_matches_the_tuple_reference_at_the_encoding_edges(monkeypatch):
+    """Equal results where the string encoding could part from the tuples:
+    code points past the 1-byte range, labels that are prefixes of one
+    another or whose string order is not their code-point order, primed
+    ties, and empty or missing relators."""
+    rng = random.Random(79)
+    _assert_tietze_matches_reference(monkeypatch, list(_encoding_edge_presentations(rng)), rng)
 
 
 def test_count_homs_examples():

@@ -2,10 +2,9 @@ from conicline.fpgroup import abelianization, compare, fingerprint
 from conicline.paper_groups import (presentation_c2_proj, presentation_cn_affine,
                                     presentation_cn_proj, presentation_t00,
                                     presentation_tn0, presentation_tnm)
-from conicline.vankampen import cyclic_canonical
 from golden import (presentation_c1_affine, presentation_c1_proj, presentation_c2_affine,
                     presentation_t10, presentation_t20)
-from oracles import parse_word
+from oracles import cyclic_canonical, parse_word
 
 
 def test_small_cases_are_special_cases():

@@ -3,11 +3,10 @@ import pytest
 import golden
 from conicline.braid import ConjugatedTwist, Skeleton
 from conicline.catalog import BMF, BMFactor, bmf_cn, bmf_tn0, bmf_tnm
-from conicline.vankampen import (RELATOR_SHAPES, cyclic_canonical, cyclic_reduce,
-                                 presentation, presentation_to_json, raw_presentation,
-                                 relation_pair)
+from conicline.vankampen import (RELATOR_SHAPES, cyclic_reduce, presentation,
+                                 presentation_to_json, raw_presentation, relation_pair)
 from conicline.words import Word, gen, invert, multiply
-from oracles import fiber_rename, parse_word
+from oracles import cyclic_canonical, fiber_rename, parse_word
 
 
 def letter_pairs(b):
