@@ -384,6 +384,10 @@ def count_homs(p: Presentation, target: FiniteGroup) -> int:
     lives only inside this call, so a mask one relator computed answers
     any relator whose signs and values match.
 
+    Value array: one list per call holds x_i at slot 2i and x_i^-1 at slot
+    2i + 1, both written when x_i is assigned. A head or segment is a list
+    of slots, so evaluating it reads the array with no sign test.
+
     Value keys: a relator whose head and segments read at most
     VALUE_KEY_GENERATORS generators first looks its mask up by the values
     assigned to those generators, so a hit evaluates no word. Only a miss
@@ -393,9 +397,17 @@ def count_homs(p: Presentation, target: FiniteGroup) -> int:
 
     Hoisting and forward checking: the key is fixed once the deepest
     generator read by the head and segments, x_h, is assigned. The mask is
-    looked up right then and ANDed into the pending candidate mask of depth
-    d; a relator in x_d alone is ANDed in before the search. A subtree is
-    pruned as soon as any pending mask is empty.
+    looked up right then, in the search loop itself, and ANDed into the
+    pending candidate mask of depth d; a relator in x_d alone is ANDed in
+    before the search. The pending masks are copied only at a depth that
+    has hoisted relators, and a candidate is pruned at the first mask that
+    empties.
+
+    The last depth is counted in place. A relator hoisted to depth k - 2
+    closes at k - 1, the only depth after it, so each candidate for x_{k-2}
+    ANDs its masks into the pending mask of x_{k-1}, with no copy, and adds
+    the number of bits left, weighted by its orbit size. No call is made
+    for depth k - 1.
     """
     labels = p.generators
     k = len(labels)
@@ -417,15 +429,7 @@ def count_homs(p: Presentation, target: FiniteGroup) -> int:
     pos = {lab: i for i, lab in enumerate(order)}
     mult, inv, ident = target.mult, target.inv, target.identity
     every = range(target.order)
-    assignment = [0] * k
-
-    def value(letters) -> int:
-        acc = ident
-        for px, sign in letters:
-            e = assignment[px]
-            acc = mult[acc][e if sign > 0 else inv[e]]
-        return acc
-
+    vals = [ident] * (2 * k)
     masks: dict[tuple, int] = {}
 
     def allowed(shape) -> int:
@@ -433,7 +437,13 @@ def count_homs(p: Presentation, target: FiniteGroup) -> int:
         evaluates to the identity, for the current values of its head and
         segments."""
         parts, positive, final = shape
-        key = (positive, final, *map(value, parts))
+        key = [positive, final]
+        for part in parts:
+            acc = ident
+            for slot in part:
+                acc = mult[acc][vals[slot]]
+            key.append(acc)
+        key = tuple(key)
         mask = masks.get(key)
         if mask is None:
             mask = 0
@@ -450,21 +460,10 @@ def count_homs(p: Presentation, target: FiniteGroup) -> int:
             masks[key] = mask
         return mask
 
-    def lookup(rel) -> int:
-        """allowed() for a hoisted relator, first from its value-keyed memo
-        when it has one."""
-        _, reads, memo, shape = rel
-        if reads is None:
-            return allowed(shape)
-        key = reads(assignment)
-        mask = memo.get(key)
-        if mask is None:
-            mask = memo[key] = allowed(shape)
-        return mask
-
     # A relator closing at depth d, rotated to end with an x_d letter, reads
     # head * x_d^s1 * seg1 * ... * x_d^s(m-1) * seg(m-1) * x_d^final. Its
-    # shape is ((head, seg1, ...), (s1 > 0, ...), final).
+    # shape is ((head, seg1, ...), (s1 > 0, ...), final), the head and
+    # segments as lists of `vals` slots.
     # Unless it reads no generator, it is kept as (d, reads, value-keyed
     # memo, shape) in hoisted[h], h being the deepest generator its head
     # and segments read; `reads` is None when they read more than
@@ -477,57 +476,81 @@ def count_homs(p: Presentation, target: FiniteGroup) -> int:
         lets = [(pos[lab], sign) for lab, sign in r.letters]
         depth = max(px for px, _ in lets)
         last = max(i for i, (px, _) in enumerate(lets) if px == depth)
-        parts: list[list[tuple[int, int]]] = [[]]
+        parts: list[list[int]] = [[]]
         positive = []
         for px, sign in lets[last + 1:] + lets[:last]:
             if px == depth:
                 parts.append([])
                 positive.append(sign > 0)
             else:
-                parts[-1].append((px, sign))
+                parts[-1].append(2 * px + (sign < 0))
         shape = (parts, tuple(positive), lets[last][1])
-        read = sorted({px for part in parts for px, _ in part})
+        read = sorted({slot >> 1 for part in parts for slot in part})
         if not read:
             pending[depth] &= allowed(shape)
         elif len(read) <= VALUE_KEY_GENERATORS:
-            hoisted[read[-1]].append((depth, itemgetter(*read), {}, shape))
+            reads = itemgetter(*(2 * px for px in read))
+            hoisted[read[-1]].append((depth, reads, {}, shape))
         else:
             hoisted[read[-1]].append((depth, None, None, shape))
-
-    def narrow(depth: int, pending: list[int]):
-        """The pending masks once x_depth is assigned, or None when a relator
-        hoisted to this depth leaves some depth without candidates."""
-        rels = hoisted[depth]
-        if not rels:
-            return pending
-        pending = pending.copy()
-        for rel in rels:
-            d = rel[0]
-            mask = pending[d] & lookup(rel)
-            if not mask:
-                return None
-            pending[d] = mask
-        return pending
+    if k == 1:
+        return pending[0].bit_count()
 
     orbits, stabilizers = target.orbits, target.stabilizers
 
     def below(depth: int, pending: list[int], stab: int) -> int:
         """Completions of the assignment of x_0 .. x_{depth-1}, whose
-        stabilizer in Aut(target) is the bitmask `stab`."""
-        mask = pending[depth]
-        if depth + 1 == k:
-            return mask.bit_count()
-        # the mask is a union of orbits: walk the representatives in it
+        stabilizer in Aut(target) is the bitmask `stab`; depth < k - 1."""
         reps, sizes = orbits[stab]
-        mask &= reps
+        # the mask is a union of orbits: walk the representatives in it
+        mask = pending[depth] & reps
+        rels = hoisted[depth]
+        slot = 2 * depth
         total = 0
+        if depth + 2 == k:
+            # every relator hoisted here closes at k - 1: count in place
+            closing = pending[depth + 1]
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                e = low.bit_length() - 1
+                vals[slot] = e
+                vals[slot + 1] = inv[e]
+                m = closing
+                for _, reads, memo, shape in rels:
+                    if reads is None:
+                        got = allowed(shape)
+                    else:
+                        key = reads(vals)
+                        got = memo.get(key)
+                        if got is None:
+                            got = memo[key] = allowed(shape)
+                    m &= got
+                    if not m:
+                        break
+                else:
+                    total += sizes[e] * m.bit_count()
+            return total
         while mask:
             low = mask & -mask
             mask ^= low
             e = low.bit_length() - 1
-            assignment[depth] = e
-            child = narrow(depth, pending)
-            if child is not None:
+            vals[slot] = e
+            vals[slot + 1] = inv[e]
+            child = pending.copy() if rels else pending
+            for d, reads, memo, shape in rels:
+                if reads is None:
+                    got = allowed(shape)
+                else:
+                    key = reads(vals)
+                    got = memo.get(key)
+                    if got is None:
+                        got = memo[key] = allowed(shape)
+                m = child[d] & got
+                if not m:
+                    break
+                child[d] = m
+            else:
                 total += sizes[e] * below(depth + 1, child, stab & stabilizers[e])
         return total
 

@@ -453,62 +453,93 @@ def test_count_homs_matches_bruteforce_on_catalog():
 
 def _search_branches(p, g):
     """count_homs(p, g), and the branches of the mask search it ran, seen
-    through the profiler hook:
+    through the profiler hook. The search loop `below` looks masks up
+    inline, so the hook follows the candidates of each `below` frame: a
+    candidate starts at the `bit_length` call that picks it and ends at the
+    next one or at the frame's return. A lookup is a value-keyed memo `get`
+    or an `allowed` call of a relator without one, made from `below`.
     - 'before-search': a relator in one generator ANDed in before the search;
-    - 'hoisted-0', 'hoisted-1', 'hoisted-2+': the depth of a mask lookup in
-      `narrow`;
+    - 'hoisted-0', 'hoisted-1', 'hoisted-2+': the depth of a mask lookup;
     - 'value-hit': a lookup answered by the value-keyed memo;
       'value-miss-part-hit': a value-key miss answered by the shared memo
       keyed on signs and part values; 'part-value-only': a lookup of a
       relator that reads more than VALUE_KEY_GENERATORS generators and has
       no value-keyed memo; 'cross-relator-hit': a lookup answered by a mask
       of the shared memo that another relator computed;
-    - 'forward-prune': a subtree cut because the mask of a depth beyond the
-      next one emptied;
+    - 'forward-prune': a candidate cut before its subtree because the mask
+      of a depth beyond the next one emptied;
+    - 'last-depth-counted': a candidate for x_{k-2} whose x_{k-1} images
+      are counted in place (a `bit_count` call in `below`);
+      'last-depth-pruned': a candidate for x_{k-2} cut because a hoisted
+      relator emptied the mask of x_{k-1};
     - 'orbit-weighted-2+': a depth of two or more that walks a candidate
       orbit of more than one element, its stabilizer in Aut(g) being
       larger than the identity (for example when x_0 and x_1 are
       trivial)."""
+    k = len(p.generators)
     seen = set()
-    missed = []  # per open lookup(): whether it called allowed()
     owner = {}  # shared-memo key -> the shape whose lookup computed it
+    # per open `below` frame, its current candidate: [closing depth of the
+    # last lookup, whether the candidate was counted or entered its subtree]
+    candidate = {}
+
+    def lookup(frame):
+        depth = frame.f_locals["depth"]
+        seen.add(f"hoisted-{depth}" if depth < 2 else "hoisted-2+")
+        # the loop at depth k - 2 binds no `d`: its relators close at k - 1
+        candidate[frame][0] = frame.f_locals.get("d", k - 1)
+
+    def finish(frame):
+        cand = candidate.get(frame)
+        if cand is None or cand[1] or cand[0] is None:
+            return
+        depth = frame.f_locals["depth"]
+        if depth + 2 == k:
+            seen.add("last-depth-pruned")
+        elif cand[0] > depth + 1:
+            seen.add("forward-prune")
 
     def hook(frame, event, arg):
         name = frame.f_code.co_name
         caller = frame.f_back
-        if name == "lookup":
-            has_value_key = frame.f_locals["rel"][1] is not None
+        if name == "below":
             if event == "call":
-                missed.append(False)
-                if not has_value_key:
-                    seen.add("part-value-only")
-                depth = caller.f_locals["depth"]
-                seen.add(f"hoisted-{depth}" if depth < 2 else "hoisted-2+")
-            elif event == "return" and not missed.pop() and has_value_key:
-                seen.add("value-hit")
+                if caller.f_code.co_name == "below":
+                    candidate[caller][1] = True
+                candidate[frame] = None
+                depth, pending = frame.f_locals["depth"], frame.f_locals["pending"]
+                sizes = g.orbits[frame.f_locals["stab"]][1]
+                if (2 <= depth < len(pending) - 1
+                        and any(sizes[x] > 1 for x in _bits(pending[depth]))):
+                    seen.add("orbit-weighted-2+")
+            elif event == "return":
+                finish(frame)
+                del candidate[frame]
+            elif event == "c_call" and arg.__name__ == "bit_length":
+                finish(frame)
+                candidate[frame] = [None, False]
+            elif event == "c_call" and arg.__name__ == "get":
+                lookup(frame)
+                if frame.f_locals["key"] in arg.__self__:
+                    seen.add("value-hit")
+            elif event == "c_call" and arg.__name__ == "bit_count":
+                candidate[frame][1] = True
+                seen.add("last-depth-counted")
         elif name == "allowed":
             if event == "call" and caller.f_code.co_name == "count_homs":
                 seen.add("before-search")
-            elif event == "call" and caller.f_code.co_name == "lookup":
-                missed[-1] = True
+            elif event == "call" and caller.f_locals["reads"] is None:
+                seen.add("part-value-only")
+                lookup(caller)
             elif event == "return":
                 shape, key = frame.f_locals["shape"], frame.f_locals["key"]
                 if "steps" in frame.f_locals:
                     owner[key] = shape
-                elif caller.f_code.co_name == "lookup":
+                elif caller.f_code.co_name == "below":
                     if owner[key] is not shape:
                         seen.add("cross-relator-hit")
                     if caller.f_locals["reads"] is not None:
                         seen.add("value-miss-part-hit")
-        elif event == "return" and name == "narrow" and arg is None:
-            if frame.f_locals["d"] > frame.f_locals["depth"] + 1:
-                seen.add("forward-prune")
-        elif event == "call" and name == "below":
-            depth, pending = frame.f_locals["depth"], frame.f_locals["pending"]
-            sizes = g.orbits[frame.f_locals["stab"]][1]
-            if (2 <= depth < len(pending) - 1
-                    and any(sizes[x] > 1 for x in _bits(pending[depth]))):
-                seen.add("orbit-weighted-2+")
 
     sys.setprofile(hook)
     try:
@@ -531,7 +562,10 @@ def _mask_presentations(rng):
 
     Five generators: the same relators, and g4 u with u reading each of
     g0 .. g3, which is hoisted to depth 3, the last but one, and keyed on
-    its part values alone."""
+    its part values alone.
+
+    Four generators again, with v and w ending in g2: g3 v and g3^2 w are
+    hoisted to depth 2, the last but one, and empty the mask of g3 there."""
     labels = ["g0", "g1", "g2", "g3", "g4"]
     for five in [False] * 16 + [True] * 6:
         prefix = labels[:rng.randint(1, 3)]
@@ -548,6 +582,12 @@ def _mask_presentations(rng):
                          _random_word(rng, labels[:4]))
             relators.append(multiply(gen("g4"), u))
         yield presentation(labels if five else labels[:4], relators)
+    for _ in range(4):
+        v, w = (multiply(_random_word(rng, labels[:2]), gen("g2")) for _ in range(2))
+        yield presentation(labels[:4], [
+            _power("g0", rng.choice((2, 3, 4))),
+            _random_word(rng, labels[:2]), _random_word(rng, labels[1:3]),
+            multiply(gen("g3"), v), multiply(_power("g3", 2), w)])
 
 
 def test_count_homs_mask_branches_match_bruteforce():
@@ -563,7 +603,8 @@ def test_count_homs_mask_branches_match_bruteforce():
             reached |= seen
     assert reached == {"before-search", "hoisted-0", "hoisted-1", "hoisted-2+",
                        "value-hit", "value-miss-part-hit", "part-value-only",
-                       "cross-relator-hit", "forward-prune", "orbit-weighted-2+"}
+                       "cross-relator-hit", "forward-prune", "orbit-weighted-2+",
+                       "last-depth-counted", "last-depth-pruned"}
 
 
 # The stated presentations of the `homcount-stated` benchmark workload, as
@@ -604,11 +645,12 @@ def test_count_homs_matches_backtracking_on_stated_presentations():
 def test_count_homs_memory_stays_bounded():
     """The peak memory tracemalloc sees in one `count_homs` call, over the
     `homcount-stated` presentations after Tietze into S3/D4/A4/S4. Measured
-    on Python 3.11: 0.03 MB with the shared part-value memo alone, 0.07 MB
+    on Python 3.11, this test's loop alone in a fresh process: 0.02 MB
+    (T_{4,1} into S4) with the shared part-value memo alone, 0.08 MB
     (T_{5,0} projective into S4) with value keys bounded by
-    VALUE_KEY_GENERATORS, 0.23 MB (C_5 affine into S4) with every relator
-    keyed on its values. The bound, about twice the bounded peak, fails the
-    unbounded value keys."""
+    VALUE_KEY_GENERATORS, 0.31 MB (C_6 projective into S4) with every
+    relator keyed on its values. The bound, about twice the bounded peak,
+    fails the unbounded value keys."""
     presentations = [tietze_simplify(a.stated(projective)).presentation
                      for a, projective in HOMCOUNT_STATED]
     peaks = {}
