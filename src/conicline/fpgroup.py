@@ -178,10 +178,9 @@ def _windows(s: str, half: int) -> set:
     return {s[k:k + half] for k in range(len(s) - half + 1)}
 
 
-def _shorten_with(r: str, rotations: list, windows: set, flip: dict) -> str:
+def _shorten_with(r: str, rotations: list, flip: dict) -> str:
     """Shorten the encoded relator r by replacing pieces of a relator s,
-    given as `_rotations(s, flip)`, with |s| >= 3; `windows` is
-    `_windows(r, half)`, which the caller's skip test has already built.
+    given as `_rotations(s, flip)`, with |s| >= 3.
 
     The rule, on which the golden Tietze outputs depend: with n = |s| and
     half = n // 2 + 1, repeatedly take the first rotation of s in the
@@ -193,18 +192,18 @@ def _shorten_with(r: str, rotations: list, windows: set, flip: dict) -> str:
     replacement strictly shortens r.
 
     As n >= 3, half <= n - 1, so a prefix of half..n-1 letters occurs in r
-    exactly when the rotation's head (its first half letters) is one of r's
-    length-half windows (`_windows`). The first rotation whose head is a
-    window is therefore the one the rule takes; only the positions where
-    `str.find` finds that head are extended, in ascending order, so the
-    earliest longest piece wins. `tietze_simplify` skips the call when no
-    head of s is a window of r: it would return r unchanged.
+    exactly when the rotation's head (its first half letters) does. The
+    first rotation whose head is in r is therefore the one the rule takes;
+    only the positions where `str.find` finds that head are extended, in
+    ascending order, so the earliest longest piece wins. `tietze_simplify`
+    skips the call when no head of s is one of r's length-half windows
+    (`_windows`): it would return r unchanged.
     """
     n = len(rotations) // 2
     half = n // 2 + 1
     while True:
         for head, doubled, start in rotations:
-            if head in windows:
+            if head in r:
                 break
         else:
             return r
@@ -223,7 +222,6 @@ def _shorten_with(r: str, rotations: list, windows: set, flip: dict) -> str:
             k = r.find(head, k + 1)
         repl = _invert(doubled[start + longest:start + n], flip)
         r = _reduce(r[:at] + repl + r[at + longest:])
-        windows = _windows(r, half)
 
 
 # Tietze's pass budget; no raw grid presentation takes more than 12 passes.
@@ -264,9 +262,9 @@ def tietze_simplify(p: Presentation) -> TietzeResult:
 
     Pass (c) calls `_shorten_with(r, ..., s)` only when one of the 2n heads
     of s (n = |s| >= 3, carried by `_rotations`) is one of r's windows of
-    the same length, which is exact (see `_shorten_with`). Heads are built
-    as pass (c) starts and when a relator is shortened; r's windows once per
-    distinct length, dropped when r changes.
+    the same length, which is exact (see `_shorten_with`): every call
+    shortens r. Heads are built as pass (c) starts and when a relator is
+    shortened; r's windows once per distinct length, dropped when r changes.
     """
     labels = p.generators
     letters, code, flip = _alphabet(labels)
@@ -327,13 +325,11 @@ def tietze_simplify(p: Presentation) -> TietzeResult:
                         win = windows[half] = _windows(relators[i], half)
                     if win.isdisjoint(heads[j]):
                         continue
-                    shorter = _shorten_with(relators[i], rotations[j], win, flip)
-                    if len(shorter) < len(relators[i]):
-                        relators[i] = shorter
-                        windows = {}
-                        rotations[i] = _rotations(shorter, flip)
-                        heads[i] = frozenset(h for h, _, _ in rotations[i])
-                        changed = True
+                    relators[i] = _shorten_with(relators[i], rotations[j], flip)
+                    windows = {}
+                    rotations[i] = _rotations(relators[i], flip)
+                    heads[i] = frozenset(h for h, _, _ in rotations[i])
+                    changed = True
         if not changed:
             break
     words = [Word(tuple(letters[ord(c)] for c in s)) for s in relators]
@@ -352,7 +348,7 @@ def tietze_simplify(p: Presentation) -> TietzeResult:
 # as |G|^reads: on the `homcount-stated` benchmark workload it raised the
 # peak RSS from 27.7 to 30.9 MB and was no faster. A value-key miss falls
 # back to the shared memo keyed on signs, head and segment values, which
-# answers 12,834 of the 14,957 misses in one seed-0 sweep of that workload.
+# answers 13,186 of the 14,957 misses in one seed-0 sweep of that workload.
 VALUE_KEY_GENERATORS = 3
 
 
@@ -375,14 +371,16 @@ def count_homs(p: Presentation, target: FiniteGroup) -> int:
     0 starts from the whole of Aut(target). x_d walks the bits of its mask
     that are S-orbit representatives: every bit once S is trivial.
 
-    Candidate masks: a relator closing at depth d is rotated to end with an
-    x_d letter and split into a head and the segments between its x_d
-    letters. The x_d images it allows, as a bitmask over the target's
-    elements, depend only on the signs of its x_d letters and the values of
-    the head and segments. They are computed once per key of those signs
-    and values and kept in one memo that every relator shares and that
-    lives only inside this call, so a mask one relator computed answers
-    any relator whose signs and values match.
+    Candidate masks: a relator closing at depth d is inverted if every x_d
+    letter in it is negative (r and r^-1 impose the same condition),
+    rotated to end with its last positive x_d letter and split into a head
+    and the segments between its x_d letters. The x_d images it allows, as
+    a bitmask over the target's elements, depend only on the signs of the
+    other x_d letters and the values of the head and segments. They are
+    computed once per key of those signs and values and kept in one memo
+    that every relator shares and that lives only inside this call, so a
+    mask one relator computed answers any relator whose signs and values
+    match, a rotation or the inverse of it among them.
 
     Value array: one list per call holds x_i at slot 2i and x_i^-1 at slot
     2i + 1, both written when x_i is assigned. A head or segment is a list
@@ -403,11 +401,11 @@ def count_homs(p: Presentation, target: FiniteGroup) -> int:
     has hoisted relators, and a candidate is pruned at the first mask that
     empties.
 
-    The last depth is counted in place. A relator hoisted to depth k - 2
-    closes at k - 1, the only depth after it, so each candidate for x_{k-2}
-    ANDs its masks into the pending mask of x_{k-1}, with no copy, and adds
-    the number of bits left, weighted by its orbit size. No call is made
-    for depth k - 1.
+    The last depth is counted in place. `below` has one candidate loop; at
+    depth k - 2 a candidate that survives its hoisted relators (all of
+    which close at k - 1) adds the number of bits left in the pending mask
+    of x_{k-1}, weighted by its orbit size, instead of a call for depth
+    k - 1.
     """
     labels = p.generators
     k = len(labels)
@@ -436,8 +434,8 @@ def count_homs(p: Presentation, target: FiniteGroup) -> int:
         """Bitmask of the x_d images under which a relator of this shape
         evaluates to the identity, for the current values of its head and
         segments."""
-        parts, positive, final = shape
-        key = [positive, final]
+        parts, positive = shape
+        key = [positive]
         for part in parts:
             acc = ident
             for slot in part:
@@ -447,23 +445,24 @@ def count_homs(p: Presentation, target: FiniteGroup) -> int:
         mask = masks.get(key)
         if mask is None:
             mask = 0
-            _, _, head, *segs = key
+            _, head, *segs = key
             steps = tuple(zip(positive, segs))
             for e in every:
                 ie = inv[e]
                 acc = head
                 for pos_sign, sv in steps:
                     acc = mult[mult[acc][e if pos_sign else ie]][sv]
-                # acc * x_d^final is the identity
-                if acc == (ie if final > 0 else e):
+                # acc * x_d is the identity
+                if acc == ie:
                     mask |= 1 << e
             masks[key] = mask
         return mask
 
-    # A relator closing at depth d, rotated to end with an x_d letter, reads
-    # head * x_d^s1 * seg1 * ... * x_d^s(m-1) * seg(m-1) * x_d^final. Its
-    # shape is ((head, seg1, ...), (s1 > 0, ...), final), the head and
-    # segments as lists of `vals` slots.
+    # A relator closing at depth d, inverted if it has no positive x_d
+    # letter and rotated to end with its last positive one, reads
+    # head * x_d^s1 * seg1 * ... * x_d^s(m-1) * seg(m-1) * x_d. Its shape is
+    # ((head, seg1, ...), (s1 > 0, ...)), the head and segments as lists of
+    # `vals` slots.
     # Unless it reads no generator, it is kept as (d, reads, value-keyed
     # memo, shape) in hoisted[h], h being the deepest generator its head
     # and segments read; `reads` is None when they read more than
@@ -475,7 +474,9 @@ def count_homs(p: Presentation, target: FiniteGroup) -> int:
             continue
         lets = [(pos[lab], sign) for lab, sign in r.letters]
         depth = max(px for px, _ in lets)
-        last = max(i for i, (px, _) in enumerate(lets) if px == depth)
+        if (depth, 1) not in lets:
+            lets = [(px, -sign) for px, sign in reversed(lets)]
+        last = max(i for i, let in enumerate(lets) if let == (depth, 1))
         parts: list[list[int]] = [[]]
         positive = []
         for px, sign in lets[last + 1:] + lets[:last]:
@@ -484,7 +485,7 @@ def count_homs(p: Presentation, target: FiniteGroup) -> int:
                 positive.append(sign > 0)
             else:
                 parts[-1].append(2 * px + (sign < 0))
-        shape = (parts, tuple(positive), lets[last][1])
+        shape = (parts, tuple(positive))
         read = sorted({slot >> 1 for part in parts for slot in part})
         if not read:
             pending[depth] &= allowed(shape)
@@ -507,30 +508,7 @@ def count_homs(p: Presentation, target: FiniteGroup) -> int:
         rels = hoisted[depth]
         slot = 2 * depth
         total = 0
-        if depth + 2 == k:
-            # every relator hoisted here closes at k - 1: count in place
-            closing = pending[depth + 1]
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                e = low.bit_length() - 1
-                vals[slot] = e
-                vals[slot + 1] = inv[e]
-                m = closing
-                for _, reads, memo, shape in rels:
-                    if reads is None:
-                        got = allowed(shape)
-                    else:
-                        key = reads(vals)
-                        got = memo.get(key)
-                        if got is None:
-                            got = memo[key] = allowed(shape)
-                    m &= got
-                    if not m:
-                        break
-                else:
-                    total += sizes[e] * m.bit_count()
-            return total
+        penultimate = depth + 2 == k
         while mask:
             low = mask & -mask
             mask ^= low
@@ -551,7 +529,9 @@ def count_homs(p: Presentation, target: FiniteGroup) -> int:
                     break
                 child[d] = m
             else:
-                total += sizes[e] * below(depth + 1, child, stab & stabilizers[e])
+                # at depth k - 2, x_{k-1} is the only depth left: count it
+                total += sizes[e] * (child[-1].bit_count() if penultimate else
+                                     below(depth + 1, child, stab & stabilizers[e]))
         return total
 
     return below(0, pending, (1 << len(target.automorphisms)) - 1)
