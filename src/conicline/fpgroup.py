@@ -224,6 +224,22 @@ def _shorten_with(r: str, rotations: list, flip: dict) -> str:
         r = _reduce(r[:at] + repl + r[at + longest:])
 
 
+class _Relator:
+    """A current relator of `tietze_simplify`, the encoded string `s`, with
+    what the passes derive from s alone, each built when first needed: the
+    pass-(a) `key`; the pass-(b) `single`, the least (unprimed, label) of
+    the generators that occur once in s, () for none; the pass-(c)
+    `rotations` (`_rotations`) and their `heads`; and `disjoint`, the
+    relator strings whose heads miss s's windows. A relator that changes
+    gets a new record."""
+    __slots__ = ("s", "key", "single", "heads", "rotations", "disjoint")
+
+    def __init__(self, s: str):
+        self.s = s
+        self.key = self.single = self.heads = self.rotations = None
+        self.disjoint = set()
+
+
 # Tietze's pass budget; no raw grid presentation takes more than 12 passes.
 TIETZE_PASSES = 50
 
@@ -255,22 +271,30 @@ def tietze_simplify(p: Presentation) -> TietzeResult:
     (`_alphabet`: generator k of `p.generators` is chr(2k), its inverse
     chr(2k + 1)), and decoded into Words once on exit. Every relator stays
     freely and cyclically reduced: `Presentation` reduces its relators, and
-    each move reduces the relators it makes with the kernel `_reduce`. Pass
-    (a) keys a relator by the least string among its rotations and those of
-    its inverse. Pass (b) counts a relator's letters with both signs folded
-    onto the even code point, and substitutes with `str.replace`.
+    each move reduces the relators it makes with the kernel `_reduce`.
+
+    Each current relator is a `_Relator`, which holds what the passes
+    derive from its string; a relator that changes is replaced by a fresh
+    one, so only a changed relator is recomputed. Pass (a) keys a relator
+    by the least string among its rotations and those of its inverse. Pass
+    (b) counts a relator's letters with both signs folded onto the even
+    code point, and substitutes with `str.replace` into the relators that
+    contain the eliminated generator; the others stay as they are.
 
     Pass (c) calls `_shorten_with(r, ..., s)` only when one of the 2n heads
     of s (n = |s| >= 3, carried by `_rotations`) is one of r's windows of
     the same length, which is exact (see `_shorten_with`): every call
-    shortens r. Heads are built as pass (c) starts and when a relator is
-    shortened; r's windows once per distinct length, dropped when r changes.
+    shortens r. r's windows are built once per distinct length, dropped
+    when r changes. That test depends only on the strings r and s, so r
+    keeps the strings s it found disjoint and does not test them again.
     """
     labels = p.generators
     letters, code, flip = _alphabet(labels)
     fold = {o: o & ~1 for o in flip}
+    # pass (b)'s order on a generator, by the character of its positive letter
+    rank = {code[lab, 1]: (0 if lab.endswith("p") else 1, lab) for lab in labels}
     gens = list(labels)
-    relators = ["".join(map(code.__getitem__, r.letters)) for r in p.relators]
+    relators = [_Relator("".join(map(code.__getitem__, r.letters))) for r in p.relators]
     passes = 0
     exhausted = False
     while True:
@@ -282,57 +306,67 @@ def tietze_simplify(p: Presentation) -> TietzeResult:
         # (a) dedupe (up to rotation and inversion) + drop trivial
         seen = set()
         cleaned = []
-        for s in relators:
-            n = len(s)
-            key = min((cand[start:start + n] for cand in (s + s, 2 * _invert(s, flip))
-                       for start in range(n)), default="")
+        for r in relators:
+            key = r.key
+            if key is None:
+                s = r.s
+                n = len(s)
+                key = r.key = min((cand[start:start + n]
+                                   for cand in (s + s, 2 * _invert(s, flip))
+                                   for start in range(n)), default="")
             if not key or key in seen:
                 continue
             seen.add(key)
-            cleaned.append(s)
+            cleaned.append(r)
         if len(cleaned) != len(relators):
             changed = True
         relators = cleaned
         # (b) eliminate a generator occurring exactly once in some relator;
         # primed (conic) generators go first, then shortest defining relator.
-        pick = min(((0 if labels[ord(g) >> 1].endswith("p") else 1, len(s),
-                     labels[ord(g) >> 1], ridx)
-                    for ridx, s in enumerate(relators)
-                    for g, cnt in Counter(s.translate(fold)).items()
-                    if cnt == 1), default=None)
+        for r in relators:
+            if r.single is None:
+                r.single = min((rank[g] for g, cnt in Counter(r.s.translate(fold)).items()
+                                if cnt == 1), default=())
+        pick = min(((r.single[0], len(r.s), r.single[1], ridx)
+                    for ridx, r in enumerate(relators) if r.single), default=None)
         if pick is not None:
             _, _, label, ridx = pick
             pos, neg = code[label, 1], code[label, -1]
-            image = _solve_generator(relators[ridx], pos, neg, flip)
+            image = _solve_generator(relators[ridx].s, pos, neg, flip)
             inverse = _invert(image, flip)
-            relators = [_reduce(r.replace(pos, image).replace(neg, inverse))
-                        for k, r in enumerate(relators) if k != ridx]
+            del relators[ridx]
+            for k, r in enumerate(relators):
+                if pos in r.s or neg in r.s:
+                    relators[k] = _Relator(
+                        _reduce(r.s.replace(pos, image).replace(neg, inverse)))
             gens = [g for g in gens if g != label]
             changed = True
         else:
             # (c) shortening of relators against each other
-            rotations = [_rotations(s, flip) for s in relators]
-            heads = [frozenset(h for h, _, _ in rots) for rots in rotations]
             for i in range(len(relators)):
+                r = relators[i]
                 windows: dict = {}
-                for j in range(len(relators)):
-                    n = len(relators[j])
-                    if i == j or n < 3:
+                for j, other in enumerate(relators):
+                    n = len(other.s)
+                    if i == j or n < 3 or other.s in r.disjoint:
                         continue
+                    heads = other.heads
+                    if heads is None:
+                        other.rotations = _rotations(other.s, flip)
+                        heads = other.heads = frozenset(h for h, _, _ in other.rotations)
                     half = n // 2 + 1
                     win = windows.get(half)
                     if win is None:
-                        win = windows[half] = _windows(relators[i], half)
-                    if win.isdisjoint(heads[j]):
+                        win = windows[half] = _windows(r.s, half)
+                    if win.isdisjoint(heads):
+                        r.disjoint.add(other.s)
                         continue
-                    relators[i] = _shorten_with(relators[i], rotations[j], flip)
+                    r = relators[i] = _Relator(_shorten_with(r.s, other.rotations, flip))
                     windows = {}
-                    rotations[i] = _rotations(relators[i], flip)
-                    heads[i] = frozenset(h for h, _, _ in rotations[i])
                     changed = True
         if not changed:
             break
-    words = [Word(tuple(letters[ord(c)] for c in s)) for s in relators]
+    words = [Word(tuple(letters[ord(c)] for c in r.s)) for r in relators]
     out = Presentation(tuple(gens), tuple(words))
     return TietzeResult(out, passes, exhausted)
 
@@ -352,7 +386,61 @@ def tietze_simplify(p: Presentation) -> TietzeResult:
 VALUE_KEY_GENERATORS = 3
 
 
-def count_homs(p: Presentation, target: FiniteGroup) -> int:
+def _hom_plan(p: Presentation) -> tuple:
+    """The part of `count_homs(p, ...)` that depends on p alone: (k, closed,
+    hoisted), k being the number of generators. The generators are ordered
+    greedily, the next being the first unplaced one that closes the most
+    relators, and each nonempty relator is split as `count_homs` describes
+    into its shape ((head, seg1, ...), (s1 > 0, ...)), the parts as tuples
+    of `vals` slots. A relator whose parts read no generator is (d, shape)
+    in `closed`, d being its closing depth. Any other is (d, reads, shape)
+    in hoisted[h], h being the deepest generator its parts read; `reads` is
+    None when they read more than VALUE_KEY_GENERATORS generators, else an
+    itemgetter of their values."""
+    labels = p.generators
+    k = len(labels)
+    rel_labels = [frozenset(lab for lab, _ in r.letters) for r in p.relators]
+    order: list[str] = []
+    placed: set[str] = set()
+
+    def closes(lab: str) -> int:
+        return sum(lab in ls and ls <= placed | {lab} for ls in rel_labels)
+
+    while len(order) < k:
+        nxt = max((lab for lab in labels if lab not in placed), key=closes)
+        order.append(nxt)
+        placed.add(nxt)
+    pos = {lab: i for i, lab in enumerate(order)}
+    closed = []
+    hoisted: list[list[tuple]] = [[] for _ in range(k)]
+    for r in p.relators:
+        if not r:
+            continue
+        lets = [(pos[lab], sign) for lab, sign in r.letters]
+        depth = max(px for px, _ in lets)
+        if (depth, 1) not in lets:
+            lets = [(px, -sign) for px, sign in reversed(lets)]
+        last = max(i for i, let in enumerate(lets) if let == (depth, 1))
+        parts: list[list[int]] = [[]]
+        positive = []
+        for px, sign in lets[last + 1:] + lets[:last]:
+            if px == depth:
+                parts.append([])
+                positive.append(sign > 0)
+            else:
+                parts[-1].append(2 * px + (sign < 0))
+        shape = (tuple(map(tuple, parts)), tuple(positive))
+        read = sorted({slot >> 1 for part in parts for slot in part})
+        if not read:
+            closed.append((depth, shape))
+        elif len(read) <= VALUE_KEY_GENERATORS:
+            hoisted[read[-1]].append((depth, itemgetter(*(2 * px for px in read)), shape))
+        else:
+            hoisted[read[-1]].append((depth, None, shape))
+    return k, tuple(closed), tuple(map(tuple, hoisted))
+
+
+def count_homs(p: Presentation, target: FiniteGroup, *, plan=None) -> int:
     """Number of homomorphisms into `target`: assignments generator -> element
     under which every relator evaluates to the identity.
 
@@ -383,7 +471,7 @@ def count_homs(p: Presentation, target: FiniteGroup) -> int:
     match, a rotation or the inverse of it among them.
 
     Value array: one list per call holds x_i at slot 2i and x_i^-1 at slot
-    2i + 1, both written when x_i is assigned. A head or segment is a list
+    2i + 1, both written when x_i is assigned. A head or segment is a tuple
     of slots, so evaluating it reads the array with no sign test.
 
     Value keys: a relator whose head and segments read at most
@@ -406,25 +494,16 @@ def count_homs(p: Presentation, target: FiniteGroup) -> int:
     which close at k - 1) adds the number of bits left in the pending mask
     of x_{k-1}, weighted by its orbit size, instead of a call for depth
     k - 1.
+
+    Plan: the greedy order, and each relator's closing depth, shape and
+    read generators, depend on p alone. `_hom_plan(p)` builds them; a
+    caller that counts p into several targets (`fingerprint`) builds it
+    once and passes it as `plan`, which the search only reads. The memos
+    are made afresh in every call.
     """
-    labels = p.generators
-    k = len(labels)
+    k, closed, plan_hoisted = _hom_plan(p) if plan is None else plan
     if k == 0:
         return 1 if all(not r for r in p.relators) else 0
-    # order generators greedily so short relators close early: next is the
-    # first unplaced generator that closes the most relators
-    rel_labels = [frozenset(lab for lab, _ in r.letters) for r in p.relators]
-    order: list[str] = []
-    placed: set[str] = set()
-
-    def closes(lab: str) -> int:
-        return sum(lab in ls and ls <= placed | {lab} for ls in rel_labels)
-
-    while len(order) < k:
-        nxt = max((lab for lab in labels if lab not in placed), key=closes)
-        order.append(nxt)
-        placed.add(nxt)
-    pos = {lab: i for i, lab in enumerate(order)}
     mult, inv, ident = target.mult, target.inv, target.identity
     every = range(target.order)
     vals = [ident] * (2 * k)
@@ -458,42 +537,14 @@ def count_homs(p: Presentation, target: FiniteGroup) -> int:
             masks[key] = mask
         return mask
 
-    # A relator closing at depth d, inverted if it has no positive x_d
-    # letter and rotated to end with its last positive one, reads
-    # head * x_d^s1 * seg1 * ... * x_d^s(m-1) * seg(m-1) * x_d. Its shape is
-    # ((head, seg1, ...), (s1 > 0, ...)), the head and segments as lists of
-    # `vals` slots.
-    # Unless it reads no generator, it is kept as (d, reads, value-keyed
-    # memo, shape) in hoisted[h], h being the deepest generator its head
-    # and segments read; `reads` is None when they read more than
-    # VALUE_KEY_GENERATORS generators, else an itemgetter of their values.
+    # a relator in x_d alone is ANDed into the pending mask of depth d
+    # before the search; each hoisted relator with value keys gets its own
+    # value-keyed memo, (d, reads, memo, shape)
     pending = [(1 << target.order) - 1] * k
-    hoisted: list[list[tuple]] = [[] for _ in range(k)]
-    for r in p.relators:
-        if not r:
-            continue
-        lets = [(pos[lab], sign) for lab, sign in r.letters]
-        depth = max(px for px, _ in lets)
-        if (depth, 1) not in lets:
-            lets = [(px, -sign) for px, sign in reversed(lets)]
-        last = max(i for i, let in enumerate(lets) if let == (depth, 1))
-        parts: list[list[int]] = [[]]
-        positive = []
-        for px, sign in lets[last + 1:] + lets[:last]:
-            if px == depth:
-                parts.append([])
-                positive.append(sign > 0)
-            else:
-                parts[-1].append(2 * px + (sign < 0))
-        shape = (parts, tuple(positive))
-        read = sorted({slot >> 1 for part in parts for slot in part})
-        if not read:
-            pending[depth] &= allowed(shape)
-        elif len(read) <= VALUE_KEY_GENERATORS:
-            reads = itemgetter(*(2 * px for px in read))
-            hoisted[read[-1]].append((depth, reads, {}, shape))
-        else:
-            hoisted[read[-1]].append((depth, None, None, shape))
+    for depth, shape in closed:
+        pending[depth] &= allowed(shape)
+    hoisted = [[(d, reads, None if reads is None else {}, shape) for d, reads, shape in rels]
+               for rels in plan_hoisted]
     if k == 1:
         return pending[0].bit_count()
 
@@ -534,7 +585,11 @@ def count_homs(p: Presentation, target: FiniteGroup) -> int:
                                      below(depth + 1, child, stab & stabilizers[e]))
         return total
 
-    return below(0, pending, (1 << len(target.automorphisms)) - 1)
+    total = below(0, pending, (1 << len(target.automorphisms)) - 1)
+    # `below` reaches itself through its closure cell; emptying the cell
+    # frees the memos now rather than at the next cyclic collection
+    del below
+    return total
 
 
 # --------------------------------------------------------------------------
@@ -575,9 +630,12 @@ def fingerprint(p: Presentation, battery=None) -> Fingerprint:
     """Hom counts into each battery group. The input is Tietze-simplified
     first (hom counts are presentation-independent); S4 is skipped when more
     than six generators survive simplification. The battery is checked by
-    `battery_names`."""
+    `battery_names`. The search plan of the simplified presentation
+    (`_hom_plan`) is built once and passed to `count_homs` for every
+    group."""
     names = battery_names(battery)
     q = tietze_simplify(p).presentation
+    plan = _hom_plan(q)
     counts = {}
     skipped = []
     for name in names:
@@ -585,7 +643,7 @@ def fingerprint(p: Presentation, battery=None) -> Fingerprint:
         if name == "S4" and len(q.generators) > S4_GENERATOR_LIMIT:
             skipped.append(name)
             continue
-        counts[name] = count_homs(q, group)
+        counts[name] = count_homs(q, group, plan=plan)
     return Fingerprint(counts, tuple(skipped))
 
 

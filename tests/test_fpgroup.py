@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 import sys
@@ -355,11 +356,11 @@ def _encoding_edge_presentations(rng):
     yield presentation(["a", "b", "c", "d"], [parse_word("a b a^-1 b^-1")])
 
 
-def _assert_tietze_matches_reference(monkeypatch, inputs, rng):
+def _assert_tietze_matches_reference(monkeypatch, inputs, rng, scrambles=3):
     """tietze_simplify equals the tuple reference, presentation, passes and
-    budget flag, on each input and three scrambles of it, under the pass
-    budget as shipped and cut to 1 and 2."""
-    cases = [q for p in inputs for q in [p] + [_scramble(p, rng) for _ in range(3)]]
+    budget flag, on each input and `scrambles` scrambles of it, under the
+    pass budget as shipped and cut to 1 and 2."""
+    cases = [q for p in inputs for q in [p] + [_scramble(p, rng) for _ in range(scrambles)]]
     for budget in (fpgroup.TIETZE_PASSES, 1, 2):
         monkeypatch.setattr(fpgroup, "TIETZE_PASSES", budget)
         for q in cases:
@@ -380,6 +381,40 @@ def test_tietze_matches_the_tuple_reference_at_the_encoding_edges(monkeypatch):
     ties, and empty or missing relators."""
     rng = random.Random(79)
     _assert_tietze_matches_reference(monkeypatch, list(_encoding_edge_presentations(rng)), rng)
+
+
+def test_tietze_matches_the_tuple_reference_on_large_raw_presentations(monkeypatch):
+    """Equal results on large raw projective presentations, where pass (c)
+    runs longest and the relators' derived data is kept over the most
+    passes: T_{3,3}, T_{5,5}, C_10 and T_{8,0}, as given (no scrambles, so
+    the tuple reference stays near a second), under the pass budget as
+    shipped and cut to 1 and 2."""
+    inputs = [raw_presentation(b, projective=True)
+              for b in (bmf_tnm(3, 3), bmf_tnm(5, 5), bmf_cn(10), bmf_tn0(8))]
+    _assert_tietze_matches_reference(monkeypatch, inputs, None, scrambles=0)
+
+
+def test_tietze_memory_stays_bounded():
+    """The peak memory tracemalloc sees in one `tietze_simplify` call on raw
+    projective T_{5,5}, measured from a base as in
+    `test_count_homs_memory_stays_bounded`. Measured on Python 3.11:
+    1.82 MB with the derived data held per current relator, under pytest
+    for this test alone and in a fresh process alike, and 1.69 MB when the
+    whole file runs; 1.84 and 1.71 MB when every pass rebuilt it. Caching
+    it in dicts keyed on every relator string seen in the call, pair tests
+    included, reads 6.30 MB. Such peaks move by about 20 % with what else
+    ran in the process, so the bound, about 1.3 times the rebuilding peak,
+    keeps that margin and fails the string-keyed cache."""
+    p = raw_presentation(bmf_tnm(5, 5), projective=True)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        tietze_simplify(p)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_400_000, peak
 
 
 def test_count_homs_examples():
@@ -665,6 +700,70 @@ def test_count_homs_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert max(peaks.values()) < 150_000, max(peaks.items(), key=lambda kv: kv[1])
+
+
+def _plan_presentations(rng):
+    """Random presentations and the edge cases of a shared hom plan: no
+    generators, one generator, a relator in one generator, an empty
+    relator, a generator in no relator, and seven involutions, which
+    Tietze keeps, so that `fingerprint` skips S4."""
+    for _ in range(20):
+        yield random_presentation(rng, max_gens=4, max_relators=4, max_len=6)
+    yield presentation([], [])
+    yield presentation([], [Word()])
+    yield presentation(["a"], [_power("a", 3), _power("a", -2)])
+    yield presentation(["a", "b"], [_power("a", 2), parse_word("a b a b^-1")])
+    yield presentation(["a", "b"], [Word(), parse_word("a b a^-1 b^-1")])
+    yield presentation(["a", "b", "c"], [parse_word("a b a b"), _power("b", 3)])
+    labels = [f"g{i}" for i in range(7)]
+    yield presentation(labels, [_power(lab, 2) for lab in labels]
+                       + [parse_word("g0 g1 g0^-1 g1^-1")])
+
+
+def test_fingerprint_shares_one_plan_across_the_battery(monkeypatch):
+    """`fingerprint` builds one `_hom_plan` per simplified presentation q
+    and passes it to `count_homs` for every group; its counts equal those
+    of `count_homs(q, g)` with no plan, for S3/D4/A4 and S4 unless
+    skipped. Counting every group twice on one plan, in both orders, gives
+    the plan-free counts each time, so no call changes the plan."""
+    built = []
+    plan_of = fpgroup._hom_plan
+
+    def spy(q):
+        built.append(q)
+        return plan_of(q)
+
+    rng = random.Random(83)
+    for p in _plan_presentations(rng):
+        q = tietze_simplify(p).presentation
+        groups = GROUPS if len(q.generators) <= fpgroup.S4_GENERATOR_LIMIT else GROUPS[:3]
+        with monkeypatch.context() as m:
+            m.setattr(fpgroup, "_hom_plan", spy)
+            built.clear()
+            fp = fingerprint(p, [g.name for g in GROUPS])
+            assert built == [q]
+        assert fp.skipped == tuple(g.name for g in GROUPS if g not in groups)
+        for x in (p, q):
+            expected = {g.name: count_homs(x, g) for g in groups}
+            plan = fpgroup._hom_plan(x)
+            for order in (groups, groups[::-1], groups):
+                assert {g.name: count_homs(x, g, plan=plan) for g in order} == expected, x
+        assert fp.counts == expected
+
+
+def test_fingerprint_leaves_no_reference_cycle():
+    """Tietze, the plan and the hom search leave no cyclic garbage, so each
+    call's memos are freed when it returns, not at the next collection."""
+    inputs = [raw_presentation(bmf_tnm(2, 2), projective=True), presentation_tnm(2, 2),
+              presentation_cn_affine(3)]
+    gc.collect()
+    gc.disable()
+    try:
+        for p in inputs:
+            fingerprint(p, ("S3", "D4"))
+            assert gc.collect() == 0, p
+    finally:
+        gc.enable()
 
 
 def test_count_homs_pinned_stated_counts():
