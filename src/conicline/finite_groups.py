@@ -1,10 +1,10 @@
 """Small permutation groups with precomputed multiplication tables, used as
-homomorphism-count targets, and their automorphism tables, built on first
-use."""
+homomorphism-count targets, and their automorphism and subgroup-copy
+tables, built on first use."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 
@@ -15,6 +15,8 @@ class FiniteGroup:
     mult: tuple[tuple[int, ...], ...]
     inv: tuple[int, ...]
     generators: tuple[int, ...]  # elements that generate the group
+    # copies(h) by h's name, built on first use
+    _copies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -22,17 +24,29 @@ class FiniteGroup:
 
     identity = 0
 
-    def _extension(self, images) -> tuple[int, ...] | None:
-        """The homomorphism that sends the generators to `images`, as the
-        tuple of element images, extended along the Cayley graph
-        (x g -> phi(x) image(g)); None when two edges disagree."""
-        mult = self.mult
+    @cached_property
+    def element_orders(self) -> tuple[int, ...]:
+        """The order of each element."""
+        orders = []
+        for x in range(self.order):
+            n, y = 1, x
+            while y != self.identity:
+                n, y = n + 1, self.mult[y][x]
+            orders.append(n)
+        return tuple(orders)
+
+    def _extension(self, target: FiniteGroup, images) -> tuple[int, ...] | None:
+        """The homomorphism into `target` that sends the generators to
+        `images`, as the tuple of element images, extended along the Cayley
+        graph (x g -> phi(x) image(g)) with `target`'s table; None when two
+        edges disagree."""
+        mult, tmult = self.mult, target.mult
         phi = {0: 0}
         frontier = [0]
         while frontier:
             x = frontier.pop()
             for g, a in zip(self.generators, images):
-                y, b = mult[x][g], mult[phi[x]][a]
+                y, b = mult[x][g], tmult[phi[x]][a]
                 if y not in phi:
                     phi[y] = b
                     frontier.append(y)
@@ -40,13 +54,35 @@ class FiniteGroup:
                     return None
         return tuple(phi[x] for x in range(self.order))
 
+    def _injections(self, target: FiniteGroup):
+        """The injective homomorphisms into `target`, as element image
+        tuples: the injective extensions of every choice of images for the
+        generators among the elements of `target` of the same orders (an
+        injection keeps every element's order)."""
+        orders = target.element_orders
+        choices = [[y for y in range(target.order) if orders[y] == self.element_orders[g]]
+                   for g in self.generators]
+        for images in product(*choices):
+            phi = self._extension(target, images)
+            if phi and len(set(phi)) == self.order:
+                yield phi
+
     @cached_property
     def automorphisms(self) -> tuple[tuple[int, ...], ...]:
         """The automorphisms as element permutations, sorted, so that the
-        identity is automorphism 0: the bijective extensions of every choice
-        of images for the generators."""
-        maps = map(self._extension, product(range(self.order), repeat=len(self.generators)))
-        return tuple(sorted(m for m in maps if m and len(set(m)) == self.order))
+        identity is automorphism 0: the injections into the group itself."""
+        return tuple(sorted(self._injections(self)))
+
+    def copies(self, h: FiniteGroup) -> tuple[int, ...]:
+        """The subgroups isomorphic to `h`, as bitmasks of their elements,
+        sorted: the images of the injections of h; () when h does not embed.
+        The set is Aut-stable. Built on first use per h and kept on the
+        group."""
+        got = self._copies.get(h.name)
+        if got is None:
+            got = self._copies[h.name] = tuple(sorted(
+                {sum(1 << y for y in phi) for phi in h._injections(self)}))
+        return got
 
     @cached_property
     def stabilizers(self) -> tuple[int, ...]:

@@ -440,9 +440,12 @@ def _hom_plan(p: Presentation) -> tuple:
     return k, tuple(closed), tuple(map(tuple, hoisted))
 
 
-def count_homs(p: Presentation, target: FiniteGroup, *, plan=None) -> int:
+def count_homs(p: Presentation, target: FiniteGroup, *, plan=None, subgroups=None):
     """Number of homomorphisms into `target`: assignments generator -> element
-    under which every relator evaluates to the identity.
+    under which every relator evaluates to the identity. With `subgroups`, a
+    sequence of groups, the one search also counts the homomorphisms into
+    each of them that embeds in `target`, and the result is a dict of counts
+    by group name, `target` first.
 
     Backtracking search over the generators in a greedy order that lets short
     relators close early; a relator closes at the depth d of its last
@@ -500,10 +503,22 @@ def count_homs(p: Presentation, target: FiniteGroup, *, plan=None) -> int:
     caller that counts p into several targets (`fingerprint`) builds it
     once and passes it as `plan`, which the search only reads. The memos
     are made afresh in every call.
+
+    Subgroups: let H have N_H copies H' in `target` (`target.copies(H)`).
+    A homomorphism into H is one into `target` whose image lies in a given
+    copy, so |Hom(p, H)| = (1/N_H) sum over H' of #{phi : im phi in H'}.
+    Each node carries `inside`, the bitmask of the copies (of every H) that
+    hold all the values assigned so far, ANDed per candidate with the
+    copies that hold it (`member`), and the path weight, the product of the
+    orbit sizes above it. At depth k - 2 a candidate adds, for each copy
+    still inside, the path weight times the bits of the last pending mask
+    in that copy. The copies of H are Aut(target)-stable, so the orbit walk
+    keeps each H's sum, though not each copy's. Each sum must divide by
+    N_H; the count into `target` itself is the search's own.
     """
     k, closed, plan_hoisted = _hom_plan(p) if plan is None else plan
-    if k == 0:
-        return 1 if all(not r for r in p.relators) else 0
+    copies = [(h.name, m) for h in subgroups or () for m in target.copies(h)]
+    tally = [0] * len(copies)
     mult, inv, ident = target.mult, target.inv, target.identity
     every = range(target.order)
     vals = [ident] * (2 * k)
@@ -545,14 +560,18 @@ def count_homs(p: Presentation, target: FiniteGroup, *, plan=None) -> int:
         pending[depth] &= allowed(shape)
     hoisted = [[(d, reads, None if reads is None else {}, shape) for d, reads, shape in rels]
                for rels in plan_hoisted]
-    if k == 1:
-        return pending[0].bit_count()
-
     orbits, stabilizers = target.orbits, target.stabilizers
+    member = [0] * target.order  # the copies that hold each element
+    for c, (_, m) in enumerate(copies):
+        for e in every:
+            if m >> e & 1:
+                member[e] |= 1 << c
 
-    def below(depth: int, pending: list[int], stab: int) -> int:
+    def below(depth: int, pending: list[int], stab: int, inside: int, weight: int) -> int:
         """Completions of the assignment of x_0 .. x_{depth-1}, whose
-        stabilizer in Aut(target) is the bitmask `stab`; depth < k - 1."""
+        stabilizer in Aut(target) is the bitmask `stab`, whose values all
+        lie in the copies `inside` and whose path weight is `weight`;
+        depth < k - 1. Adds the completions inside copies to `tally`."""
         reps, sizes = orbits[stab]
         # the mask is a union of orbits: walk the representatives in it
         mask = pending[depth] & reps
@@ -580,16 +599,44 @@ def count_homs(p: Presentation, target: FiniteGroup, *, plan=None) -> int:
                     break
                 child[d] = m
             else:
-                # at depth k - 2, x_{k-1} is the only depth left: count it
-                total += sizes[e] * (child[-1].bit_count() if penultimate else
-                                     below(depth + 1, child, stab & stabilizers[e]))
+                if penultimate:
+                    # x_{k-1} is the only depth left: count it, and its part
+                    # in each copy that holds every value so far
+                    total += sizes[e] * child[-1].bit_count()
+                    if inside:
+                        within = inside & member[e]
+                        while within:
+                            bit = within & -within
+                            within ^= bit
+                            c = bit.bit_length() - 1
+                            tally[c] += weight * sizes[e] * (child[-1] & copies[c][1]).bit_count()
+                else:
+                    total += sizes[e] * below(depth + 1, child, stab & stabilizers[e],
+                                              inside and inside & member[e], weight * sizes[e])
         return total
 
-    total = below(0, pending, (1 << len(target.automorphisms)) - 1)
+    if k < 2:
+        # nothing to walk: the mask of x_0, or with no generators the one
+        # empty assignment, as the identity's bit, which every copy holds
+        last = pending[0] if k else int(all(not r for r in p.relators))
+        total = last.bit_count()
+        tally = [(last & m).bit_count() for _, m in copies]
+    else:
+        total = below(0, pending, (1 << len(target.automorphisms)) - 1,
+                      (1 << len(copies)) - 1, 1)
     # `below` reaches itself through its closure cell; emptying the cell
     # frees the memos now rather than at the next cyclic collection
     del below
-    return total
+    if subgroups is None:
+        return total
+    counts = {target.name: total}
+    for h in subgroups:
+        n = len(target.copies(h))
+        s = sum(t for (name, _), t in zip(copies, tally) if name == h.name)
+        if s % n:
+            raise ArithmeticError(f"{h.name} in {target.name}: {s} homs over {n} copies")
+        counts[h.name] = s // n
+    return counts
 
 
 # --------------------------------------------------------------------------
@@ -627,24 +674,32 @@ def battery_names(battery=None) -> tuple[str, ...]:
 
 
 def fingerprint(p: Presentation, battery=None) -> Fingerprint:
-    """Hom counts into each battery group. The input is Tietze-simplified
-    first (hom counts are presentation-independent); S4 is skipped when more
-    than six generators survive simplification. The battery is checked by
-    `battery_names`. The search plan of the simplified presentation
-    (`_hom_plan`) is built once and passed to `count_homs` for every
-    group."""
+    """Hom counts into each battery group, in battery order. The input is
+    Tietze-simplified first (hom counts are presentation-independent); S4
+    is skipped when more than six generators survive simplification. The
+    battery is checked by `battery_names`. The search plan of the
+    simplified presentation (`_hom_plan`) is built once and passed to every
+    `count_homs` call.
+
+    The cover rule: the groups that run, largest first, each count every
+    not yet counted one that embeds in it (`FiniteGroup.copies`) in their
+    own search (`count_homs`'s `subgroups`). The default battery takes one
+    search, into S4, which holds S3, D4 and A4; with S4 skipped, or for S3,
+    D4 and A4 alone, none embeds in another and each takes its own."""
     names = battery_names(battery)
     q = tietze_simplify(p).presentation
     plan = _hom_plan(q)
-    counts = {}
-    skipped = []
-    for name in names:
-        group = BATTERY[name]
-        if name == "S4" and len(q.generators) > S4_GENERATOR_LIMIT:
-            skipped.append(name)
-            continue
-        counts[name] = count_homs(q, group, plan=plan)
-    return Fingerprint(counts, tuple(skipped))
+    skipped = tuple(name for name in names
+                    if name == "S4" and len(q.generators) > S4_GENERATOR_LIMIT)
+    run = sorted((BATTERY[name] for name in names if name not in skipped),
+                 key=lambda g: -g.order)
+    counts: dict[str, int] = {}
+    for group in run:
+        if group.name not in counts:
+            inner = [h for h in run if h.name not in counts and h is not group
+                     and group.copies(h)]
+            counts.update(count_homs(q, group, plan=plan, subgroups=inner))
+    return Fingerprint({name: counts[name] for name in names if name in counts}, skipped)
 
 
 @dataclass(frozen=True)

@@ -106,6 +106,28 @@ def test_automorphism_tables():
     assert merged(A4) == [{x for x in range(A4.order) if _element_order(A4, x) == 3}]
 
 
+def test_subgroup_copy_tables():
+    """`copies`: S4 has exactly 4, 3 and 1 subgroups isomorphic to S3, D4
+    and A4; none of S3, D4 and A4 embeds in another; each group is its own
+    one copy. Every copy is a subgroup of the right order, the set of a
+    group's copies is Aut-stable, and `element_orders` agrees with a walk
+    of powers."""
+    assert [len(S4.copies(h)) for h in (S3, D4, A4)] == [4, 3, 1]
+    for g in (S3, D4, A4):
+        assert [h.name for h in (S3, D4, A4) if g.copies(h)] == [g.name]
+    for g in GROUPS:
+        assert g.copies(g) == ((1 << g.order) - 1,)
+        assert g.element_orders == tuple(_element_order(g, x) for x in range(g.order))
+        for h in GROUPS:
+            found = g.copies(h)
+            for m in found:
+                members = _bits(m)
+                assert len(members) == h.order
+                assert all(g.mult[x][y] in members for x in members for y in members)
+            assert {sum(1 << a[x] for x in _bits(m)) for a in g.automorphisms
+                    for m in found} == set(found)
+
+
 def test_snf_examples():
     assert checked_snf([[2, 2], [2, 2]]) == (2,)
     p = presentation(["a", "b"], [parse_word("a b a b"), parse_word("b a b a")])
@@ -666,37 +688,44 @@ def _scramble(p, rng):
 def test_count_homs_matches_backtracking_on_stated_presentations():
     """The mask search agrees with the leaf-visiting search it replaced on
     every `homcount-stated` presentation after Tietze, and on three seeded
-    scrambles of each."""
+    scrambles of each; there the default-battery `fingerprint`, and the
+    one S4 search that counts S3, D4 and A4 too, equal the per-group
+    counts."""
     rng = random.Random(67)
     for a, projective in HOMCOUNT_STATED:
         q = tietze_simplify(a.stated(projective)).presentation
         for p in [q] + [_scramble(q, rng) for _ in range(3)]:
-            for g in GROUPS:
-                assert count_homs(p, g) == count_homs_backtrack(p, g), \
-                    (a, projective, g.name, p)
+            counts = {g.name: count_homs(p, g) for g in GROUPS}
+            assert counts == {g.name: count_homs_backtrack(p, g) for g in GROUPS}, \
+                (a, projective, p)
+            assert fingerprint(p).counts == counts, (a, projective, p)
+            assert count_homs(p, S4, subgroups=(S3, D4, A4)) == counts, (a, projective, p)
 
 
 def test_count_homs_memory_stays_bounded():
     """The peak memory tracemalloc sees in one `count_homs` call, over the
-    `homcount-stated` presentations after Tietze into S3/D4/A4/S4. Measured
+    `homcount-stated` presentations after Tietze into S3/D4/A4/S4, and in
+    the one S4 search that counts S3, D4 and A4 too. Measured
     on Python 3.11, this test's loop alone in a fresh process: 0.02 MB
     (T_{1,4} into S4) with the shared part-value memo alone, 0.07 MB
     (T_{5,0} projective into S4) with value keys bounded by
     VALUE_KEY_GENERATORS, 0.25 MB (C_6 projective into S4) with every
     relator keyed on its values; under pytest the last reads 0.27 to
-    0.31 MB. The bound, about twice the bounded peak, fails the unbounded
-    value keys."""
+    0.31 MB. The covering search adds 320 bytes to the largest bounded
+    peak (T_{2,3} projective into S4: 53,312 plain, 53,632 covering, in a
+    fresh process). The bound, about twice the bounded peak, fails the
+    unbounded value keys."""
     presentations = [tietze_simplify(a.stated(projective)).presentation
                      for a, projective in HOMCOUNT_STATED]
     peaks = {}
     tracemalloc.start()
     try:
         for q in presentations:
-            for g in GROUPS:
+            for g, subgroups in [(g, None) for g in GROUPS] + [(S4, (S3, D4, A4))]:
                 tracemalloc.reset_peak()
                 base = tracemalloc.get_traced_memory()[0]
-                count_homs(q, g)
-                peaks[q, g.name] = tracemalloc.get_traced_memory()[1] - base
+                count_homs(q, g, subgroups=subgroups)
+                peaks[q, g.name, bool(subgroups)] = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert max(peaks.values()) < 150_000, max(peaks.items(), key=lambda kv: kv[1])
@@ -722,10 +751,12 @@ def _plan_presentations(rng):
 
 def test_fingerprint_shares_one_plan_across_the_battery(monkeypatch):
     """`fingerprint` builds one `_hom_plan` per simplified presentation q
-    and passes it to `count_homs` for every group; its counts equal those
-    of `count_homs(q, g)` with no plan, for S3/D4/A4 and S4 unless
-    skipped. Counting every group twice on one plan, in both orders, gives
-    the plan-free counts each time, so no call changes the plan."""
+    and passes it to its `count_homs` calls; its counts equal those of
+    `count_homs(q, g)` with no plan, for S3/D4/A4 and S4 unless skipped.
+    Counting every group twice on one plan, in both orders, gives the
+    plan-free counts each time, so no call changes the plan; so does the
+    one S4 search that counts the others too, with no generators, with one,
+    and with more. Seven generators skip S4."""
     built = []
     plan_of = fpgroup._hom_plan
 
@@ -734,8 +765,10 @@ def test_fingerprint_shares_one_plan_across_the_battery(monkeypatch):
         return plan_of(q)
 
     rng = random.Random(83)
+    sizes = set()
     for p in _plan_presentations(rng):
         q = tietze_simplify(p).presentation
+        sizes.add(len(q.generators))
         groups = GROUPS if len(q.generators) <= fpgroup.S4_GENERATOR_LIMIT else GROUPS[:3]
         with monkeypatch.context() as m:
             m.setattr(fpgroup, "_hom_plan", spy)
@@ -748,22 +781,63 @@ def test_fingerprint_shares_one_plan_across_the_battery(monkeypatch):
             plan = fpgroup._hom_plan(x)
             for order in (groups, groups[::-1], groups):
                 assert {g.name: count_homs(x, g, plan=plan) for g in order} == expected, x
+                inner = [g for g in order if g is not S4]
+                if S4 in groups:
+                    covered = count_homs(x, S4, plan=plan, subgroups=inner)
+                    assert list(covered) == ["S4"] + [g.name for g in inner], x
+                    assert covered == expected, x
         assert fp.counts == expected
+    assert {0, 1, 7} <= sizes
 
 
 def test_fingerprint_leaves_no_reference_cycle():
-    """Tietze, the plan and the hom search leave no cyclic garbage, so each
-    call's memos are freed when it returns, not at the next collection."""
+    """Tietze, the plan and the hom search, plain and covering, leave no
+    cyclic garbage, so each call's memos are freed when it returns, not at
+    the next collection."""
     inputs = [raw_presentation(bmf_tnm(2, 2), projective=True), presentation_tnm(2, 2),
               presentation_cn_affine(3)]
     gc.collect()
     gc.disable()
     try:
         for p in inputs:
-            fingerprint(p, ("S3", "D4"))
-            assert gc.collect() == 0, p
+            for battery in (("S3", "D4"), None):
+                fingerprint(p, battery)
+                assert gc.collect() == 0, (p, battery)
     finally:
         gc.enable()
+
+
+def test_fingerprint_cover_rule(monkeypatch):
+    """The groups that run, largest first, count the not yet counted ones
+    that embed in them in their own search, and the counts come out in
+    battery order: the default battery takes one `count_homs` call, on S4;
+    S3, D4 and A4 alone take three, and so does the default battery when
+    S4 is skipped."""
+    calls = []
+    plain = fpgroup.count_homs
+
+    def spy(q, target, **kwargs):
+        calls.append((target.name, tuple(h.name for h in kwargs["subgroups"])))
+        return plain(q, target, **kwargs)
+
+    monkeypatch.setattr(fpgroup, "count_homs", spy)
+    small = presentation_tnm(2, 2)
+    seven = presentation([f"g{i}" for i in range(7)],
+                         [_power(f"g{i}", 2) for i in range(7)])
+    cases = [(small, None, [("S4", ("A4", "D4", "S3"))]),
+             (small, ("S3", "D4", "A4"), [("A4", ()), ("D4", ()), ("S3", ())]),
+             (seven, None, [("A4", ()), ("D4", ()), ("S3", ())]),
+             (small, ("S4", "S3"), [("S4", ("S3",))]),
+             (small, ("S3", "S4"), [("S4", ("S3",))]),
+             (small, ("A4", "S4", "D4"), [("S4", ("A4", "D4"))])]
+    for p, battery, want in cases:
+        calls.clear()
+        fp = fingerprint(p, battery)
+        assert calls == want, battery
+        names = fpgroup.battery_names(battery)
+        assert list(fp.counts) == [name for name in names if name not in fp.skipped]
+        q = tietze_simplify(p).presentation
+        assert fp.counts == {name: plain(q, BATTERY[name]) for name in fp.counts}, battery
 
 
 def test_count_homs_pinned_stated_counts():
