@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import Letter, Word, _inverse, _reduce, gen, substitute
+from .words import Letter, Word, _inverse, gen, substitute
 
 BELOW = "below"
 ABOVE = "above"
@@ -177,7 +177,7 @@ def endpoint_loops(s: Skeleton) -> tuple[tuple[Letter, ...], tuple[Letter, ...]]
 def apply_braid(b: ArtinWord, w: Word) -> Word:
     """Act on a word over x1..xN, letters applied in written order."""
     letters = w.letters
-    for idx, sign in _reduce(b.letters):
+    for idx, sign in b.letters:
         letters = twist(letters, (idx, idx + 1, BELOW, sign))
     return Word(letters)
 

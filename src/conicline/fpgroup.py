@@ -173,11 +173,6 @@ def _rotations(s: str, flip: dict) -> list[tuple]:
     return out
 
 
-def _windows(s: str, half: int) -> set:
-    """The length-half substrings of an encoded word."""
-    return {s[k:k + half] for k in range(len(s) - half + 1)}
-
-
 def _shorten_with(r: str, rotations: list, flip: dict) -> str:
     """Shorten the encoded relator r by replacing pieces of a relator s,
     given as `_rotations(s, flip)`, with |s| >= 3.
@@ -195,9 +190,8 @@ def _shorten_with(r: str, rotations: list, flip: dict) -> str:
     exactly when the rotation's head (its first half letters) does. The
     first rotation whose head is in r is therefore the one the rule takes;
     only the positions where `str.find` finds that head are extended, in
-    ascending order, so the earliest longest piece wins. `tietze_simplify`
-    skips the call when no head of s is one of r's length-half windows
-    (`_windows`): it would return r unchanged.
+    ascending order, so the earliest longest piece wins. When no head is in
+    r, the first loop returns r itself, unchanged.
     """
     n = len(rotations) // 2
     half = n // 2 + 1
@@ -229,14 +223,14 @@ class _Relator:
     what the passes derive from s alone, each built when first needed: the
     pass-(a) `key`; the pass-(b) `single`, the least (unprimed, label) of
     the generators that occur once in s, () for none; the pass-(c)
-    `rotations` (`_rotations`) and their `heads`; and `disjoint`, the
-    relator strings whose heads miss s's windows. A relator that changes
-    gets a new record."""
-    __slots__ = ("s", "key", "single", "heads", "rotations", "disjoint")
+    `rotations` (`_rotations`); and `disjoint`, the relator strings that
+    `_shorten_with` left s unchanged against. A relator that changes gets a
+    new record."""
+    __slots__ = ("s", "key", "single", "rotations", "disjoint")
 
     def __init__(self, s: str):
         self.s = s
-        self.key = self.single = self.heads = self.rotations = None
+        self.key = self.single = self.rotations = None
         self.disjoint = set()
 
 
@@ -281,12 +275,9 @@ def tietze_simplify(p: Presentation) -> TietzeResult:
     code point, and substitutes with `str.replace` into the relators that
     contain the eliminated generator; the others stay as they are.
 
-    Pass (c) calls `_shorten_with(r, ..., s)` only when one of the 2n heads
-    of s (n = |s| >= 3, carried by `_rotations`) is one of r's windows of
-    the same length, which is exact (see `_shorten_with`): every call
-    shortens r. r's windows are built once per distinct length, dropped
-    when r changes. That test depends only on the strings r and s, so r
-    keeps the strings s it found disjoint and does not test them again.
+    Pass (c) calls `_shorten_with` directly, with the rotations of s built
+    once per relator. Its result depends only on the strings r and s, so r
+    keeps the strings s that left it unchanged and does not try them again.
     """
     labels = p.generators
     letters, code, flip = _alphabet(labels)
@@ -345,24 +336,16 @@ def tietze_simplify(p: Presentation) -> TietzeResult:
             # (c) shortening of relators against each other
             for i in range(len(relators)):
                 r = relators[i]
-                windows: dict = {}
                 for j, other in enumerate(relators):
-                    n = len(other.s)
-                    if i == j or n < 3 or other.s in r.disjoint:
+                    if i == j or len(other.s) < 3 or other.s in r.disjoint:
                         continue
-                    heads = other.heads
-                    if heads is None:
+                    if other.rotations is None:
                         other.rotations = _rotations(other.s, flip)
-                        heads = other.heads = frozenset(h for h, _, _ in other.rotations)
-                    half = n // 2 + 1
-                    win = windows.get(half)
-                    if win is None:
-                        win = windows[half] = _windows(r.s, half)
-                    if win.isdisjoint(heads):
+                    shortened = _shorten_with(r.s, other.rotations, flip)
+                    if shortened == r.s:
                         r.disjoint.add(other.s)
                         continue
-                    r = relators[i] = _Relator(_shorten_with(r.s, other.rotations, flip))
-                    windows = {}
+                    r = relators[i] = _Relator(shortened)
                     changed = True
         if not changed:
             break

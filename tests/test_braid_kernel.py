@@ -9,7 +9,7 @@ import random
 import pytest
 
 import oracles
-from conicline import braid, vankampen, words
+from conicline import vankampen, words
 from conicline.arrangement import Arrangement
 from conicline.braid import (ABOVE, BELOW, ArtinWord, Skeleton, apply_braid, artin_action,
                              band_transport, compile_factor, compile_skeleton,
@@ -87,9 +87,9 @@ def test_random_braids_agree_with_oracle(n):
 
 
 def test_kernel_reduces_after_every_letter(monkeypatch):
-    """One reduction of the braid word, then one per remaining letter (the
-    one in `words.substitute`) and one as the result becomes a Word, and no
-    letter more than triples the word it acts on."""
+    """One reduction per braid letter (the one in `words.substitute`) and
+    one as the result becomes a Word, and no letter more than triples the
+    word it acts on."""
     calls = []
 
     def spy(letters):
@@ -99,13 +99,11 @@ def test_kernel_reduces_after_every_letter(monkeypatch):
         return out
 
     x1 = gen("x1")
-    monkeypatch.setattr(braid, "_reduce", spy)
     monkeypatch.setattr(words, "_reduce", spy)
     b = ArtinWord(3, ((1, 1), (2, 1), (2, -1)) + ((1, 1), (2, -1)) * 6)
     apply_braid(b, x1)
-    reduced_braid = calls[0][1]
-    assert len(calls) == 2 + reduced_braid
-    for (_, before), (size, _) in zip(calls[1:], calls[2:]):
+    assert len(calls) == 1 + len(b.letters)
+    for (_, before), (size, _) in zip([(1, len(x1))] + calls, calls):
         assert size <= 3 * before
 
 

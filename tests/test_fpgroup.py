@@ -3,6 +3,7 @@ import hashlib
 import random
 import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -10,7 +11,7 @@ from conicline import fpgroup
 from conicline.arrangement import Arrangement
 from conicline.catalog import bmf_cn, bmf_tn0, bmf_tnm
 from conicline.finite_groups import A4, BATTERY, D4, S3, S4
-from conicline.fpgroup import (_alphabet, _rotations, _shorten_with, _windows,
+from conicline.fpgroup import (_alphabet, _rotations, _shorten_with,
                                abelianization, compare, count_homs, fingerprint,
                                smith_normal_form, tietze_simplify)
 from conicline.paper_groups import (presentation_c2_proj, presentation_cn_affine,
@@ -254,11 +255,8 @@ def test_shorten_with_matches_naive_scan():
     shorter s the naive scan leaves r unchanged, as Tietze's skip of such
     an s assumes. The words go through Tietze's string encoding
     (`_alphabet`) over every label of the cases, and the result is decoded
-    back into a Word.
-
-    The set test Tietze runs before `_shorten_with` is exact: r's
-    half-windows miss the heads `_rotations` carries exactly when the naive
-    scan leaves r unchanged."""
+    back into a Word. More than a tenth of the cases shorten r and more
+    than a tenth leave it unchanged, so both outcomes are exercised."""
     rng = random.Random(53)
     cases = []
     for _ in range(1000):
@@ -279,23 +277,60 @@ def test_shorten_with_matches_naive_scan():
     def encode(w):
         return "".join(code[letter] for letter in w.letters)
 
-    shortened = skips = 0
+    shortened = unchanged = 0
     for r, s in cases:
         want = shorten_with_naive(r, s)
         if len(s) < 3:
             assert want == r, (r, s)
             continue
-        rotations = _rotations(encode(s), flip)
-        windows = _windows(encode(r), len(s) // 2 + 1)
-        got = _shorten_with(encode(r), rotations, flip)
+        got = _shorten_with(encode(r), _rotations(encode(s), flip), flip)
         assert Word(tuple(letters[ord(c)] for c in got)) == want, (r, s)
         shortened += len(want) < len(r)
-        heads = {head for head, _, _ in rotations}
-        disjoint = windows.isdisjoint(heads)
-        assert disjoint == (want == r), (r, s)
-        skips += disjoint
+        unchanged += want == r
     assert shortened > len(cases) // 10
-    assert skips > len(cases) // 10
+    assert unchanged > len(cases) // 10
+
+
+def test_tietze_does_not_retry_an_unchanged_pair(monkeypatch):
+    """Within one `tietze_simplify` call, pass (c) hands `_shorten_with` a
+    pair of strings (r, s) it already returned unchanged only when another
+    relator record holds the same string r: a record keeps the strings s
+    that left it unchanged. Duplicates arise when pass (c) turns a relator
+    into the empty word or into another relator, until the next pass (a)
+    drops them. Checked on each criterion-06 raw presentation and each
+    `homcount-stated` stated one; at least one pair comes back unchanged,
+    so the memo is exercised."""
+    shorten_with = fpgroup._shorten_with
+    records: Counter = Counter()
+    unchanged: set = set()
+
+    class Relator(fpgroup._Relator):
+        __slots__ = ()
+
+        def __init__(self, s):
+            super().__init__(s)
+            records[s] += 1
+
+    def spy(r, rotations, flip):
+        _, doubled, _ = rotations[0]
+        pair = (r, doubled[:len(rotations) // 2])
+        assert pair not in unchanged or records[r] > 1, pair
+        out = shorten_with(r, rotations, flip)
+        if out == r:
+            unchanged.add(pair)
+        return out
+
+    monkeypatch.setattr(fpgroup, "_Relator", Relator)
+    monkeypatch.setattr(fpgroup, "_shorten_with", spy)
+    inputs = list(_criterion_06_raw()) + [a.stated(projective)
+                                          for a, projective in HOMCOUNT_STATED]
+    seen = 0
+    for p in inputs:
+        records.clear()
+        unchanged.clear()
+        tietze_simplify(p)
+        seen += len(unchanged)
+    assert seen > 0
 
 
 def test_tietze_pinned_raw_outputs():
