@@ -221,17 +221,49 @@ def _shorten_with(r: str, rotations: list, flip: dict) -> str:
 class _Relator:
     """A current relator of `tietze_simplify`, the encoded string `s`, with
     what the passes derive from s alone, each built when first needed: the
-    pass-(a) `key`; the pass-(b) `single`, the least (unprimed, label) of
-    the generators that occur once in s, () for none; the pass-(c)
-    `rotations` (`_rotations`); and `disjoint`, the relator strings that
-    `_shorten_with` left s unchanged against. A relator that changes gets a
-    new record."""
-    __slots__ = ("s", "key", "single", "rotations", "disjoint")
+    pass-(a) `bag`, the letters of s with both signs folded onto the even
+    code point, sorted, which no rotation or inversion changes, and `key`,
+    the least string among the rotations of s and of its inverse; the
+    pass-(b) `single`, the least (unprimed, label) of the generators that
+    occur once in s, () for none; the pass-(c) `rotations` (`_rotations`);
+    and `disjoint`, the relator strings that `_shorten_with` left s
+    unchanged against. A relator that changes gets a new record."""
+    __slots__ = ("s", "bag", "key", "single", "rotations", "disjoint")
 
     def __init__(self, s: str):
         self.s = s
-        self.key = self.single = self.rotations = None
+        self.bag = self.key = self.single = self.rotations = None
         self.disjoint = set()
+
+
+def _distinct(relators: list, fold: dict, flip: dict) -> list:
+    """Tietze's pass (a): the nonempty `relators`, less every one equal to
+    an earlier one up to rotation and inversion, that is, with the same
+    `key`. Equal keys have equal bags, so a relator whose bag no earlier
+    kept relator has is kept without a key; keys are built only within a
+    bag that two relators share. `fold` maps a code point to the even one of
+    its generator. The lists by bag hold records, so they end with this
+    call rather than keep the records that pass (c) replaces alive."""
+    kept: dict[str, list] = {}  # the relators kept so far, by bag
+    out = []
+    for r in relators:
+        if not r.s:
+            continue
+        if r.bag is None:
+            r.bag = "".join(sorted(r.s.translate(fold)))
+        same = kept.setdefault(r.bag, [])
+        if same:
+            for q in (r, *same):
+                if q.key is None:
+                    s, n = q.s, len(q.s)
+                    q.key = min(cand[start:start + n]
+                                for cand in (s + s, 2 * _invert(s, flip))
+                                for start in range(n))
+            if any(q.key == r.key for q in same):
+                continue
+        same.append(r)
+        out.append(r)
+    return out
 
 
 # Tietze's pass budget; no raw grid presentation takes more than 12 passes.
@@ -269,15 +301,21 @@ def tietze_simplify(p: Presentation) -> TietzeResult:
 
     Each current relator is a `_Relator`, which holds what the passes
     derive from its string; a relator that changes is replaced by a fresh
-    one, so only a changed relator is recomputed. Pass (a) keys a relator
-    by the least string among its rotations and those of its inverse. Pass
-    (b) counts a relator's letters with both signs folded onto the even
-    code point, and substitutes with `str.replace` into the relators that
-    contain the eliminated generator; the others stay as they are.
+    one, so only a changed relator is recomputed. Pass (a) (`_distinct`)
+    sorts a relator's letters, with both signs folded onto the even code
+    point, into its bag, and builds its key, the least string among its
+    rotations and those of its inverse, only when an earlier kept relator
+    has the same bag. Pass (b) counts a relator's letters in its bag, and
+    substitutes with `str.replace` into the relators that contain the
+    eliminated generator; the others stay as they are.
 
     Pass (c) calls `_shorten_with` directly, with the rotations of s built
-    once per relator. Its result depends only on the strings r and s, so r
-    keeps the strings s that left it unchanged and does not try them again.
+    once per relator. It skips a pair when r is shorter than the head of s,
+    |r| < |s| // 2 + 1: no head of s then occurs in r, so `_shorten_with`
+    would return r unchanged. That also skips a relator pass (c) has just
+    shortened to the empty word. The result depends only on the strings r
+    and s, so r keeps the strings s that left it unchanged and does not try
+    them again.
     """
     labels = p.generators
     letters, code, flip = _alphabet(labels)
@@ -295,20 +333,7 @@ def tietze_simplify(p: Presentation) -> TietzeResult:
         passes += 1
         changed = False
         # (a) dedupe (up to rotation and inversion) + drop trivial
-        seen = set()
-        cleaned = []
-        for r in relators:
-            key = r.key
-            if key is None:
-                s = r.s
-                n = len(s)
-                key = r.key = min((cand[start:start + n]
-                                   for cand in (s + s, 2 * _invert(s, flip))
-                                   for start in range(n)), default="")
-            if not key or key in seen:
-                continue
-            seen.add(key)
-            cleaned.append(r)
+        cleaned = _distinct(relators, fold, flip)
         if len(cleaned) != len(relators):
             changed = True
         relators = cleaned
@@ -316,7 +341,7 @@ def tietze_simplify(p: Presentation) -> TietzeResult:
         # primed (conic) generators go first, then shortest defining relator.
         for r in relators:
             if r.single is None:
-                r.single = min((rank[g] for g, cnt in Counter(r.s.translate(fold)).items()
+                r.single = min((rank[g] for g, cnt in Counter(r.bag).items()
                                 if cnt == 1), default=())
         pick = min(((r.single[0], len(r.s), r.single[1], ridx)
                     for ridx, r in enumerate(relators) if r.single), default=None)
@@ -337,7 +362,8 @@ def tietze_simplify(p: Presentation) -> TietzeResult:
             for i in range(len(relators)):
                 r = relators[i]
                 for j, other in enumerate(relators):
-                    if i == j or len(other.s) < 3 or other.s in r.disjoint:
+                    n = len(other.s)
+                    if i == j or n < 3 or n // 2 + 1 > len(r.s) or other.s in r.disjoint:
                         continue
                     if other.rotations is None:
                         other.rotations = _rotations(other.s, flip)

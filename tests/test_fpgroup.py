@@ -23,6 +23,7 @@ from conicline.words import Word, gen, invert, multiply
 from oracles import (centralizer_orbits, conjugacy_classes, count_homs_backtrack,
                      count_homs_bruteforce, invariant_factors_by_minors, parse_word,
                      random_presentation, shorten_with_naive, tietze_reference)
+from test_arrangement import BUILD_GRID
 
 GROUPS = (S3, D4, A4, S4)
 
@@ -252,11 +253,13 @@ def test_shorten_with_matches_naive_scan():
     """`_shorten_with` returns the naive window scan's word on random
     reduced words and on every ordered relator pair of the criterion-06 raw
     presentations, for every s with |s| >= 3, its precondition; for a
-    shorter s the naive scan leaves r unchanged, as Tietze's skip of such
-    an s assumes. The words go through Tietze's string encoding
+    shorter s, and for an r shorter than the head of s (|r| < |s| // 2 + 1
+    letters), the naive scan leaves r unchanged, as Tietze's skips of such
+    pairs assume. The words go through Tietze's string encoding
     (`_alphabet`) over every label of the cases, and the result is decoded
     back into a Word. More than a tenth of the cases shorten r and more
-    than a tenth leave it unchanged, so both outcomes are exercised."""
+    than a tenth leave it unchanged, so both outcomes are exercised, and
+    more than a twentieth have an r shorter than the head of s."""
     rng = random.Random(53)
     cases = []
     for _ in range(1000):
@@ -277,9 +280,13 @@ def test_shorten_with_matches_naive_scan():
     def encode(w):
         return "".join(code[letter] for letter in w.letters)
 
-    shortened = unchanged = 0
+    shortened = unchanged = short = 0
     for r, s in cases:
         want = shorten_with_naive(r, s)
+        if len(r) < len(s) // 2 + 1:
+            # no piece of more than half of s fits in r
+            assert want == r, (r, s)
+            short += 1
         if len(s) < 3:
             assert want == r, (r, s)
             continue
@@ -289,6 +296,7 @@ def test_shorten_with_matches_naive_scan():
         unchanged += want == r
     assert shortened > len(cases) // 10
     assert unchanged > len(cases) // 10
+    assert short > len(cases) // 20
 
 
 def test_tietze_does_not_retry_an_unchanged_pair(monkeypatch):
@@ -331,6 +339,66 @@ def test_tietze_does_not_retry_an_unchanged_pair(monkeypatch):
         tietze_simplify(p)
         seen += len(unchanged)
     assert seen > 0
+
+
+def test_tietze_skips_only_work_that_cannot_change_its_output(monkeypatch):
+    """Pass (c) never hands `_shorten_with` an empty r, nor an r shorter
+    than the head of s (|s| // 2 + 1 letters), which `_shorten_with` would
+    return unchanged; and pass (a) builds the least-rotation key for fewer
+    than a fifth of the `_Relator` records, as only relators with the same
+    bag need one. Checked on each criterion-06 raw presentation, each
+    `homcount-stated` stated one and raw projective T_{3,3} and T_{8,0}."""
+    shorten_with = fpgroup._shorten_with
+    records = []
+    calls = 0
+
+    class Relator(fpgroup._Relator):
+        __slots__ = ()
+
+        def __init__(self, s):
+            super().__init__(s)
+            records.append(self)
+
+    def spy(r, rotations, flip):
+        nonlocal calls
+        calls += 1
+        n = len(rotations) // 2
+        assert r and len(r) >= n // 2 + 1, (r, n)
+        return shorten_with(r, rotations, flip)
+
+    monkeypatch.setattr(fpgroup, "_Relator", Relator)
+    monkeypatch.setattr(fpgroup, "_shorten_with", spy)
+    inputs = (list(_criterion_06_raw())
+              + [a.stated(projective) for a, projective in HOMCOUNT_STATED]
+              + [raw_presentation(b, projective=True) for b in (bmf_tnm(3, 3), bmf_tn0(8))])
+    for p in inputs:
+        tietze_simplify(p)
+    keys = sum(r.key is not None for r in records)
+    assert calls > 0 and 0 < keys < len(records) / 5, (calls, keys, len(records))
+
+
+# The raw grid of the north star: C_1..C_10, T_{0,0}, T_{n,0} for n <= 8 and
+# T_{n,m} for n, m <= 5, each affine and projective.
+RAW_GRID = [(Arrangement(*a), projective) for a in BUILD_GRID for projective in (False, True)]
+
+
+def test_tietze_pinned_raw_grid_outputs():
+    """One SHA-256 over the `presentation_text`, passes and exhausted flag
+    of Tietze's output on each of the 88 raw grid presentations, in grid
+    order, taken from the Tietze of commit c517c8d, before pass (c)'s
+    length test and pass (a)'s bag test. No input needs more than 12
+    passes, the claim of the `TIETZE_PASSES` comment."""
+    digest = hashlib.sha256()
+    most = 0
+    for a, projective in RAW_GRID:
+        res = tietze_simplify(raw_presentation(a.bmf(), projective=projective))
+        text = presentation_text(res.presentation)
+        digest.update(f"{text}\n{res.passes} {res.exhausted}\n".encode())
+        most = max(most, res.passes)
+    assert len(RAW_GRID) == 88
+    assert most <= 12
+    assert digest.hexdigest() == (
+        "5f453c22f6feb8e3c15217b159fde5d0ac309d1fee7fe967b38578ab6a69f9d9")
 
 
 def test_tietze_pinned_raw_outputs():
@@ -455,13 +523,16 @@ def test_tietze_memory_stays_bounded():
     """The peak memory tracemalloc sees in one `tietze_simplify` call on raw
     projective T_{5,5}, measured from a base as in
     `test_count_homs_memory_stays_bounded`. Measured on Python 3.11:
-    1.82 MB with the derived data held per current relator, under pytest
-    for this test alone and in a fresh process alike, and 1.69 MB when the
-    whole file runs; 1.84 and 1.71 MB when every pass rebuilt it. Caching
-    it in dicts keyed on every relator string seen in the call, pair tests
-    included, reads 6.30 MB. Such peaks move by about 20 % with what else
-    ran in the process, so the bound, about 1.3 times the rebuilding peak,
-    keeps that margin and fails the string-keyed cache."""
+    1.21 MB with the derived data, each relator's bag included, held per
+    current relator, under pytest for this test alone and in a fresh
+    process alike, and 1.08–1.21 MB when the whole file runs; 1.43 and
+    1.30 MB before pass (c) skipped an r shorter than the head of s, which
+    builds fewer rotation tables. With pass (c)'s window sets, 1.82 and 1.69 MB;
+    1.84 and 1.71 MB when every pass rebuilt the derived data, and 6.30 MB
+    when it was cached in dicts keyed on every relator string seen in the
+    call, pair tests included. Such peaks move by about 20 % with what
+    else ran in the process, so the bound, about 1.3 times the rebuilding
+    peak, keeps that margin and fails the string-keyed cache."""
     p = raw_presentation(bmf_tnm(5, 5), projective=True)
     tracemalloc.start()
     try:
