@@ -11,8 +11,9 @@ a proof of isomorphism.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import groupby
 from operator import itemgetter
 
 from .finite_groups import BATTERY, DEFAULT_BATTERY, FiniteGroup
@@ -385,27 +386,42 @@ def tietze_simplify(p: Presentation) -> TietzeResult:
 # --------------------------------------------------------------------------
 
 
-# A relator whose head and segments read at most this many generators keys
-# its masks first on those generators' values: at most |G|^3 keys per
-# relator, 13,824 for S4. Keying every relator on its values grows the memos
-# as |G|^reads: on the `homcount-stated` benchmark workload it raised the
-# peak RSS from 27.7 to 30.9 MB and was no faster. A value-key miss falls
-# back to the shared memo keyed on signs, head and segment values, which
-# answers 13,186 of the 14,957 misses in one seed-0 sweep of that workload.
+# A relator whose head and segments read at most this many sources, x_h
+# included, keys its masks first on their values (`count_homs`): at most
+# |G|^3 entries per relator, 13,824 for S4. A source is a generator, or in
+# a wider relator a run of its letters (`_hom_plan`). Raising it to 99 keys
+# every row on generators, which grows the memos as |G|^reads: the largest
+# tracemalloc peak of `test_count_homs_memory_stays_bounded` goes from
+# 39,584 to 116,904 bytes. A miss falls back to the shared memo keyed on signs, head
+# and segment values, which computes 4,942 of the 38,147 masks asked of it
+# in four seed-11 sweeps of the `homcount-stated` benchmark workload.
 VALUE_KEY_GENERATORS = 3
 
 
 def _hom_plan(p: Presentation) -> tuple:
     """The part of `count_homs(p, ...)` that depends on p alone: (k, closed,
-    hoisted), k being the number of generators. The generators are ordered
-    greedily, the next being the first unplaced one that closes the most
-    relators, and each nonempty relator is split as `count_homs` describes
-    into its shape ((head, seg1, ...), (s1 > 0, ...)), the parts as tuples
-    of `vals` slots. A relator whose parts read no generator is (d, shape)
-    in `closed`, d being its closing depth. Any other is (d, reads, shape)
-    in hoisted[h], h being the deepest generator its parts read; `reads` is
-    None when they read more than VALUE_KEY_GENERATORS generators, else an
-    itemgetter of their values."""
+    hoisted, runs), k being the number of generators. The generators are
+    ordered greedily, the next being the first unplaced one that closes the
+    most relators, and each nonempty relator is split as `count_homs`
+    describes into its shape ((head, seg1, ...), (s1 > 0, ...)), the parts
+    as tuples of `vals` slots. A relator whose parts read no generator is
+    (d, shape) in `closed`, d being its closing depth. Any other is
+    (d, key, shape) in hoisted[h], h being the deepest generator its parts
+    read.
+
+    Sources: a relator that reads at most VALUE_KEY_GENERATORS generators
+    keeps its parts, and its sources are the generators it reads before
+    x_h. In a wider one the letters other than x_h in each part fall into
+    maximal runs, all of generators placed before x_h. A run of two or
+    more letters is one slot from 2k on, (slot, run) in runs[h], shared by
+    the relators hoisted to h that have it, and is a source; a run of one
+    letter keeps its slot, and its generator is the source.
+
+    `key` is an itemgetter of the sources' slots, () when there is none
+    (one row per call), or None when there is no row: when the sources and
+    x_h are more than VALUE_KEY_GENERATORS, or when the sources include
+    every generator before x_h, whose values no two nodes at depth h share,
+    so that a row would never be read twice."""
     labels = p.generators
     k = len(labels)
     rel_labels = [frozenset(lab for lab, _ in r.letters) for r in p.relators]
@@ -422,6 +438,7 @@ def _hom_plan(p: Presentation) -> tuple:
     pos = {lab: i for i, lab in enumerate(order)}
     closed = []
     hoisted: list[list[tuple]] = [[] for _ in range(k)]
+    run_slots: dict[tuple, int] = {}  # (h, run) -> its slot
     for r in p.relators:
         if not r:
             continue
@@ -438,15 +455,37 @@ def _hom_plan(p: Presentation) -> tuple:
                 positive.append(sign > 0)
             else:
                 parts[-1].append(2 * px + (sign < 0))
-        shape = (tuple(map(tuple, parts)), tuple(positive))
         read = sorted({slot >> 1 for part in parts for slot in part})
         if not read:
-            closed.append((depth, shape))
-        elif len(read) <= VALUE_KEY_GENERATORS:
-            hoisted[read[-1]].append((depth, itemgetter(*(2 * px for px in read)), shape))
+            closed.append((depth, (tuple(map(tuple, parts)), tuple(positive))))
+            continue
+        h = read[-1]
+        if len(read) <= VALUE_KEY_GENERATORS:
+            sources = {2 * px for px in read[:-1]}
         else:
-            hoisted[read[-1]].append((depth, None, shape))
-    return k, tuple(closed), tuple(map(tuple, hoisted))
+            sources = set()
+            for i, part in enumerate(parts):
+                parts[i] = []
+                for at_h, run in groupby(part, lambda slot: slot >> 1 == h):
+                    run = tuple(run)
+                    if at_h:
+                        parts[i] += run
+                    elif len(run) == 1:
+                        parts[i] += run
+                        sources.add(run[0] & ~1)
+                    else:
+                        slot = run_slots.setdefault((h, run), 2 * k + len(run_slots))
+                        parts[i].append(slot)
+                        sources.add(slot)
+        if len(sources) >= VALUE_KEY_GENERATORS or sources >= {2 * px for px in range(h)}:
+            key = None
+        else:
+            key = itemgetter(*sorted(sources)) if sources else ()
+        hoisted[h].append((depth, key, (tuple(map(tuple, parts)), tuple(positive))))
+    runs: list[list[tuple]] = [[] for _ in range(k)]
+    for (h, run), slot in run_slots.items():
+        runs[h].append((slot, run))
+    return k, tuple(closed), tuple(map(tuple, hoisted)), tuple(map(tuple, runs))
 
 
 def count_homs(p: Presentation, target: FiniteGroup, *, plan=None, subgroups=None):
@@ -483,34 +522,39 @@ def count_homs(p: Presentation, target: FiniteGroup, *, plan=None, subgroups=Non
     match, a rotation or the inverse of it among them.
 
     Value array: one list per call holds x_i at slot 2i and x_i^-1 at slot
-    2i + 1, both written when x_i is assigned. A head or segment is a tuple
-    of slots, so evaluating it reads the array with no sign test.
-
-    Value keys: a relator whose head and segments read at most
-    VALUE_KEY_GENERATORS generators first looks its mask up by the values
-    assigned to those generators, so a hit evaluates no word. Only a miss
-    evaluates the head and segments, and falls back to the shared memo. A
-    relator that reads more generators keeps to the shared memo alone,
-    which bounds the value-keyed memos at |G|^3 entries each.
+    2i + 1, both written when x_i is assigned, and from slot 2k on the
+    values of the runs (`_hom_plan`). A head or segment is a tuple of
+    slots, so evaluating it reads the array with no sign test.
 
     Hoisting and forward checking: the key is fixed once the deepest
     generator read by the head and segments, x_h, is assigned. The mask is
     looked up right then, in the search loop itself, and ANDed into the
     pending candidate mask of depth d; a relator in x_d alone is ANDed in
-    before the search. The pending masks are copied only at a depth that
-    has hoisted relators, and a candidate is pruned at the first mask that
+    before the search. A candidate is pruned at the first mask that
     empties.
 
-    The last depth is counted in place. `below` has one candidate loop; at
-    depth k - 2 a candidate that survives its hoisted relators (all of
-    which close at k - 1) adds the number of bits left in the pending mask
-    of x_{k-1}, weighted by its orbit size, instead of a call for depth
-    k - 1.
+    Rows and runs: entering a node at depth h, `below` multiplies out the
+    runs of runs[h], whose letters are all assigned, and fetches for each
+    relator hoisted there with a value key one row of |G| slots, keyed on
+    the values of the sources its parts read before x_h, generators or
+    runs. Each candidate e reads slot e of that row, so a hit evaluates no
+    word; a miss evaluates the head and segments, falls back to the shared
+    memo and fills the slot. A relator with more than VALUE_KEY_GENERATORS
+    sources, x_h included, has no row and keeps to the shared memo alone,
+    which bounds each relator's rows at |G|^3 slots; its runs still save
+    it letters. So does a relator whose sources include every generator
+    before x_h, as no other node could read its row.
 
-    Plan: the greedy order, and each relator's closing depth, shape and
-    read generators, depend on p alone. `_hom_plan(p)` builds them; a
-    caller that counts p into several targets (`fingerprint`) builds it
-    once and passes it as `plan`, which the search only reads. The memos
+    The pending masks are copied per candidate only at a depth that has
+    hoisted relators and is not k - 2. The last depth is counted in place:
+    at depth k - 2 every hoisted relator closes at k - 1, so a candidate
+    narrows that one mask as an int and adds the number of bits left in
+    it, weighted by its orbit size, instead of a call for depth k - 1.
+
+    Plan: the greedy order, and each relator's closing depth, shape, value
+    key and runs, depend on p alone. `_hom_plan(p)` builds them; a caller
+    that counts p into several targets (`fingerprint`) builds it once and
+    passes it as `plan`, which the search only reads. The memos and rows
     are made afresh in every call.
 
     Subgroups: let H have N_H copies H' in `target` (`target.copies(H)`).
@@ -519,18 +563,19 @@ def count_homs(p: Presentation, target: FiniteGroup, *, plan=None, subgroups=Non
     Each node carries `inside`, the bitmask of the copies (of every H) that
     hold all the values assigned so far, ANDed per candidate with the
     copies that hold it (`member`), and the path weight, the product of the
-    orbit sizes above it. At depth k - 2 a candidate adds, for each copy
-    still inside, the path weight times the bits of the last pending mask
-    in that copy. The copies of H are Aut(target)-stable, so the orbit walk
-    keeps each H's sum, though not each copy's. Each sum must divide by
-    N_H; the count into `target` itself is the search's own.
+    orbit sizes above it, which is computed only while `inside` is not
+    empty (never in a plain search). At depth k - 2 a candidate adds, for
+    each copy still inside, the path weight times the bits of the last
+    pending mask in that copy. The copies of H are Aut(target)-stable, so
+    the orbit walk keeps each H's sum, though not each copy's. Each sum
+    must divide by N_H; the count into `target` itself is the search's own.
     """
-    k, closed, plan_hoisted = _hom_plan(p) if plan is None else plan
+    k, closed, plan_hoisted, runs = _hom_plan(p) if plan is None else plan
     copies = [(h.name, m) for h in subgroups or () for m in target.copies(h)]
     tally = [0] * len(copies)
     mult, inv, ident = target.mult, target.inv, target.identity
     every = range(target.order)
-    vals = [ident] * (2 * k)
+    vals = [ident] * (2 * k + sum(map(len, runs)))
     masks: dict[tuple, int] = {}
 
     def allowed(shape) -> int:
@@ -562,13 +607,14 @@ def count_homs(p: Presentation, target: FiniteGroup, *, plan=None, subgroups=Non
         return mask
 
     # a relator in x_d alone is ANDed into the pending mask of depth d
-    # before the search; each hoisted relator with value keys gets its own
-    # value-keyed memo, (d, reads, memo, shape)
+    # before the search; each hoisted relator is (d, key, rows, shape), rows
+    # being its own rows by value key, its one row for key (), or None
     pending = [(1 << target.order) - 1] * k
     for depth, shape in closed:
         pending[depth] &= allowed(shape)
-    hoisted = [[(d, reads, None if reads is None else {}, shape) for d, reads, shape in rels]
-               for rels in plan_hoisted]
+    blank = [None] * target.order
+    hoisted = [[(d, key, None if key is None else defaultdict(blank.copy) if key else blank.copy(),
+                 shape) for d, key, shape in rels] for rels in plan_hoisted]
     orbits, stabilizers = target.orbits, target.stabilizers
     member = [0] * target.order  # the copies that hold each element
     for c, (_, m) in enumerate(copies):
@@ -584,44 +630,50 @@ def count_homs(p: Presentation, target: FiniteGroup, *, plan=None, subgroups=Non
         reps, sizes = orbits[stab]
         # the mask is a union of orbits: walk the representatives in it
         mask = pending[depth] & reps
-        rels = hoisted[depth]
+        for at, run in runs[depth]:
+            acc = ident
+            for slot in run:
+                acc = mult[acc][vals[slot]]
+            vals[at] = acc
+        rels = [(d, rows[key(vals)] if key else rows, shape)
+                for d, key, rows, shape in hoisted[depth]]
         slot = 2 * depth
         total = 0
         penultimate = depth + 2 == k
+        copy = bool(rels) and not penultimate
         while mask:
             low = mask & -mask
             mask ^= low
             e = low.bit_length() - 1
             vals[slot] = e
             vals[slot + 1] = inv[e]
-            child = pending.copy() if rels else pending
-            for d, reads, memo, shape in rels:
-                if reads is None:
-                    got = allowed(shape)
+            child = pending.copy() if copy else pending
+            m = pending[-1]  # what is left of x_{k-1} at depth k - 2
+            for d, row, shape in rels:
+                got = row[e] if row else allowed(shape)
+                if got is None:
+                    got = row[e] = allowed(shape)
+                if copy:
+                    m = child[d] = child[d] & got
                 else:
-                    key = reads(vals)
-                    got = memo.get(key)
-                    if got is None:
-                        got = memo[key] = allowed(shape)
-                m = child[d] & got
+                    m &= got
                 if not m:
                     break
-                child[d] = m
             else:
+                size = sizes[e]
+                within = inside and inside & member[e]
                 if penultimate:
-                    # x_{k-1} is the only depth left: count it, and its part
-                    # in each copy that holds every value so far
-                    total += sizes[e] * child[-1].bit_count()
-                    if inside:
-                        within = inside & member[e]
-                        while within:
-                            bit = within & -within
-                            within ^= bit
-                            c = bit.bit_length() - 1
-                            tally[c] += weight * sizes[e] * (child[-1] & copies[c][1]).bit_count()
+                    # x_{k-1} is the only depth left, its mask m: count it,
+                    # and its part in each copy that holds every value so far
+                    total += size * m.bit_count()
+                    while within:
+                        bit = within & -within
+                        within ^= bit
+                        c = bit.bit_length() - 1
+                        tally[c] += weight * size * (m & copies[c][1]).bit_count()
                 else:
-                    total += sizes[e] * below(depth + 1, child, stab & stabilizers[e],
-                                              inside and inside & member[e], weight * sizes[e])
+                    total += size * below(depth + 1, child, stab & stabilizers[e],
+                                          within, within and weight * size)
         return total
 
     if k < 2:

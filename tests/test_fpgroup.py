@@ -619,16 +619,25 @@ def _search_branches(p, g):
     through the profiler hook. The search loop `below` looks masks up
     inline, so the hook follows the candidates of each `below` frame: a
     candidate starts at the `bit_length` call that picks it and ends at the
-    next one or at the frame's return. A lookup is a value-keyed memo `get`
-    or an `allowed` call of a relator without one, made from `below`.
+    next one or at the frame's return. A row hit is a list index, which
+    the hook does not see: at the start of a candidate it reads the node's
+    rows (`rels`, one (d, row, shape) per relator hoisted there, in the
+    order the candidate looks them up) and the plan entries they were
+    fetched for (`hoisted`); any other lookup is an `allowed` call made
+    from `below`.
     - 'before-search': a relator in one generator ANDed in before the search;
     - 'hoisted-0', 'hoisted-1', 'hoisted-2+': the depth of a mask lookup;
-    - 'value-hit': a lookup answered by the value-keyed memo;
-      'value-miss-part-hit': a value-key miss answered by the shared memo
-      keyed on signs and part values; 'part-value-only': a lookup of a
-      relator that reads more than VALUE_KEY_GENERATORS generators and has
-      no value-keyed memo; 'cross-relator-hit': a lookup answered by a mask
-      of the shared memo that another relator computed;
+    - 'value-hit': a node fetching by its value key a row that an earlier
+      node filled; 'row-hit': a candidate whose first lookup its row
+      answers; 'row-miss': a lookup whose row slot is empty;
+      'value-miss-part-hit': a row miss answered by the shared memo keyed
+      on signs and part values; 'part-value-only': a lookup of a relator
+      without a row; 'cross-relator-hit': a lookup answered by a mask of
+      the shared memo that another relator computed;
+    - 'run-keyed': a lookup of a relator that reads more than
+      VALUE_KEY_GENERATORS generators and has a row, keyed through the
+      run slots (from 2k on) that its parts read; 'run-unkeyed': a lookup
+      of one that reads run slots and has no row;
     - 'forward-prune': a candidate cut before its subtree because the mask
       of a depth beyond the next one emptied;
     - 'last-depth-counted': a candidate for x_{k-2} whose x_{k-1} images
@@ -642,24 +651,36 @@ def _search_branches(p, g):
     k = len(p.generators)
     seen = set()
     owner = {}  # shared-memo key -> the shape whose lookup computed it
-    # per open `below` frame, its current candidate: [closing depth of the
-    # last lookup, whether the candidate was counted or entered its subtree]
+    # per open `below` frame, whether its current candidate was counted or
+    # entered its subtree (None before its first candidate)
     candidate = {}
 
-    def lookup(frame):
-        depth = frame.f_locals["depth"]
-        seen.add(f"hoisted-{depth}" if depth < 2 else "hoisted-2+")
-        candidate[frame][0] = frame.f_locals["d"]
+    def depth_label(depth):
+        return f"hoisted-{depth}" if depth < 2 else "hoisted-2+"
+
+    def start(frame):
+        depth, rels = frame.f_locals["depth"], frame.f_locals["rels"]
+        e = frame.f_locals["low"].bit_length() - 1
+        if candidate[frame] is None:
+            plan = frame.f_locals["hoisted"][depth]
+            if any(callable(key) and any(x is not None for x in row)
+                   for (_, key, _, _), (_, row, _) in zip(plan, rels)):
+                seen.add("value-hit")
+        if rels:
+            seen.add(depth_label(depth))
+            row = rels[0][1]
+            if row is not None and row[e] is not None:
+                seen.add("row-hit")
+        candidate[frame] = False
 
     def finish(frame):
-        cand = candidate.get(frame)
-        if cand is None or cand[1] or cand[0] is None:
-            return
-        depth = frame.f_locals["depth"]
-        if depth + 2 == k:
-            seen.add("last-depth-pruned")
-        elif cand[0] > depth + 1:
-            seen.add("forward-prune")
+        if candidate.get(frame) is False:
+            # pruned: `d` is the closing depth of the mask that emptied
+            depth = frame.f_locals["depth"]
+            if depth + 2 == k:
+                seen.add("last-depth-pruned")
+            elif frame.f_locals["d"] > depth + 1:
+                seen.add("forward-prune")
 
     def hook(frame, event, arg):
         name = frame.f_code.co_name
@@ -667,7 +688,7 @@ def _search_branches(p, g):
         if name == "below":
             if event == "call":
                 if caller.f_code.co_name == "below":
-                    candidate[caller][1] = True
+                    candidate[caller] = True
                 candidate[frame] = None
                 depth, pending = frame.f_locals["depth"], frame.f_locals["pending"]
                 sizes = g.orbits[frame.f_locals["stab"]][1]
@@ -679,20 +700,19 @@ def _search_branches(p, g):
                 del candidate[frame]
             elif event == "c_call" and arg.__name__ == "bit_length":
                 finish(frame)
-                candidate[frame] = [None, False]
-            elif event == "c_call" and arg.__name__ == "get":
-                lookup(frame)
-                if frame.f_locals["key"] in arg.__self__:
-                    seen.add("value-hit")
+                start(frame)
             elif event == "c_call" and arg.__name__ == "bit_count":
-                candidate[frame][1] = True
+                candidate[frame] = True
                 seen.add("last-depth-counted")
         elif name == "allowed":
             if event == "call" and caller.f_code.co_name == "count_homs":
                 seen.add("before-search")
-            elif event == "call" and caller.f_locals["reads"] is None:
-                seen.add("part-value-only")
-                lookup(caller)
+            elif event == "call":
+                row, shape = caller.f_locals["row"], caller.f_locals["shape"]
+                seen.add(depth_label(caller.f_locals["depth"]))
+                seen.add("part-value-only" if row is None else "row-miss")
+                if any(slot >= 2 * k for part in shape[0] for slot in part):
+                    seen.add("run-unkeyed" if row is None else "run-keyed")
             elif event == "return":
                 shape, key = frame.f_locals["shape"], frame.f_locals["key"]
                 if "steps" in frame.f_locals:
@@ -700,7 +720,7 @@ def _search_branches(p, g):
                 elif caller.f_code.co_name == "below":
                     if owner[key] is not shape:
                         seen.add("cross-relator-hit")
-                    if caller.f_locals["reads"] is not None:
+                    if caller.f_locals["row"] is not None:
                         seen.add("value-miss-part-hit")
 
     sys.setprofile(hook)
@@ -720,11 +740,16 @@ def _mask_presentations(rng):
     and w read a random prefix of g0, g1, g2, are hoisted to the last depth
     of that prefix and empty the mask of g3 whenever v^-2 differs from
     w^-1. Distinct values of the prefix that give w one value miss the
-    value key of g3^2 w and hit its part-value key.
+    row of g3^2 w, or find it has none when w reads the whole prefix, and
+    hit its part-value key; where w misses a generator of the prefix, a
+    later node reuses its row.
 
     Five generators: the same relators, and g4 u with u reading each of
-    g0 .. g3, which is hoisted to depth 3, the last but one, and keyed on
-    its part values alone.
+    g0 .. g3, which is hoisted to depth 3, the last but one. u reads more
+    than VALUE_KEY_GENERATORS generators, so each run of two or more
+    letters between its g3 letters is a run slot: u has a row, keyed
+    through them, when its g3 letters split it into at most two stretches,
+    and none otherwise.
 
     Four generators again, with v and w ending in g2: g3 v and g3^2 w are
     hoisted to depth 2, the last but one, and empty the mask of g3 there."""
@@ -764,9 +789,65 @@ def test_count_homs_mask_branches_match_bruteforce():
             assert count == count_homs_bruteforce(p, g), (g, p)
             reached |= seen
     assert reached == {"before-search", "hoisted-0", "hoisted-1", "hoisted-2+",
-                       "value-hit", "value-miss-part-hit", "part-value-only",
-                       "cross-relator-hit", "forward-prune", "orbit-weighted-2+",
-                       "last-depth-counted", "last-depth-pruned"}
+                       "value-hit", "row-hit", "row-miss", "value-miss-part-hit",
+                       "part-value-only", "cross-relator-hit", "run-keyed", "run-unkeyed",
+                       "forward-prune", "orbit-weighted-2+", "last-depth-counted",
+                       "last-depth-pruned"}
+
+
+def _wide_presentations(rng, count):
+    """Five generators, each of order 2 or 3, and one or two relators that
+    read every generator plus up to five more letters, shuffled: their
+    head and segments read four or five generators, more than
+    VALUE_KEY_GENERATORS, so the plan splits them into runs."""
+    labels = [f"g{i}" for i in range(5)]
+    for _ in range(count):
+        relators = [_power(lab, rng.choice((2, 3))) for lab in labels]
+        for _ in range(rng.randint(1, 2)):
+            letters = labels + [rng.choice(labels) for _ in range(rng.randint(1, 5))]
+            rng.shuffle(letters)
+            relators.append(Word(tuple((lab, rng.choice((1, -1))) for lab in letters)))
+        yield presentation(labels, relators)
+
+
+def _run_slots(shape, k):
+    return {slot for part in shape[0] for slot in part if slot >= 2 * k}
+
+
+def test_count_homs_through_runs_matches_backtracking():
+    """Runs are exact. On seeded presentations with wide relators, and on
+    raw projective C_4, C_5 and T_{2,2} after Tietze, the search into
+    S3/D4/A4/S4, and the one S4 search that counts the others too, equal
+    the backtracking oracle. In every plan a run is two or more letters of
+    generators placed before its depth, and a relator reads only the runs
+    of the depth it is hoisted to; some wide relators are keyed through
+    runs and some are not, and raw projective T_{5,5}'s plan gives rows to
+    some of its wide relators."""
+    rng = random.Random(89)
+    inputs = list(_wide_presentations(rng, 30))
+    inputs += [tietze_simplify(raw_presentation(Arrangement("C", n).bmf(), projective=True))
+               .presentation for n in (4, 5)]
+    inputs.append(tietze_simplify(raw_presentation(bmf_tnm(2, 2), projective=True)).presentation)
+    wide = Counter()
+    for p in inputs:
+        k, _, hoisted, runs = fpgroup._hom_plan(p)
+        slots = [{slot for slot, _ in entries} for entries in runs]
+        for h, entries in enumerate(runs):
+            for slot, run in entries:
+                assert slot >= 2 * k and len(run) > 1, (p, h, slot, run)
+                assert all(s < 2 * k and s >> 1 < h for s in run), (p, h, slot, run)
+            for _, key, shape in hoisted[h]:
+                assert _run_slots(shape, k) <= slots[h], (p, h, shape)
+                if _run_slots(shape, k):
+                    wide["keyed" if key is not None else "unkeyed"] += 1
+        counts = {g.name: count_homs_backtrack(p, g) for g in GROUPS}
+        assert {g.name: count_homs(p, g) for g in GROUPS} == counts, p
+        assert count_homs(p, S4, subgroups=(S3, D4, A4)) == counts, p
+    assert wide["keyed"] >= 10 and wide["unkeyed"] >= 5, wide
+    q = tietze_simplify(raw_presentation(bmf_tnm(5, 5), projective=True)).presentation
+    k, _, hoisted, _ = fpgroup._hom_plan(q)
+    assert any(key is not None and _run_slots(shape, k)
+               for rels in hoisted for _, key, shape in rels)
 
 
 # The stated presentations of the `homcount-stated` benchmark workload, as
@@ -811,16 +892,16 @@ def test_count_homs_matches_backtracking_on_stated_presentations():
 def test_count_homs_memory_stays_bounded():
     """The peak memory tracemalloc sees in one `count_homs` call, over the
     `homcount-stated` presentations after Tietze into S3/D4/A4/S4, and in
-    the one S4 search that counts S3, D4 and A4 too. Measured
-    on Python 3.11, this test's loop alone in a fresh process: 0.02 MB
-    (T_{1,4} into S4) with the shared part-value memo alone, 0.07 MB
-    (T_{5,0} projective into S4) with value keys bounded by
-    VALUE_KEY_GENERATORS, 0.25 MB (C_6 projective into S4) with every
-    relator keyed on its values; under pytest the last reads 0.27 to
-    0.31 MB. The covering search adds 320 bytes to the largest bounded
-    peak (T_{2,3} projective into S4: 53,312 plain, 53,632 covering, in a
-    fresh process). The bound, about twice the bounded peak, fails the
-    unbounded value keys."""
+    the one S4 search that counts S3, D4 and A4 too. Measured on Python
+    3.11, this test's loop alone in a fresh process, the largest peak is
+    14,256 bytes with the shared part-value memo alone
+    (VALUE_KEY_GENERATORS = 0), 39,584 with rows bounded by
+    VALUE_KEY_GENERATORS (T_{5,0} projective into S4, covering; 39,264
+    plain) and 116,904 with every row keyed on generators
+    (VALUE_KEY_GENERATORS = 99; T_{1,4} into S4, covering, and the same
+    under pytest). Readings move by about 20 % with what else runs in the
+    process. The bound, about twice the bounded peak, fails the unbounded
+    value keys."""
     presentations = [tietze_simplify(a.stated(projective)).presentation
                      for a, projective in HOMCOUNT_STATED]
     peaks = {}
@@ -834,7 +915,7 @@ def test_count_homs_memory_stays_bounded():
                 peaks[q, g.name, bool(subgroups)] = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert max(peaks.values()) < 150_000, max(peaks.items(), key=lambda kv: kv[1])
+    assert max(peaks.values()) < 80_000, max(peaks.items(), key=lambda kv: kv[1])
 
 
 def _plan_presentations(rng):
