@@ -392,10 +392,15 @@ def tietze_simplify(p: Presentation) -> TietzeResult:
 # a wider relator a run of its letters (`_hom_plan`). Raising it to 99 keys
 # every row on generators, which grows the memos as |G|^reads: the largest
 # tracemalloc peak of `test_count_homs_memory_stays_bounded` goes from
-# 39,584 to 116,904 bytes. A miss falls back to the shared memo keyed on signs, head
+# 41,712 to 119,032 bytes. A miss falls back to the shared memo keyed on signs, head
 # and segment values, which computes 4,942 of the 38,147 masks asked of it
 # in four seed-11 sweeps of the `homcount-stated` benchmark workload.
 VALUE_KEY_GENERATORS = 3
+
+
+def _no_sources(vals) -> tuple:
+    """The row key of a relator whose parts read x_h alone: one row per call."""
+    return ()
 
 
 def _hom_plan(p: Presentation) -> tuple:
@@ -417,11 +422,11 @@ def _hom_plan(p: Presentation) -> tuple:
     the relators hoisted to h that have it, and is a source; a run of one
     letter keeps its slot, and its generator is the source.
 
-    `key` is an itemgetter of the sources' slots, () when there is none
-    (one row per call), or None when there is no row: when the sources and
-    x_h are more than VALUE_KEY_GENERATORS, or when the sources include
-    every generator before x_h, whose values no two nodes at depth h share,
-    so that a row would never be read twice."""
+    `key` maps `vals` to a row key: an itemgetter of the sources' slots, or
+    `_no_sources` when there is none. It is None when there is no row: when
+    the sources and x_h are more than VALUE_KEY_GENERATORS, or when the
+    sources include every generator before x_h, whose values no two nodes
+    at depth h share, so that a row would never be read twice."""
     labels = p.generators
     k = len(labels)
     rel_labels = [frozenset(lab for lab, _ in r.letters) for r in p.relators]
@@ -480,7 +485,7 @@ def _hom_plan(p: Presentation) -> tuple:
         if len(sources) >= VALUE_KEY_GENERATORS or sources >= {2 * px for px in range(h)}:
             key = None
         else:
-            key = itemgetter(*sorted(sources)) if sources else ()
+            key = itemgetter(*sorted(sources)) if sources else _no_sources
         hoisted[h].append((depth, key, (tuple(map(tuple, parts)), tuple(positive))))
     runs: list[list[tuple]] = [[] for _ in range(k)]
     for (h, run), slot in run_slots.items():
@@ -608,13 +613,14 @@ def count_homs(p: Presentation, target: FiniteGroup, *, plan=None, subgroups=Non
 
     # a relator in x_d alone is ANDed into the pending mask of depth d
     # before the search; each hoisted relator is (d, key, rows, shape), rows
-    # being its own rows by value key, its one row for key (), or None
+    # being its own rows by row key, or None when key is
     pending = [(1 << target.order) - 1] * k
     for depth, shape in closed:
         pending[depth] &= allowed(shape)
     blank = [None] * target.order
-    hoisted = [[(d, key, None if key is None else defaultdict(blank.copy) if key else blank.copy(),
-                 shape) for d, key, shape in rels] for rels in plan_hoisted]
+    hoisted = [[(d, key, None if key is None else defaultdict(blank.copy), shape)
+                for d, key, shape in rels]
+               for rels in plan_hoisted]
     orbits, stabilizers = target.orbits, target.stabilizers
     member = [0] * target.order  # the copies that hold each element
     for c, (_, m) in enumerate(copies):
@@ -635,7 +641,7 @@ def count_homs(p: Presentation, target: FiniteGroup, *, plan=None, subgroups=Non
             for slot in run:
                 acc = mult[acc][vals[slot]]
             vals[at] = acc
-        rels = [(d, rows[key(vals)] if key else rows, shape)
+        rels = [(d, None if key is None else rows[key(vals)], shape)
                 for d, key, rows, shape in hoisted[depth]]
         slot = 2 * depth
         total = 0

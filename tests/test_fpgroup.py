@@ -895,9 +895,9 @@ def test_count_homs_memory_stays_bounded():
     the one S4 search that counts S3, D4 and A4 too. Measured on Python
     3.11, this test's loop alone in a fresh process, the largest peak is
     14,256 bytes with the shared part-value memo alone
-    (VALUE_KEY_GENERATORS = 0), 39,584 with rows bounded by
-    VALUE_KEY_GENERATORS (T_{5,0} projective into S4, covering; 39,264
-    plain) and 116,904 with every row keyed on generators
+    (VALUE_KEY_GENERATORS = 0), 41,712 with rows bounded by
+    VALUE_KEY_GENERATORS (T_{5,0} projective into S4, covering; 41,392
+    plain) and 119,032 with every row keyed on generators
     (VALUE_KEY_GENERATORS = 99; T_{1,4} into S4, covering, and the same
     under pytest). Readings move by about 20 % with what else runs in the
     process. The bound, about twice the bounded peak, fails the unbounded
