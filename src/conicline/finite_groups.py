@@ -117,6 +117,37 @@ class FiniteGroup:
             table[stab] = (reps, tuple(sizes))
         return table
 
+    @cached_property
+    def rep(self) -> int:
+        """The bit e(|G| + 1) for each element e. Read an int as |G| blocks
+        of |G| bits one spare bit apart, block e being bits e(|G| + 1) ..
+        e(|G| + 1) + |G| - 1: a mask over the elements times `rep` is that
+        mask in every block."""
+        return sum(1 << e * (self.order + 1) for e in range(self.order))
+
+    @cached_property
+    def tile(self) -> int:
+        """The bit e|G| for each element e: a mask times `tile` is |G|
+        copies of it edge to edge, copy e holding its bit e at e(|G| + 1),
+        the first bit of block e. So (mask * tile) & rep has the first bit
+        of block e for each e in the mask, and x times that is x in those
+        blocks."""
+        return sum(1 << e * self.order for e in range(self.order))
+
+    @cached_property
+    def size_blocks(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        """For each subgroup of `orbits`, by the same key: the orbit sizes
+        it gives the elements, each as (size, the blocks of the elements of
+        that size), sizes ascending."""
+        full = (1 << self.order) - 1
+        table = {}
+        for stab, (_, sizes) in self.orbits.items():
+            blocks: dict[int, int] = {}
+            for e, size in enumerate(sizes):
+                blocks[size] = blocks.get(size, 0) | full << e * (self.order + 1)
+            table[stab] = tuple(sorted(blocks.items()))
+        return table
+
     def __repr__(self):
         return f"FiniteGroup({self.name}, order {self.order})"
 

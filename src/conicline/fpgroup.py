@@ -392,10 +392,17 @@ def tietze_simplify(p: Presentation) -> TietzeResult:
 # a wider relator a run of its letters (`_hom_plan`). Raising it to 99 keys
 # every row on generators, which grows the memos as |G|^reads: the largest
 # tracemalloc peak of `test_count_homs_memory_stays_bounded` goes from
-# 41,712 to 119,032 bytes. A miss falls back to the shared memo keyed on signs, head
-# and segment values, which computes 4,942 of the 38,147 masks asked of it
-# in four seed-11 sweeps of the `homcount-stated` benchmark workload.
+# 31,100 to 67,220 bytes. A miss falls back to the shared memo keyed on
+# signs, head and segment values, which computes 3,668 of the 33,654 masks
+# asked of it in four seed-11 sweeps of the `homcount-stated` benchmark
+# workload.
 VALUE_KEY_GENERATORS = 3
+
+
+def _repeated(names) -> str:
+    """The names that occur more than once in `names`, once each, joined
+    by commas; "" when none does."""
+    return ", ".join(dict.fromkeys(name for i, name in enumerate(names) if name in names[:i]))
 
 
 def _no_sources(vals) -> tuple:
@@ -403,16 +410,36 @@ def _no_sources(vals) -> tuple:
     return ()
 
 
+def _hom_order(p: Presentation) -> list[str]:
+    """The generators in the search order of `count_homs`, chosen greedily:
+    the next is the unplaced one that closes the most relators, a tie going
+    to the one with the most letters in the relators, then to the first in
+    `p.generators`. So where nothing closes, as at depth 0, the search
+    starts from the generator the relators read most."""
+    flat = [lab for r in p.relators for lab, _ in r.letters]
+    letters = {lab: flat.count(lab) for lab in p.generators}
+    rel_labels = [frozenset(lab for lab, _ in r.letters) for r in p.relators]
+    order: list[str] = []
+    placed: set[str] = set()
+    while len(order) < len(p.generators):
+        # for each relator one generator short of closing, that generator
+        closes = [min(rest) for ls in rel_labels if len(rest := ls - placed) == 1]
+        nxt = max((lab for lab in p.generators if lab not in placed),
+                  key=lambda lab: (closes.count(lab), letters[lab]))
+        order.append(nxt)
+        placed.add(nxt)
+    return order
+
+
 def _hom_plan(p: Presentation) -> tuple:
     """The part of `count_homs(p, ...)` that depends on p alone: (k, closed,
     hoisted, runs), k being the number of generators. The generators are
-    ordered greedily, the next being the first unplaced one that closes the
-    most relators, and each nonempty relator is split as `count_homs`
-    describes into its shape ((head, seg1, ...), (s1 > 0, ...)), the parts
-    as tuples of `vals` slots. A relator whose parts read no generator is
-    (d, shape) in `closed`, d being its closing depth. Any other is
-    (d, key, shape) in hoisted[h], h being the deepest generator its parts
-    read.
+    taken in the order of `_hom_order`, and each nonempty relator is split
+    as `count_homs` describes into its shape ((head, seg1, ...),
+    (s1 > 0, ...)), the parts as tuples of `vals` slots. A relator whose
+    parts read no generator is (d, shape) in `closed`, d being its closing
+    depth. Any other is (d, key, shape) in hoisted[h], h being the deepest
+    generator its parts read.
 
     Sources: a relator that reads at most VALUE_KEY_GENERATORS generators
     keeps its parts, and its sources are the generators it reads before
@@ -427,20 +454,8 @@ def _hom_plan(p: Presentation) -> tuple:
     the sources and x_h are more than VALUE_KEY_GENERATORS, or when the
     sources include every generator before x_h, whose values no two nodes
     at depth h share, so that a row would never be read twice."""
-    labels = p.generators
-    k = len(labels)
-    rel_labels = [frozenset(lab for lab, _ in r.letters) for r in p.relators]
-    order: list[str] = []
-    placed: set[str] = set()
-
-    def closes(lab: str) -> int:
-        return sum(lab in ls and ls <= placed | {lab} for ls in rel_labels)
-
-    while len(order) < k:
-        nxt = max((lab for lab in labels if lab not in placed), key=closes)
-        order.append(nxt)
-        placed.add(nxt)
-    pos = {lab: i for i, lab in enumerate(order)}
+    k = len(p.generators)
+    pos = {lab: i for i, lab in enumerate(_hom_order(p))}
     closed = []
     hoisted: list[list[tuple]] = [[] for _ in range(k)]
     run_slots: dict[tuple, int] = {}  # (h, run) -> its slot
@@ -497,12 +512,13 @@ def count_homs(p: Presentation, target: FiniteGroup, *, plan=None, subgroups=Non
     """Number of homomorphisms into `target`: assignments generator -> element
     under which every relator evaluates to the identity. With `subgroups`, a
     sequence of groups, the one search also counts the homomorphisms into
-    each of them that embeds in `target`, and the result is a dict of counts
-    by group name, `target` first.
+    each of them, and the result is a dict of counts by group name, `target`
+    first. A group named twice, or one with no copy in `target`, raises
+    ValueError naming it.
 
-    Backtracking search over the generators in a greedy order that lets short
-    relators close early; a relator closes at the depth d of its last
-    generator in that order.
+    Backtracking search over the generators in a greedy order
+    (`_hom_order`) that lets short relators close early; a relator closes
+    at the depth d of its last generator in that order.
 
     Automorphism orbits at every depth: if phi is a homomorphism, so is
     alpha phi for every automorphism alpha of the target. Let S be the
@@ -538,23 +554,37 @@ def count_homs(p: Presentation, target: FiniteGroup, *, plan=None, subgroups=Non
     before the search. A candidate is pruned at the first mask that
     empties.
 
-    Rows and runs: entering a node at depth h, `below` multiplies out the
-    runs of runs[h], whose letters are all assigned, and fetches for each
-    relator hoisted there with a value key one row of |G| slots, keyed on
-    the values of the sources its parts read before x_h, generators or
-    runs. Each candidate e reads slot e of that row, so a hit evaluates no
-    word; a miss evaluates the head and segments, falls back to the shared
-    memo and fills the slot. A relator with more than VALUE_KEY_GENERATORS
-    sources, x_h included, has no row and keeps to the shared memo alone,
-    which bounds each relator's rows at |G|^3 slots; its runs still save
-    it letters. So does a relator whose sources include every generator
-    before x_h, as no other node could read its row.
+    Rows and runs: entering a node at depth h, the search multiplies out
+    the runs of runs[h], whose letters are all assigned, and fetches for
+    each relator hoisted there with a value key one row, keyed on the
+    values of the sources its parts read before x_h, generators or runs.
+    Above depth k - 2 a row is a list of |G| slots. Each candidate e reads
+    slot e of it, so a hit evaluates no word; a miss evaluates the head and
+    segments, falls back to the shared memo and fills the slot. A relator
+    with more than VALUE_KEY_GENERATORS sources, x_h included, has no row
+    and keeps to the shared memo alone, which bounds each relator's rows
+    at |G|^3 masks; its runs still save it letters. So does a relator
+    whose sources include every generator before x_h, as no other node
+    could read its row.
 
-    The pending masks are copied per candidate only at a depth that has
-    hoisted relators and is not k - 2. The last depth is counted in place:
-    at depth k - 2 every hoisted relator closes at k - 1, so a candidate
-    narrows that one mask as an int and adds the number of bits left in
-    it, weighted by its orbit size, instead of a call for depth k - 1.
+    The last two depths: `below` walks the depths before k - 2, copying
+    the pending masks per candidate only at a depth with hoisted relators.
+    Every relator hoisted to k - 2 closes at k - 1, so one step, `last_two`,
+    counts x_{k-2} and x_{k-1} together on ints of |G| blocks of |G| bits
+    (`FiniteGroup.rep`), block e standing for x_{k-2} = e: the pending
+    mask of x_{k-1} in the candidates' blocks, one product with no loop
+    (`FiniteGroup.tile`), ANDed with the row of each relator hoisted there
+    with a value key. That row
+    is a matrix whose block e is the mask the relator allows for
+    x_{k-2} = e, with the bitmask of the blocks filled so far; a node fills
+    through `allowed` only its candidate blocks not yet filled, and counts
+    nothing once the AND empties. A relator without a row is then checked
+    on each candidate whose block is not empty. The count is, over the
+    orbit sizes s of the node's stabilizer (`FiniteGroup.size_blocks`), s
+    times the bits left in the blocks of size s. Above k - 2 rows stay
+    lists, as each candidate reads its own mask to narrow its child, and a
+    block read (shift, mask and filled-bit test) costs about five times a
+    list slot read in CPython 3.11.
 
     Plan: the greedy order, and each relator's closing depth, shape, value
     key and runs, depend on p alone. `_hom_plan(p)` builds them; a caller
@@ -569,17 +599,27 @@ def count_homs(p: Presentation, target: FiniteGroup, *, plan=None, subgroups=Non
     hold all the values assigned so far, ANDed per candidate with the
     copies that hold it (`member`), and the path weight, the product of the
     orbit sizes above it, which is computed only while `inside` is not
-    empty (never in a plain search). At depth k - 2 a candidate adds, for
-    each copy still inside, the path weight times the bits of the last
-    pending mask in that copy. The copies of H are Aut(target)-stable, so
+    empty (never in a plain search). At depth k - 2 each copy still inside
+    adds the path weight times the count of the matrix cut to the pairs
+    (x_{k-2}, x_{k-1}) the copy holds: its mask in the blocks of its
+    elements. The copies of H are Aut(target)-stable, so
     the orbit walk keeps each H's sum, though not each copy's. Each sum
     must divide by N_H; the count into `target` itself is the search's own.
     """
     k, closed, plan_hoisted, runs = _hom_plan(p) if plan is None else plan
-    copies = [(h.name, m) for h in subgroups or () for m in target.copies(h)]
+    copies = []
+    if subgroups:
+        repeated = _repeated([h.name for h in subgroups])
+        if repeated:
+            raise ValueError(f"repeated subgroups: {repeated}")
+        absent = [h.name for h in subgroups if not target.copies(h)]
+        if absent:
+            raise ValueError(f"subgroups with no copy in {target.name}: {', '.join(absent)}")
+        copies = [(h.name, m) for h in subgroups for m in target.copies(h)]
     tally = [0] * len(copies)
-    mult, inv, ident = target.mult, target.inv, target.identity
-    every = range(target.order)
+    mult, inv, ident, n = target.mult, target.inv, target.identity, target.order
+    every = range(n)
+    full = (1 << n) - 1
     vals = [ident] * (2 * k + sum(map(len, runs)))
     masks: dict[tuple, int] = {}
 
@@ -612,27 +652,94 @@ def count_homs(p: Presentation, target: FiniteGroup, *, plan=None, subgroups=Non
         return mask
 
     # a relator in x_d alone is ANDed into the pending mask of depth d
-    # before the search; each hoisted relator is (d, key, rows, shape), rows
-    # being its own rows by row key, or None when key is
-    pending = [(1 << target.order) - 1] * k
+    # before the search; one hoisted above k - 2 is (d, key, rows, shape),
+    # rows by row key or None; one hoisted to k - 2 is (key, rows, shape)
+    # in `rowed`, each row a [matrix, filled blocks] list, or in `unrowed`
+    pending = [full] * k
     for depth, shape in closed:
         pending[depth] &= allowed(shape)
-    blank = [None] * target.order
+    blank = [None] * n
     hoisted = [[(d, key, None if key is None else defaultdict(blank.copy), shape)
                 for d, key, shape in rels]
-               for rels in plan_hoisted]
+               for rels in plan_hoisted[:k - 2]]
+    at_k2 = plan_hoisted[k - 2] if k >= 2 else ()
+    rowed = [(key, defaultdict([0, 0].copy), shape)
+             for _, key, shape in at_k2 if key is not None]
+    unrowed = [shape for _, key, shape in at_k2 if key is None]
     orbits, stabilizers = target.orbits, target.stabilizers
-    member = [0] * target.order  # the copies that hold each element
+    rep, tile, size_blocks = target.rep, target.tile, target.size_blocks
+    member = [0] * n  # the copies that hold each element
     for c, (_, m) in enumerate(copies):
         for e in every:
             if m >> e & 1:
                 member[e] |= 1 << c
+    # each copy's pairs (x_{k-2}, x_{k-1}), both in the copy, as blocks
+    paired = [m * (m * tile & rep) for _, m in copies]
+    # the slot of x_{k-2}, and the stride of the blocks (`FiniteGroup.rep`)
+    tail, stride = 2 * k - 4, n + 1
+
+    def last_two(pending: list[int], stab: int, inside: int, weight: int) -> int:
+        """Completions as `below` counts them, at depth k - 2: x_{k-2} and
+        x_{k-1} together, on a matrix whose block e holds the x_{k-1}
+        images left for x_{k-2} = e."""
+        cands = pending[-2] & orbits[stab][0]
+        acc = pending[-1] * (cands * tile & rep)
+        for at, run in runs[-2]:
+            value = ident
+            for slot in run:
+                value = mult[value][vals[slot]]
+            vals[at] = value
+        for key, rows, shape in rowed:
+            row = rows[key(vals)]
+            new = cands & ~row[1]
+            if new:
+                row[1] |= new
+                matrix = row[0]
+                while new:
+                    low = new & -new
+                    new ^= low
+                    e = low.bit_length() - 1
+                    vals[tail] = e
+                    vals[tail + 1] = inv[e]
+                    matrix |= allowed(shape) << e * stride
+                row[0] = matrix
+            acc &= row[0]
+            if not acc:
+                return 0
+        if unrowed:
+            live = cands
+            while live:
+                low = live & -live
+                live ^= low
+                e = low.bit_length() - 1
+                block = got = acc >> e * stride & full
+                if got:
+                    vals[tail] = e
+                    vals[tail + 1] = inv[e]
+                    for shape in unrowed:
+                        got &= allowed(shape)
+                        if not got:
+                            break
+                    acc ^= (block ^ got) << e * stride
+        classes = size_blocks[stab]
+        total = 0
+        for size, of_size in classes:
+            total += size * (acc & of_size).bit_count()
+        while inside:
+            bit = inside & -inside
+            inside ^= bit
+            c = bit.bit_length() - 1
+            held = acc & paired[c]
+            if held:
+                for size, of_size in classes:
+                    tally[c] += weight * size * (held & of_size).bit_count()
+        return total
 
     def below(depth: int, pending: list[int], stab: int, inside: int, weight: int) -> int:
         """Completions of the assignment of x_0 .. x_{depth-1}, whose
         stabilizer in Aut(target) is the bitmask `stab`, whose values all
         lie in the copies `inside` and whose path weight is `weight`;
-        depth < k - 1. Adds the completions inside copies to `tally`."""
+        depth < k - 2. Adds the completions inside copies to `tally`."""
         reps, sizes = orbits[stab]
         # the mask is a union of orbits: walk the representatives in it
         mask = pending[depth] & reps
@@ -645,38 +752,27 @@ def count_homs(p: Presentation, target: FiniteGroup, *, plan=None, subgroups=Non
                 for d, key, rows, shape in hoisted[depth]]
         slot = 2 * depth
         total = 0
-        penultimate = depth + 2 == k
-        copy = bool(rels) and not penultimate
+        leaf = depth + 3 == k  # its children are `last_two` nodes
         while mask:
             low = mask & -mask
             mask ^= low
             e = low.bit_length() - 1
             vals[slot] = e
             vals[slot + 1] = inv[e]
-            child = pending.copy() if copy else pending
-            m = pending[-1]  # what is left of x_{k-1} at depth k - 2
+            child = pending.copy() if rels else pending
             for d, row, shape in rels:
                 got = row[e] if row else allowed(shape)
                 if got is None:
                     got = row[e] = allowed(shape)
-                if copy:
-                    m = child[d] = child[d] & got
-                else:
-                    m &= got
+                m = child[d] = child[d] & got
                 if not m:
                     break
             else:
                 size = sizes[e]
                 within = inside and inside & member[e]
-                if penultimate:
-                    # x_{k-1} is the only depth left, its mask m: count it,
-                    # and its part in each copy that holds every value so far
-                    total += size * m.bit_count()
-                    while within:
-                        bit = within & -within
-                        within ^= bit
-                        c = bit.bit_length() - 1
-                        tally[c] += weight * size * (m & copies[c][1]).bit_count()
+                if leaf:
+                    total += size * last_two(child, stab & stabilizers[e],
+                                             within, within and weight * size)
                 else:
                     total += size * below(depth + 1, child, stab & stabilizers[e],
                                           within, within and weight * size)
@@ -689,8 +785,8 @@ def count_homs(p: Presentation, target: FiniteGroup, *, plan=None, subgroups=Non
         total = last.bit_count()
         tally = [(last & m).bit_count() for _, m in copies]
     else:
-        total = below(0, pending, (1 << len(target.automorphisms)) - 1,
-                      (1 << len(copies)) - 1, 1)
+        top = (pending, (1 << len(target.automorphisms)) - 1, (1 << len(copies)) - 1, 1)
+        total = last_two(*top) if k == 2 else below(0, *top)
     # `below` reaches itself through its closure cell; emptying the cell
     # frees the memos now rather than at the next cyclic collection
     del below
@@ -698,11 +794,11 @@ def count_homs(p: Presentation, target: FiniteGroup, *, plan=None, subgroups=Non
         return total
     counts = {target.name: total}
     for h in subgroups:
-        n = len(target.copies(h))
+        n_h = len(target.copies(h))
         s = sum(t for (name, _), t in zip(copies, tally) if name == h.name)
-        if s % n:
-            raise ArithmeticError(f"{h.name} in {target.name}: {s} homs over {n} copies")
-        counts[h.name] = s // n
+        if s % n_h:
+            raise ArithmeticError(f"{h.name} in {target.name}: {s} homs over {n_h} copies")
+        counts[h.name] = s // n_h
     return counts
 
 
@@ -734,9 +830,9 @@ def battery_names(battery=None) -> tuple[str, ...]:
     unknown = [name for name in names if not isinstance(name, str) or name not in BATTERY]
     if unknown:
         raise ValueError(f"unknown battery groups: {', '.join(map(str, unknown))} {valid}")
-    repeated = dict.fromkeys(name for i, name in enumerate(names) if name in names[:i])
+    repeated = _repeated(names)
     if repeated:
-        raise ValueError(f"repeated battery groups: {', '.join(repeated)}")
+        raise ValueError(f"repeated battery groups: {repeated}")
     return names
 
 
