@@ -455,7 +455,8 @@ def _hom_plan(p: Presentation) -> tuple:
     sources include every generator before x_h, whose values no two nodes
     at depth h share, so that a row would never be read twice."""
     k = len(p.generators)
-    pos = {lab: i for i, lab in enumerate(_hom_order(p))}
+    # with fewer than two generators there is no order to choose
+    pos = {lab: i for i, lab in enumerate(_hom_order(p) if k >= 2 else p.generators)}
     closed = []
     hoisted: list[list[tuple]] = [[] for _ in range(k)]
     run_slots: dict[tuple, int] = {}  # (h, run) -> its slot
@@ -513,8 +514,8 @@ def count_homs(p: Presentation, target: FiniteGroup, *, plan=None, subgroups=Non
     under which every relator evaluates to the identity. With `subgroups`, a
     sequence of groups, the one search also counts the homomorphisms into
     each of them, and the result is a dict of counts by group name, `target`
-    first. A group named twice, or one with no copy in `target`, raises
-    ValueError naming it.
+    first. A group named twice, one named as `target`, or one with no copy
+    in `target`, raises ValueError naming it.
 
     Backtracking search over the generators in a greedy order
     (`_hom_order`) that lets short relators close early; a relator closes
@@ -612,6 +613,8 @@ def count_homs(p: Presentation, target: FiniteGroup, *, plan=None, subgroups=Non
         repeated = _repeated([h.name for h in subgroups])
         if repeated:
             raise ValueError(f"repeated subgroups: {repeated}")
+        if any(h.name == target.name for h in subgroups):
+            raise ValueError(f"subgroups named as the target: {target.name}")
         absent = [h.name for h in subgroups if not target.copies(h)]
         if absent:
             raise ValueError(f"subgroups with no copy in {target.name}: {', '.join(absent)}")
@@ -658,11 +661,17 @@ def count_homs(p: Presentation, target: FiniteGroup, *, plan=None, subgroups=Non
     pending = [full] * k
     for depth, shape in closed:
         pending[depth] &= allowed(shape)
+    if k < 2:
+        # nothing to walk: the mask of x_0, or with no generators the one
+        # empty assignment, as the identity's bit, which every copy holds
+        last = pending[0] if k else int(all(not r for r in p.relators))
+        return _by_name(target, subgroups, copies, last.bit_count(),
+                        [(last & m).bit_count() for _, m in copies])
     blank = [None] * n
     hoisted = [[(d, key, None if key is None else defaultdict(blank.copy), shape)
                 for d, key, shape in rels]
                for rels in plan_hoisted[:k - 2]]
-    at_k2 = plan_hoisted[k - 2] if k >= 2 else ()
+    at_k2 = plan_hoisted[k - 2]
     rowed = [(key, defaultdict([0, 0].copy), shape)
              for _, key, shape in at_k2 if key is not None]
     unrowed = [shape for _, key, shape in at_k2 if key is None]
@@ -778,18 +787,19 @@ def count_homs(p: Presentation, target: FiniteGroup, *, plan=None, subgroups=Non
                                           within, within and weight * size)
         return total
 
-    if k < 2:
-        # nothing to walk: the mask of x_0, or with no generators the one
-        # empty assignment, as the identity's bit, which every copy holds
-        last = pending[0] if k else int(all(not r for r in p.relators))
-        total = last.bit_count()
-        tally = [(last & m).bit_count() for _, m in copies]
-    else:
-        top = (pending, (1 << len(target.automorphisms)) - 1, (1 << len(copies)) - 1, 1)
-        total = last_two(*top) if k == 2 else below(0, *top)
+    top = (pending, (1 << len(target.automorphisms)) - 1, (1 << len(copies)) - 1, 1)
+    total = last_two(*top) if k == 2 else below(0, *top)
     # `below` reaches itself through its closure cell; emptying the cell
     # frees the memos now rather than at the next cyclic collection
     del below
+    return _by_name(target, subgroups, copies, total, tally)
+
+
+def _by_name(target: FiniteGroup, subgroups, copies: list, total: int, tally: list):
+    """`count_homs`' result from the search's count into `target` and the
+    tallies of `copies`: `total` itself without `subgroups`, else the counts
+    by group name, each subgroup's tally summed over its copies and divided
+    by their number."""
     if subgroups is None:
         return total
     counts = {target.name: total}

@@ -6,6 +6,7 @@ by, the invariant factors of an integer matrix from its minors (the
 oracle of the Smith normal form), the canonical form of a relator up to
 rotation and inversion, the naive Tietze shortening scan, the reference
 Tietze simplification on letter tuples, the Word-level substitution and the letter-by-letter Artin action built on it,
+the transfer count of the stated C_n's homomorphisms,
 the permutation, product, inverse and powers of braid words, random
 presentations, and the matrices of Z/2 * Z/3 words in SL(2, Z)."""
 
@@ -132,6 +133,44 @@ def centralizer_orbits(group: FiniteGroup) -> dict[int, dict[int, int]]:
     return {a: _conjugation_orbits(
                 group, [g for g in range(group.order) if mult[g][a] == mult[a][g]])
             for a in conjugacy_classes(group)}
+
+
+def centralizer(group: FiniteGroup, g: int) -> int:
+    """The centralizer of g, as a bitmask of its elements."""
+    mult = group.mult
+    return sum(1 << x for x in range(group.order) if mult[x][g] == mult[g][x])
+
+
+def count_homs_cn(n: int, target: FiniteGroup, projective: bool) -> int:
+    """|Hom(C_n, target)| for the stated C_n (`presentation_cn_affine`, or
+    `presentation_cn_proj` with `projective`) by a transfer count over the
+    lines, with no search. The conic x1 = a is fixed first. Line x_i (i = 2
+    .. n + 1) must satisfy sq(a, x_i) and commute with a^-1 x_h a for every
+    earlier line h, so what the later lines may do depends on the earlier
+    ones only through the state (Z, w): Z is the intersection of the
+    centralizers of a^-1 x_h a so far, as a bitmask, and w = x_i ... x_2. A
+    line x is allowed when x is in Z and (a x)^2 = (x a)^2; then Z becomes
+    Z & C(a^-1 x a) and w becomes x w. The affine group accepts a final
+    state when [w, a] = 1, the projective one when w a^2 = 1."""
+    mult, inv, ident = target.mult, target.inv, target.identity
+    every = range(target.order)
+    cent = [centralizer(target, g) for g in every]
+    total = 0
+    for a in every:
+        states = Counter({((1 << target.order) - 1, ident): 1})
+        for _ in range(n):
+            after = Counter()
+            for (z, w), count in states.items():
+                for x in every:
+                    ax, xa = mult[a][x], mult[x][a]
+                    if z >> x & 1 and mult[ax][ax] == mult[xa][xa]:
+                        after[z & cent[mult[mult[inv[a]][x]][a]], mult[x][w]] += count
+            states = after
+        for (z, w), count in states.items():
+            wa = mult[w][a]
+            if (mult[wa][a] == ident) if projective else (wa == mult[a][w]):
+                total += count
+    return total
 
 
 def count_homs_backtrack(p: Presentation, target: FiniteGroup) -> int:

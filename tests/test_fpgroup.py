@@ -1165,6 +1165,31 @@ def test_count_homs_rejects_a_subgroup_with_no_copy():
         count_homs(p, A4, subgroups=[S3, D4])
 
 
+def test_count_homs_rejects_the_target_as_its_own_subgroup():
+    """The result is keyed by group name, target first, so the target named
+    again as a subgroup would leave one key for two names (it read
+    {'S4': 120}). It raises ValueError naming it."""
+    p = presentation(["a", "b"], [parse_word("a b a^-1 b^-1")])
+    with pytest.raises(ValueError, match="subgroups named as the target: S4$"):
+        count_homs(p, S4, subgroups=[S4])
+    with pytest.raises(ValueError, match="subgroups named as the target: S3$"):
+        count_homs(p, S3, subgroups=[S3])
+
+
+def test_count_homs_below_two_generators():
+    """With one generator or none the search walks nothing: the count is
+    the mask of x_0, or the one empty assignment, and so is each subgroup's
+    tally, here for <a | a^2> (the involutions and the identity) and for the
+    presentation with no generators."""
+    groups = [D4, A4, S3]
+    for p, want in [(presentation(["a"], [parse_word("a a")]),
+                     {"S4": 10, "D4": 6, "A4": 4, "S3": 4}),
+                    (presentation([], []), {"S4": 1, "D4": 1, "A4": 1, "S3": 1})]:
+        assert count_homs(p, S4, subgroups=groups) == want
+        assert {g.name: count_homs_bruteforce(p, g) for g in [S4, *groups]} == want
+        assert count_homs(p, S4) == want["S4"]
+
+
 def test_count_homs_pinned_stated_counts():
     """Counts too large for the brute-force oracle, pinned from the plain
     backtracking search; a wrong class or orbit weight changes them."""

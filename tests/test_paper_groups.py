@@ -1,10 +1,12 @@
-from conicline.fpgroup import abelianization, compare, fingerprint
+import oracles
+from conicline.finite_groups import A4, D4, S3, S4
+from conicline.fpgroup import abelianization, compare, count_homs, fingerprint
 from conicline.paper_groups import (presentation_c2_proj, presentation_cn_affine,
                                     presentation_cn_proj, presentation_t00,
                                     presentation_tn0, presentation_tnm)
 from golden import (presentation_c1_affine, presentation_c1_proj, presentation_c2_affine,
                     presentation_t10, presentation_t20)
-from oracles import cyclic_canonical, parse_word
+from oracles import count_homs_cn, cyclic_canonical, parse_word
 
 
 def test_small_cases_are_special_cases():
@@ -67,3 +69,29 @@ def test_c2_affine_vs_projective():
     rep = compare(presentation_c2_affine(), presentation_c2_proj(), ("S3",))
     # the affine group surjects onto the projective one; fingerprints differ
     assert rep.per_target["S3"][0] >= rep.per_target["S3"][1]
+
+
+def test_cn_transfer_count_agrees_with_the_search():
+    """The transfer count over the states (a, Z, w) equals the hom search on
+    the stated C_n, affine and projective, for every n <= 7 into every
+    battery group."""
+    for n in range(1, 8):
+        for group in (S3, D4, A4, S4):
+            assert count_homs_cn(n, group, False) == count_homs(presentation_cn_affine(n), group)
+            assert count_homs_cn(n, group, True) == count_homs(presentation_cn_proj(n), group)
+
+
+def test_cn_transfer_count_pinned_beyond_the_grid():
+    """C_10 into S4 by the transfer count alone; the hom search gives the
+    same counts in about 2 s (affine) and 1 s (projective)."""
+    assert count_homs_cn(10, S4, False) == 49_134_432
+    assert count_homs_cn(10, S4, True) == 17_229_336
+
+
+def test_cn_transfer_count_needs_its_centralizer_update(monkeypatch):
+    """A transfer count that never narrows Z lets a line ignore the earlier
+    ones: it must disagree with the search somewhere."""
+    monkeypatch.setattr(oracles, "centralizer", lambda group, g: (1 << group.order) - 1)
+    assert any(count_homs_cn(n, group, projective) != count_homs(
+                   (presentation_cn_proj if projective else presentation_cn_affine)(n), group)
+               for n in range(2, 5) for group in (S3, D4, A4, S4) for projective in (False, True))

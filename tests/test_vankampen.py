@@ -1,10 +1,13 @@
 import pytest
 
 import golden
-from conicline.braid import ConjugatedTwist, Skeleton
-from conicline.catalog import BMF, BMFactor, bmf_cn, bmf_tn0, bmf_tnm
+from conicline import vankampen
+from conicline.braid import ABOVE, BELOW, ConjugatedTwist, Skeleton
+from conicline.catalog import (BMF, BMFactor, apply_overrides, bmf_cn, bmf_tn0, bmf_tnm,
+                               bmf_to_json)
 from conicline.vankampen import (RELATOR_SHAPES, cyclic_reduce, presentation,
-                                 presentation_to_json, raw_presentation, relation_pair)
+                                 presentation_to_json, projective_relator, raw_presentation,
+                                 relation_pair)
 from conicline.words import Word, gen, invert, multiply
 from oracles import cyclic_canonical, fiber_rename, parse_word
 
@@ -152,3 +155,55 @@ def test_raw_presentation_rejects_skeletons_beyond_strand_count():
         bmf = BMF(3, (BMFactor(twist),), ("x1", "x2", "x3"))
         with pytest.raises(ValueError, match="exceeds strand count 3"):
             raw_presentation(bmf)
+
+
+@pytest.fixture
+def pair_calls(monkeypatch):
+    """The calls of `vankampen.relation_pair` made while the test runs."""
+    calls = []
+    plain = vankampen.relation_pair
+
+    def counted(*args):
+        calls.append(args)
+        return plain(*args)
+
+    monkeypatch.setattr(vankampen, "relation_pair", counted)
+    return calls
+
+
+def test_raw_presentations_share_one_pass_per_bmf_object(pair_calls):
+    """Both complements of one BMF read its factor relators, built once:
+    the projective presentation is the affine one plus the projective
+    relator. An equal BMF built anew makes its own calls."""
+    b = bmf_tnm(2, 1)
+    affine = raw_presentation(b)
+    projective = raw_presentation(b, projective=True)
+    assert len(pair_calls) == len(b.factors)
+    assert projective.relators == affine.relators + (projective_relator(b.labels),)
+    assert projective.origins == affine.origins + ("projective",)
+    again = bmf_tnm(2, 1)
+    assert raw_presentation(again, projective=True) == projective
+    assert len(pair_calls) == 2 * len(b.factors)
+
+
+def test_raw_presentation_leaves_the_bmf_as_it_was():
+    """Building the relators changes nothing a caller of the BMF reads."""
+    b = bmf_tnm(2, 1)
+    raw_presentation(b)
+    fresh = bmf_tnm(2, 1)
+    assert b == fresh and hash(b) == hash(fresh) and repr(b) == repr(fresh)
+    assert bmf_to_json(b) == bmf_to_json(fresh)
+
+
+def test_overrides_on_a_built_bmf_give_the_override_relators(pair_calls):
+    """`apply_overrides` returns a fresh BMF, which builds the relators of
+    its own factors rather than reading the ones built for its source."""
+    b = bmf_tnm(1, 1)
+    origin = next(f.origin for f in b.factors if f.provisional)
+    override = {origin: {"base_side": ABOVE, "conjugators": [
+        {"i": 1, "j": 2, "side": BELOW, "power": 2}]}}
+    before = raw_presentation(b)
+    changed = raw_presentation(apply_overrides(b, override))
+    assert changed == raw_presentation(apply_overrides(bmf_tnm(1, 1), override))
+    assert changed != before
+    assert len(pair_calls) == 3 * len(b.factors)
