@@ -13,10 +13,11 @@ print("Each monodromy factor contributes one relator: branch points identify")
 print("two loops, nodes make them commute, tangencies impose (AB)^2 = (BA)^2.")
 print()
 print("Raw affine presentation for one conic and one tangent line:")
-print(presentation_text(raw_presentation(Arrangement("C", 1).bmf())))
+c1 = Arrangement("C", 1).bmf()
+print(presentation_text(raw_presentation(c1)))
 print()
 print("Adding the projective relation x_N ... x_1 = e and simplifying:")
-proj = raw_presentation(Arrangement("C", 1).bmf(), projective=True)
+proj = raw_presentation(c1, projective=True)
 simplified = tietze_simplify(proj).presentation
 print(f"   generators {simplified.generators}, relators {simplified.relators}")
 print("   -> the projective complement of C_1 has fundamental group Z")

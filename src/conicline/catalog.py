@@ -24,9 +24,12 @@ Fiber labelings:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
+from . import vankampen
 from .braid import (ABOVE, BELOW, ConjugatedTwist, Skeleton, compile_factor,
                     exponent_sum, permutation)
+from .words import Word
 
 
 SING_TYPES = {1: "branch", 2: "node", 4: "tangency"}
@@ -61,6 +64,16 @@ class BMF:
     def __post_init__(self):
         if len(self.labels) != self.strand_count:
             raise ValueError("labels must name every fiber point")
+
+    @cached_property
+    def relators(self) -> tuple[tuple[Word, ...], tuple[str, ...]]:
+        """The van Kampen relator of each factor and the factors' origins
+        (`vankampen.factor_relators`), built on first use and kept on this
+        object for both complements' `vankampen.raw_presentation`. It is not
+        a field: equality, hash, repr and JSON do not see it, and an equal
+        BMF built anew or a `dataclasses.replace` copy (`apply_overrides`)
+        builds its own."""
+        return vankampen.factor_relators(self)
 
     def counts(self) -> dict[str, int]:
         out = dict.fromkeys(SING_TYPES.values(), 0)

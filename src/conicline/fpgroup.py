@@ -455,8 +455,7 @@ def _hom_plan(p: Presentation) -> tuple:
     sources include every generator before x_h, whose values no two nodes
     at depth h share, so that a row would never be read twice."""
     k = len(p.generators)
-    # with fewer than two generators there is no order to choose
-    pos = {lab: i for i, lab in enumerate(_hom_order(p) if k >= 2 else p.generators)}
+    pos = {lab: i for i, lab in enumerate(_hom_order(p))}
     closed = []
     hoisted: list[list[tuple]] = [[] for _ in range(k)]
     run_slots: dict[tuple, int] = {}  # (h, run) -> its slot

@@ -1,8 +1,8 @@
 """From a braid monodromy factorization to a raw fundamental-group
 presentation: one relator per factor for the affine complement, and the same
 relators plus the projective relation x_N x_{N-1} ... x_1 = e for the
-projective one. The factor relators are built once per `BMF` object and
-shared by both complements.
+projective one. The factor relators are built once per `BMF` object
+(`BMF.relators`) and shared by both complements.
 
 Every factor has the shape e^-1 s_c^k e with e = D^-1 V
 (`braid.compile_factor`); the relation pair (A, B) is the pair of endpoint
@@ -19,10 +19,13 @@ Branch points identify A = B, nodes commute them, tangencies impose
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .braid import endpoint_loops, twist
-from .catalog import BMF, BMFactor
 from .words import Word, commutator, eq, sq, word_text
+
+if TYPE_CHECKING:  # catalog imports this module
+    from .catalog import BMF, BMFactor
 
 
 def cyclic_reduce(w: Word) -> Word:
@@ -79,30 +82,23 @@ def projective_relator(labels: tuple[str, ...]) -> Word:
     return Word(tuple((lab, 1) for lab in reversed(labels)))
 
 
-def _factor_relators(b: BMF) -> tuple[tuple[Word, ...], tuple[str, ...]]:
+def factor_relators(b: BMF) -> tuple[tuple[Word, ...], tuple[str, ...]]:
     """One relator per factor of b, shaped by its power, and the factors'
-    origins. They are built on the first call and kept on the object b
-    itself, as `functools.cached_property` keeps a value: an equal BMF built
-    anew, or a `dataclasses.replace` copy such as `catalog.apply_overrides`
-    returns, builds its own. b's fields, equality and hash are untouched."""
-    built = vars(b).get("_factor_relators")
-    if built is None:
-        rename = {f"x{k}": lab for k, lab in enumerate(b.labels, start=1)}
-        built = (tuple(RELATOR_SHAPES[f.twist.power](*relation_pair(f, b.strand_count, rename))
-                       for f in b.factors),
-                 tuple(f.origin for f in b.factors))
-        object.__setattr__(b, "_factor_relators", built)  # b is frozen
-    return built
+    origins; `BMF.relators` keeps them on b."""
+    rename = {f"x{k}": lab for k, lab in enumerate(b.labels, start=1)}
+    return (tuple(RELATOR_SHAPES[f.twist.power](*relation_pair(f, b.strand_count, rename))
+                  for f in b.factors),
+            tuple(f.origin for f in b.factors))
 
 
 def raw_presentation(b: BMF, projective: bool = False) -> Presentation:
     """The raw presentation of the affine complement of b's curve, or with
     `projective` of the projective one: b's labels as generators and one
     relator per factor, the projective presentation adding
-    `projective_relator(b.labels)`, origin "projective", after them. The
-    factor relators are built once per BMF object (`_factor_relators`), so
-    the second complement of one b costs no Artin action."""
-    relators, origins = _factor_relators(b)
+    `projective_relator(b.labels)`, origin "projective", after them. Both
+    read the factor relators from `b.relators`, built once per BMF object,
+    so the second complement of one b costs no Artin action."""
+    relators, origins = b.relators
     if projective:
         relators += (projective_relator(b.labels),)
         origins += ("projective",)
