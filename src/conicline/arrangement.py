@@ -18,13 +18,17 @@ class Arrangement:
     """C_n needs n >= 1 and takes no m. For T an omitted n or m is 0:
     T_{0,0}, T_{n,0} with n >= 1, or T_{n,m} with n, m >= 1 (the lines
     tangent to the second conic come after those of the first). The family
-    letter is case-insensitive and stored upper-case."""
+    letter is case-insensitive and stored upper-case. n and m, when given,
+    are ints; a bool, a float or a string is a ValueError naming it."""
     family: str
     n: int | None = None
     m: int | None = None
 
     def __post_init__(self):
         family, n, m = self.family.upper(), self.n, self.m
+        for name, x in (("n", n), ("m", m)):
+            if x is not None and type(x) is not int:
+                raise ValueError(f"{name} must be an integer, got {x!r}")
         if family == "C":
             if m is not None:
                 raise ValueError("family C takes only n")
@@ -45,7 +49,8 @@ class Arrangement:
 
     def bmf(self, overrides: dict | None = None) -> catalog.BMF:
         """The factorization, with `overrides` (provisional factor origins
-        mapped to specs) applied and checked by `catalog.apply_overrides`."""
+        mapped to specs), when given, applied and checked by
+        `catalog.apply_overrides`."""
         n, m = self.n, self.m
         if self.family == "C":
             bmf = catalog.bmf_cn(n)
@@ -55,7 +60,7 @@ class Arrangement:
             bmf = catalog.bmf_tn0(n)
         else:
             bmf = catalog.bmf_t00()
-        return catalog.apply_overrides(bmf, overrides)
+        return bmf if overrides is None else catalog.apply_overrides(bmf, overrides)
 
     def stated(self, projective: bool = True) -> Presentation:
         """The stated simplified presentation; T's are projective only."""

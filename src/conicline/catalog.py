@@ -546,14 +546,13 @@ def bmf_from_json(d: dict) -> BMF:
     return BMF(N, tuple(factors), tuple(d["labels"]), family=family, n=n, m=m)
 
 
-def apply_overrides(bmf: BMF, overrides: dict | None) -> BMF:
+def apply_overrides(bmf: BMF, overrides: dict) -> BMF:
     """`bmf` with provisional (tilde) factors rebuilt from `overrides`, which
     maps their origins to {"base_side": side, "conjugators": [...]}, read
     against bmf's strand count. An omitted key keeps the factor's own side
-    or conjugator list; "conjugators": [] clears the list. A bad origin or
-    spec is a ValueError naming it."""
-    if overrides is None:
-        return bmf
+    or conjugator list; "conjugators": [] clears the list. Overrides that
+    are not a dict, None among them, a bad origin or a bad spec are a
+    ValueError naming it."""
     if not isinstance(overrides, dict):
         raise ValueError("overrides must be a JSON object mapping factor origins "
                          f"to specs, got {type(overrides).__name__}")

@@ -48,7 +48,9 @@ def _bmf(arrangement: Arrangement, args) -> catalog.BMF:
     except ValueError as exc:
         raise ValueError(f"override file {path!r} is not valid JSON: {exc}") from None
     try:
-        return arrangement.bmf(overrides)
+        # straight to `apply_overrides`, so that a file holding null is
+        # rejected like any other non-object
+        return catalog.apply_overrides(arrangement.bmf(), overrides)
     except ValueError as exc:
         raise ValueError(f"override file {path!r}: {exc}") from None
 

@@ -92,29 +92,34 @@ class FiniteGroup:
                      for x in range(self.order))
 
     @cached_property
-    def orbits(self) -> dict[int, tuple[int, tuple[int, ...]]]:
+    def orbits(self) -> dict[int, tuple[int, tuple[int, ...], tuple[tuple[int, int], ...]]]:
         """For the whole automorphism group and each subgroup obtained from it
         by fixing orbit representatives one after another, keyed by its
         bitmask: its orbits on the elements, as the bitmask of their smallest
-        elements and the orbit size of each element. The identity alone,
-        key 1, has every element as a representative of size 1."""
-        auts, stabilizers = self.automorphisms, self.stabilizers
-        table: dict[int, tuple[int, tuple[int, ...]]] = {}
+        elements, the orbit size of each element, and its size classes, each
+        as (size, the `rep` blocks of the elements of that size), sizes
+        ascending. The identity alone, key 1, has every element as a
+        representative of size 1."""
+        auts, stabilizers, n = self.automorphisms, self.stabilizers, self.order
+        full = (1 << n) - 1
+        table: dict[int, tuple] = {}
         todo = [(1 << len(auts)) - 1]
         while todo:
             stab = todo.pop()
             if stab in table:
                 continue
             by = [a for i, a in enumerate(auts) if stab >> i & 1]
-            reps, sizes = 0, [0] * self.order
-            for x in range(self.order):
+            reps, sizes, blocks = 0, [0] * n, {}
+            for x in range(n):
                 if not sizes[x]:
                     orbit = {a[x] for a in by}
+                    size = len(orbit)
                     for y in orbit:
-                        sizes[y] = len(orbit)
+                        sizes[y] = size
+                        blocks[size] = blocks.get(size, 0) | full << y * (n + 1)
                     reps |= 1 << x
                     todo.append(stab & stabilizers[x])
-            table[stab] = (reps, tuple(sizes))
+            table[stab] = (reps, tuple(sizes), tuple(sorted(blocks.items())))
         return table
 
     @cached_property
@@ -133,20 +138,6 @@ class FiniteGroup:
         of block e for each e in the mask, and x times that is x in those
         blocks."""
         return sum(1 << e * self.order for e in range(self.order))
-
-    @cached_property
-    def size_blocks(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        """For each subgroup of `orbits`, by the same key: the orbit sizes
-        it gives the elements, each as (size, the blocks of the elements of
-        that size), sizes ascending."""
-        full = (1 << self.order) - 1
-        table = {}
-        for stab, (_, sizes) in self.orbits.items():
-            blocks: dict[int, int] = {}
-            for e, size in enumerate(sizes):
-                blocks[size] = blocks.get(size, 0) | full << e * (self.order + 1)
-            table[stab] = tuple(sorted(blocks.items()))
-        return table
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order {self.order})"

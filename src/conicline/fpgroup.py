@@ -567,24 +567,23 @@ def count_homs(p: Presentation, target: FiniteGroup, *, plan=None, subgroups=Non
     whose sources include every generator before x_h, as no other node
     could read its row.
 
-    The last two depths: `below` walks the depths before k - 2, copying
-    the pending masks per candidate only at a depth with hoisted relators.
-    Every relator hoisted to k - 2 closes at k - 1, so one step, `last_two`,
-    counts x_{k-2} and x_{k-1} together on ints of |G| blocks of |G| bits
-    (`FiniteGroup.rep`), block e standing for x_{k-2} = e: the pending
-    mask of x_{k-1} in the candidates' blocks, one product with no loop
-    (`FiniteGroup.tile`), ANDed with the row of each relator hoisted there
-    with a value key. That row
-    is a matrix whose block e is the mask the relator allows for
-    x_{k-2} = e, with the bitmask of the blocks filled so far; a node fills
-    through `allowed` only its candidate blocks not yet filled, and counts
-    nothing once the AND empties. A relator without a row is then checked
-    on each candidate whose block is not empty. The count is, over the
-    orbit sizes s of the node's stabilizer (`FiniteGroup.size_blocks`), s
-    times the bits left in the blocks of size s. Above k - 2 rows stay
-    lists, as each candidate reads its own mask to narrow its child, and a
-    block read (shift, mask and filled-bit test) costs about five times a
-    list slot read in CPython 3.11.
+    The last two depths: the search is one recursion, `below`, which
+    copies the pending masks per candidate only at a depth with hoisted
+    relators. Every relator hoisted to k - 2 closes at k - 1, so its last
+    level, depth k - 2, counts x_{k-2} and x_{k-1} together on ints of |G|
+    blocks of |G| bits (`FiniteGroup.rep`), block e standing for
+    x_{k-2} = e: the pending mask of x_{k-1} in the candidates' blocks, one
+    product with no loop (`FiniteGroup.tile`), ANDed with the row of each
+    relator hoisted there with a value key. That row is a matrix whose
+    block e is the mask the relator allows for x_{k-2} = e, with the
+    bitmask of the blocks filled so far; a node fills through `allowed`
+    only its candidate blocks not yet filled. A relator without a row is
+    then checked on each candidate whose block is not empty. The count is,
+    over the size classes of the node's stabilizer (`FiniteGroup.orbits`),
+    each size s times the bits left in the blocks of size s. Above k - 2
+    rows stay lists, as each candidate reads its own mask to narrow its
+    child, and a block read (shift, mask and filled-bit test) costs about
+    five times a list slot read in CPython 3.11.
 
     Plan: the greedy order, and each relator's closing depth, shape, value
     key and runs, depend on p alone. `_hom_plan(p)` builds them; a caller
@@ -663,7 +662,8 @@ def count_homs(p: Presentation, target: FiniteGroup, *, plan=None, subgroups=Non
     if k < 2:
         # nothing to walk: the mask of x_0, or with no generators the one
         # empty assignment, as the identity's bit, which every copy holds
-        last = pending[0] if k else int(all(not r for r in p.relators))
+        # (`Presentation` makes every relator over no generators empty)
+        last = pending[0] if k else 1
         return _by_name(target, subgroups, copies, last.bit_count(),
                         [(last & m).bit_count() for _, m in copies])
     blank = [None] * n
@@ -675,7 +675,7 @@ def count_homs(p: Presentation, target: FiniteGroup, *, plan=None, subgroups=Non
              for _, key, shape in at_k2 if key is not None]
     unrowed = [shape for _, key, shape in at_k2 if key is None]
     orbits, stabilizers = target.orbits, target.stabilizers
-    rep, tile, size_blocks = target.rep, target.tile, target.size_blocks
+    rep, tile = target.rep, target.tile
     member = [0] * n  # the copies that hold each element
     for c, (_, m) in enumerate(copies):
         for e in every:
@@ -686,69 +686,14 @@ def count_homs(p: Presentation, target: FiniteGroup, *, plan=None, subgroups=Non
     # the slot of x_{k-2}, and the stride of the blocks (`FiniteGroup.rep`)
     tail, stride = 2 * k - 4, n + 1
 
-    def last_two(pending: list[int], stab: int, inside: int, weight: int) -> int:
-        """Completions as `below` counts them, at depth k - 2: x_{k-2} and
-        x_{k-1} together, on a matrix whose block e holds the x_{k-1}
-        images left for x_{k-2} = e."""
-        cands = pending[-2] & orbits[stab][0]
-        acc = pending[-1] * (cands * tile & rep)
-        for at, run in runs[-2]:
-            value = ident
-            for slot in run:
-                value = mult[value][vals[slot]]
-            vals[at] = value
-        for key, rows, shape in rowed:
-            row = rows[key(vals)]
-            new = cands & ~row[1]
-            if new:
-                row[1] |= new
-                matrix = row[0]
-                while new:
-                    low = new & -new
-                    new ^= low
-                    e = low.bit_length() - 1
-                    vals[tail] = e
-                    vals[tail + 1] = inv[e]
-                    matrix |= allowed(shape) << e * stride
-                row[0] = matrix
-            acc &= row[0]
-            if not acc:
-                return 0
-        if unrowed:
-            live = cands
-            while live:
-                low = live & -live
-                live ^= low
-                e = low.bit_length() - 1
-                block = got = acc >> e * stride & full
-                if got:
-                    vals[tail] = e
-                    vals[tail + 1] = inv[e]
-                    for shape in unrowed:
-                        got &= allowed(shape)
-                        if not got:
-                            break
-                    acc ^= (block ^ got) << e * stride
-        classes = size_blocks[stab]
-        total = 0
-        for size, of_size in classes:
-            total += size * (acc & of_size).bit_count()
-        while inside:
-            bit = inside & -inside
-            inside ^= bit
-            c = bit.bit_length() - 1
-            held = acc & paired[c]
-            if held:
-                for size, of_size in classes:
-                    tally[c] += weight * size * (held & of_size).bit_count()
-        return total
-
     def below(depth: int, pending: list[int], stab: int, inside: int, weight: int) -> int:
         """Completions of the assignment of x_0 .. x_{depth-1}, whose
         stabilizer in Aut(target) is the bitmask `stab`, whose values all
-        lie in the copies `inside` and whose path weight is `weight`;
-        depth < k - 2. Adds the completions inside copies to `tally`."""
-        reps, sizes = orbits[stab]
+        lie in the copies `inside` and whose path weight is `weight`. Adds
+        the completions inside copies to `tally`. At depth k - 2 it counts
+        x_{k-2} and x_{k-1} together, on a matrix whose block e holds the
+        x_{k-1} images left for x_{k-2} = e."""
+        reps, sizes, classes = orbits[stab]
         # the mask is a union of orbits: walk the representatives in it
         mask = pending[depth] & reps
         for at, run in runs[depth]:
@@ -756,11 +701,53 @@ def count_homs(p: Presentation, target: FiniteGroup, *, plan=None, subgroups=Non
             for slot in run:
                 acc = mult[acc][vals[slot]]
             vals[at] = acc
+        if depth == k - 2:
+            acc = pending[-1] * (mask * tile & rep)
+            for key, rows, shape in rowed:
+                row = rows[key(vals)]
+                new = mask & ~row[1]
+                if new:
+                    row[1] |= new
+                    matrix = row[0]
+                    while new:
+                        low = new & -new
+                        new ^= low
+                        e = low.bit_length() - 1
+                        vals[tail] = e
+                        vals[tail + 1] = inv[e]
+                        matrix |= allowed(shape) << e * stride
+                    row[0] = matrix
+                acc &= row[0]
+            if unrowed:
+                while mask:
+                    low = mask & -mask
+                    mask ^= low
+                    e = low.bit_length() - 1
+                    block = got = acc >> e * stride & full
+                    if got:
+                        vals[tail] = e
+                        vals[tail + 1] = inv[e]
+                        for shape in unrowed:
+                            got &= allowed(shape)
+                            if not got:
+                                break
+                        acc ^= (block ^ got) << e * stride
+            total = 0
+            for size, of_size in classes:
+                total += size * (acc & of_size).bit_count()
+            while inside:
+                bit = inside & -inside
+                inside ^= bit
+                c = bit.bit_length() - 1
+                held = acc & paired[c]
+                if held:
+                    for size, of_size in classes:
+                        tally[c] += weight * size * (held & of_size).bit_count()
+            return total
         rels = [(d, None if key is None else rows[key(vals)], shape)
                 for d, key, rows, shape in hoisted[depth]]
         slot = 2 * depth
         total = 0
-        leaf = depth + 3 == k  # its children are `last_two` nodes
         while mask:
             low = mask & -mask
             mask ^= low
@@ -778,16 +765,11 @@ def count_homs(p: Presentation, target: FiniteGroup, *, plan=None, subgroups=Non
             else:
                 size = sizes[e]
                 within = inside and inside & member[e]
-                if leaf:
-                    total += size * last_two(child, stab & stabilizers[e],
-                                             within, within and weight * size)
-                else:
-                    total += size * below(depth + 1, child, stab & stabilizers[e],
-                                          within, within and weight * size)
+                total += size * below(depth + 1, child, stab & stabilizers[e],
+                                      within, within and weight * size)
         return total
 
-    top = (pending, (1 << len(target.automorphisms)) - 1, (1 << len(copies)) - 1, 1)
-    total = last_two(*top) if k == 2 else below(0, *top)
+    total = below(0, pending, (1 << len(target.automorphisms)) - 1, (1 << len(copies)) - 1, 1)
     # `below` reaches itself through its closure cell; emptying the cell
     # frees the memos now rather than at the next cyclic collection
     del below

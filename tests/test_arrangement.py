@@ -93,6 +93,20 @@ def test_arrangement_normalizes_and_validates():
             Arrangement(family, n, m)
 
 
+@pytest.mark.parametrize("family,n,m,named", [
+    ("C", True, None, "n must be an integer, got True"),
+    ("C", 2.0, None, "n must be an integer, got 2.0"),
+    ("C", "3", None, "n must be an integer, got '3'"),
+    ("T", 1.5, None, "n must be an integer, got 1.5"),
+    ("T", 1, False, "m must be an integer, got False"),
+    ("C", 2, 0.0, "m must be an integer, got 0.0")])
+def test_arrangement_rejects_n_or_m_that_is_not_an_int(family, n, m, named):
+    """n and m follow `bmf_from_json`'s rule, `type(x) is int`, so no bool,
+    float or string reaches a family builder or a JSON dump."""
+    with pytest.raises(ValueError, match=named):
+        Arrangement(family, n, m)
+
+
 BUILD_GRID = ([("C", n, None) for n in range(1, 11)] + [("T", 0, 0)]
               + [("T", n, 0) for n in range(1, 9)]
               + [("T", n, m) for n in range(1, 6) for m in range(1, 6)])
@@ -160,6 +174,8 @@ def test_override_origins_checked_in_library():
     with pytest.raises(ValueError, match="JSON object"):
         Arrangement("T", 3).bmf([valid[0]])
     assert Arrangement("T", 3).bmf({}) == Arrangement("T", 3).bmf()
+    with pytest.raises(ValueError, match="JSON object .* got NoneType"):
+        catalog.apply_overrides(Arrangement("T", 3).bmf(), None)
 
 
 @pytest.mark.parametrize("i,j", [(1, 8), (7, 9), (3, 2)])

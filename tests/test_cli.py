@@ -210,6 +210,14 @@ def test_override_file_must_hold_an_object(tmp_path, capsys):
     assert code == 2 and out == "" and "JSON object" in err
 
 
+def test_override_file_holding_null_is_a_usage_error(tmp_path, capsys):
+    # null is not "no overrides": only leaving out the option builds without
+    path = _override_file(tmp_path, None)
+    code, out, err = run(capsys, "present", "T", "--n", "1", "--m", "1",
+                         "--ztilde-override", path)
+    assert code == 2 and out == "" and "JSON object" in err and "zt.json" in err
+
+
 def test_override_conjugator_without_j_is_a_usage_error(tmp_path, capsys):
     origin = _tilde_origin(3)
     path = _override_file(tmp_path, {origin: {"conjugators": [{"i": 1, "power": 2}]}})

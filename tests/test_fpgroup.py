@@ -64,7 +64,7 @@ def _bits(mask):
 
 def _whole_orbits(g):
     """The orbits of the whole of Aut(g), as {representative: orbit size}."""
-    reps, sizes = g.orbits[(1 << len(g.automorphisms)) - 1]
+    reps, sizes, _ = g.orbits[(1 << len(g.automorphisms)) - 1]
     return {x: sizes[x] for x in _bits(reps)}
 
 
@@ -85,8 +85,8 @@ def test_automorphism_tables():
         assert g.stabilizers == tuple(sum(1 << i for i, a in enumerate(auts) if a[x] == x)
                                       for x in range(n))
         assert (1 << len(auts)) - 1 in g.orbits
-        assert g.orbits[1] == ((1 << n) - 1, (1,) * n)
-        for stab, (reps, sizes) in g.orbits.items():
+        assert g.orbits[1] == ((1 << n) - 1, (1,) * n, ((1, ((1 << n) - 1) * g.rep),))
+        for stab, (reps, sizes, _) in g.orbits.items():
             members = [a for i, a in enumerate(auts) if stab >> i & 1]
             orbits = [{a[x] for a in members} for x in range(n)]
             assert sizes == tuple(map(len, orbits))
@@ -107,6 +107,21 @@ def test_automorphism_tables():
     assert merged(D4) == [{x for x in range(D4.order)
                            if _element_order(D4, x) == 2 and x not in center}]
     assert merged(A4) == [{x for x in range(A4.order) if _element_order(A4, x) == 3}]
+
+
+def test_orbit_size_classes():
+    """For every stabilizer in the orbit table, its size classes, sizes
+    ascending and distinct, hold each element's `rep` block in exactly one
+    class, the class of that element's orbit size under the stabilizer."""
+    for g in GROUPS:
+        n = g.order
+        for stab, (_, sizes, classes) in g.orbits.items():
+            assert [size for size, _ in classes] == sorted({size for size, _ in classes})
+            for e in range(n):
+                block = ((1 << n) - 1) << e * (n + 1)
+                holding = [size for size, of_size in classes if of_size & block]
+                assert holding == [sizes[e]], (g, stab, e)
+                assert all(of_size & block in (0, block) for _, of_size in classes)
 
 
 def test_subgroup_copy_tables():
@@ -617,16 +632,16 @@ def test_count_homs_matches_bruteforce_on_catalog():
 
 def _search_branches(p, g, subgroups=None):
     """count_homs(p, g, subgroups=subgroups), and the branches of the mask
-    search it ran, seen through the profiler hook. The loop `below` walks
-    the depths before k - 2 and looks masks up inline, so the hook follows
-    the candidates of each `below` frame: a candidate starts at the
-    `bit_length` call that picks it and ends at the next one or at the
-    frame's return. A row hit is a list index, which the hook does not see:
-    at the start of a candidate it reads the node's rows (`rels`, one
+    search it ran, seen through the profiler hook. The recursion `below`
+    walks the depths before k - 2 and looks masks up inline, so the hook
+    follows the candidates of each such `below` frame: a candidate starts
+    at the `bit_length` call that picks it and ends at the next one or at
+    the frame's return. A row hit is a list index, which the hook does not
+    see: at the start of a candidate it reads the node's rows (`rels`, one
     (d, row, shape) per relator hoisted there, in the order the candidate
     looks them up) and the plan entries they were fetched for (`hoisted`);
-    any other lookup is an `allowed` call. Depth k - 2 is one `last_two`
-    frame, read at its call and at its return.
+    any other lookup is an `allowed` call. A `below` frame at depth k - 2
+    runs the matrix step, read at its call and at its return.
     - 'before-search': a relator in one generator ANDed in before the search;
     - 'hoisted-0', 'hoisted-1', 'hoisted-2+': the depth of a mask lookup;
     - 'value-hit': a `below` node fetching by its value key a row that an
@@ -652,25 +667,24 @@ def _search_branches(p, g, subgroups=None):
       that an earlier node filled; 'block-extended', a candidate block the
       node fills in a first row that an earlier node began;
       'block-checked', a relator without a row checked on a surviving
-      block; 'node-cut', a node whose row AND emptied the matrix;
-      'size-class-2+', a surviving block weighted by an orbit size above 1;
+      block; 'size-class-2+', a surviving block weighted by an orbit size above 1;
       'copy-tally', a copy's part of the count, read through its
       replicated mask."""
     k = len(p.generators)
     seen = set()
     owner = {}  # shared-memo key -> the shape whose lookup computed it
-    # per open `below` frame, whether its current candidate was counted or
-    # entered its subtree (None before its first candidate)
+    # per open `below` frame above k - 2, whether its current candidate was
+    # counted or entered its subtree (None before its first candidate)
     candidate = {}
-    # per open `last_two` frame: the copies inside, whether its matrix
-    # starts nonempty, and the blocks its first row had filled
+    # per open `below` frame at k - 2: the copies inside, its candidates,
+    # and the blocks its first row had filled
     entry = {}
 
     def depth_label(depth):
         return f"hoisted-{depth}" if depth < 2 else "hoisted-2+"
 
     def has_row(frame, shape):
-        if frame.f_code.co_name == "below":
+        if frame.f_locals["depth"] < k - 2:
             return frame.f_locals["row"] is not None
         return not any(shape is s for s in frame.f_locals["unrowed"])
 
@@ -695,25 +709,22 @@ def _search_branches(p, g, subgroups=None):
         if candidate.get(frame) is False and f["d"] > f["depth"] + 1:
             seen.add("forward-prune")
 
-    def enter_last_two(frame):
+    def enter_matrix(frame):
         f = frame.f_locals
         rowed = f["rowed"]
         first = {rk: row[1] for rk, row in rowed[0][1].items()} if rowed else {}
-        entry[frame] = (f["inside"], bool(f["pending"][-1] and f["pending"][-2]), first)
+        cands = f["pending"][-2] & g.orbits[f["stab"]][0]
+        entry[frame] = (f["inside"], cands, first)
 
-    def leave_last_two(frame):
+    def leave_matrix(frame):
         f = frame.f_locals
-        inside, started, first = entry.pop(frame)
+        inside, cands, first = entry.pop(frame)
         acc, rowed = f["acc"], f["rowed"]
         before = first.get(rowed[0][0](f["vals"]), 0) if rowed else 0
-        if before & f["cands"]:
+        if before & cands:
             seen.add("block-reused")
-        if before and f["cands"] & ~before:
+        if before and cands & ~before:
             seen.add("block-extended")
-        if "classes" not in f:
-            if started and not acc:
-                seen.add("node-cut")
-            return
         if any(size > 1 and acc & of_size for size, of_size in f["classes"]):
             seen.add("size-class-2+")
         if any(acc & f["paired"][c] for c in _bits(inside)):
@@ -722,21 +733,23 @@ def _search_branches(p, g, subgroups=None):
     def hook(frame, event, arg):
         name = frame.f_code.co_name
         caller = frame.f_back
-        if name in ("below", "last_two") and event == "call":
-            if caller.f_code.co_name == "below":
-                candidate[caller] = True
-            if name == "last_two":
-                enter_last_two(frame)
-                return
-            candidate[frame] = None
-            depth, pending = frame.f_locals["depth"], frame.f_locals["pending"]
-            sizes = g.orbits[frame.f_locals["stab"]][1]
-            if depth >= 2 and any(sizes[x] > 1 for x in _bits(pending[depth])):
-                seen.add("orbit-weighted-2+")
-        elif name == "last_two" and event == "return":
-            leave_last_two(frame)
-        elif name == "below":
-            if event == "return":
+        if name == "below":
+            depth = frame.f_locals["depth"]
+            if event == "call":
+                if caller.f_code.co_name == "below":
+                    candidate[caller] = True
+                if depth == k - 2:
+                    enter_matrix(frame)
+                    return
+                candidate[frame] = None
+                pending = frame.f_locals["pending"]
+                sizes = g.orbits[frame.f_locals["stab"]][1]
+                if depth >= 2 and any(sizes[x] > 1 for x in _bits(pending[depth])):
+                    seen.add("orbit-weighted-2+")
+            elif depth == k - 2:
+                if event == "return":
+                    leave_matrix(frame)
+            elif event == "return":
                 finish(frame)
                 del candidate[frame]
             elif event == "c_call" and arg.__name__ == "bit_length":
@@ -748,7 +761,7 @@ def _search_branches(p, g, subgroups=None):
             elif event == "call":
                 shape = caller.f_locals["shape"]
                 row = has_row(caller, shape)
-                if caller.f_code.co_name == "below":
+                if caller.f_locals["depth"] < k - 2:
                     seen.add(depth_label(caller.f_locals["depth"]))
                     seen.add("row-miss" if row else "part-value-only")
                 else:
@@ -864,8 +877,7 @@ def test_count_homs_mask_branches_match_bruteforce():
                        "value-hit", "row-hit", "row-miss", "value-miss-part-hit",
                        "part-value-only", "cross-relator-hit", "run-keyed", "run-unkeyed",
                        "forward-prune", "orbit-weighted-2+", "block-filled", "block-reused",
-                       "block-extended", "block-checked", "node-cut", "size-class-2+",
-                       "copy-tally"}
+                       "block-extended", "block-checked", "size-class-2+", "copy-tally"}
 
 
 def test_hom_order_breaks_a_tie_in_relators_closed_by_letters():
