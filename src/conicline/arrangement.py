@@ -19,13 +19,15 @@ class Arrangement:
     T_{0,0}, T_{n,0} with n >= 1, or T_{n,m} with n, m >= 1 (the lines
     tangent to the second conic come after those of the first). The family
     letter is case-insensitive and stored upper-case. n and m, when given,
-    are ints; a bool, a float or a string is a ValueError naming it."""
+    are ints; a bool, a float or a string is a ValueError naming it, as is
+    a family that is not a string."""
     family: str
     n: int | None = None
     m: int | None = None
 
     def __post_init__(self):
-        family, n, m = self.family.upper(), self.n, self.m
+        family = self.family.upper() if isinstance(self.family, str) else self.family
+        n, m = self.n, self.m
         for name, x in (("n", n), ("m", m)):
             if x is not None and type(x) is not int:
                 raise ValueError(f"{name} must be an integer, got {x!r}")
@@ -47,20 +49,16 @@ class Arrangement:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", m)
 
-    def bmf(self, overrides: dict | None = None) -> catalog.BMF:
-        """The factorization, with `overrides` (provisional factor origins
-        mapped to specs), when given, applied and checked by
-        `catalog.apply_overrides`."""
+    def bmf(self) -> catalog.BMF:
+        """The factorization as the catalog builds it. Overrides enter a
+        factorization only through `catalog.apply_overrides`, which the
+        CLI's `--ztilde-override` calls on this result."""
         n, m = self.n, self.m
         if self.family == "C":
-            bmf = catalog.bmf_cn(n)
-        elif m:
-            bmf = catalog.bmf_tnm(n, m)
-        elif n:
-            bmf = catalog.bmf_tn0(n)
-        else:
-            bmf = catalog.bmf_t00()
-        return bmf if overrides is None else catalog.apply_overrides(bmf, overrides)
+            return catalog.bmf_cn(n)
+        if m:
+            return catalog.bmf_tnm(n, m)
+        return catalog.bmf_tn0(n) if n else catalog.bmf_t00()
 
     def stated(self, projective: bool = True) -> Presentation:
         """The stated simplified presentation; T's are projective only."""

@@ -551,11 +551,13 @@ def apply_overrides(bmf: BMF, overrides: dict) -> BMF:
     maps their origins to {"base_side": side, "conjugators": [...]}, read
     against bmf's strand count. An omitted key keeps the factor's own side
     or conjugator list; "conjugators": [] clears the list. Overrides that
-    are not a dict, None among them, a bad origin or a bad spec are a
-    ValueError naming it."""
+    are not a dict (null among them; the error names their JSON type), a
+    bad origin or a bad spec are a ValueError naming it."""
     if not isinstance(overrides, dict):
+        kind = {type(None): "null", bool: "boolean", str: "string", list: "array",
+                int: "number", float: "number"}.get(type(overrides), type(overrides).__name__)
         raise ValueError("overrides must be a JSON object mapping factor origins "
-                         f"to specs, got {type(overrides).__name__}")
+                         f"to specs, got {kind}")
     valid = [f.origin for f in bmf.factors if f.provisional]
     unknown = [origin for origin in overrides if origin not in valid]
     if unknown:

@@ -166,19 +166,6 @@ def _add_common(sub):
                      help="JSON file mapping factor origins to conjugator lists")
 
 
-def _add_presentation_flags(sub):
-    group = sub.add_mutually_exclusive_group()
-    group.add_argument("--raw", action="store_true",
-                       help="raw van Kampen presentation (default)")
-    group.add_argument("--paper", action="store_true",
-                       help="the stated simplified presentation")
-    complement = sub.add_mutually_exclusive_group()
-    complement.add_argument("--affine", action="store_true",
-                            help="affine group (default is projective)")
-    complement.add_argument("--projective", action="store_true",
-                            help="projective group (the default; kept for clarity)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conicline",
@@ -194,7 +181,10 @@ def build_parser() -> argparse.ArgumentParser:
                      ("fingerprint", cmd_fingerprint)):
         s = subs.add_parser(name)
         _add_common(s)
-        _add_presentation_flags(s)
+        s.add_argument("--paper", action="store_true",
+                       help="the stated simplified presentation (default: raw van Kampen)")
+        s.add_argument("--affine", action="store_true",
+                       help="affine group (default: projective)")
         if name == "fingerprint":
             s.add_argument("--targets", help="comma-separated battery, e.g. S3,A4")
         s.set_defaults(func=fn)

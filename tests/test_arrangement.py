@@ -107,6 +107,14 @@ def test_arrangement_rejects_n_or_m_that_is_not_an_int(family, n, m, named):
         Arrangement(family, n, m)
 
 
+@pytest.mark.parametrize("family", [3, None, b"C"])
+def test_arrangement_rejects_a_family_that_is_not_a_string(family):
+    """A ValueError naming the value, like any other bad triple, not an
+    AttributeError from upper-casing it."""
+    with pytest.raises(ValueError, match=f"unknown family {family!r}"):
+        Arrangement(family, 1)
+
+
 BUILD_GRID = ([("C", n, None) for n in range(1, 11)] + [("T", 0, 0)]
               + [("T", n, 0) for n in range(1, 9)]
               + [("T", n, m) for n in range(1, 6) for m in range(1, 6)])
@@ -165,17 +173,27 @@ def test_unused_certificate_aliases_are_gone(alias):
 
 
 def test_override_origins_checked_in_library():
-    valid = [f.origin for f in Arrangement("T", 3).bmf().factors if f.provisional]
+    t3 = Arrangement("T", 3).bmf()
+    valid = [f.origin for f in t3.factors if f.provisional]
     with pytest.raises(ValueError, match="valid origins") as info:
-        Arrangement("T", 3).bmf({"no such factor": {"conjugators": []}})
+        catalog.apply_overrides(t3, {"no such factor": {"conjugators": []}})
     assert all(origin in str(info.value) for origin in valid)
     with pytest.raises(ValueError, match="valid origins: none"):
-        Arrangement("C", 2).bmf({valid[0]: {"conjugators": []}})
+        catalog.apply_overrides(Arrangement("C", 2).bmf(), {valid[0]: {"conjugators": []}})
     with pytest.raises(ValueError, match="JSON object"):
-        Arrangement("T", 3).bmf([valid[0]])
-    assert Arrangement("T", 3).bmf({}) == Arrangement("T", 3).bmf()
-    with pytest.raises(ValueError, match="JSON object .* got NoneType"):
-        catalog.apply_overrides(Arrangement("T", 3).bmf(), None)
+        catalog.apply_overrides(t3, [valid[0]])
+    assert catalog.apply_overrides(t3, {}) == t3
+    with pytest.raises(ValueError, match="JSON object .* got null"):
+        catalog.apply_overrides(t3, None)
+
+
+@pytest.mark.parametrize("text,kind", [
+    ("null", "null"), ("true", "boolean"), ('"x"', "string"), ("[1]", "array"),
+    ("3", "number"), ("2.5", "number")])
+def test_overrides_that_are_not_an_object_name_their_json_type(text, kind):
+    with pytest.raises(ValueError) as info:
+        catalog.apply_overrides(Arrangement("T", 3).bmf(), json.loads(text))
+    assert str(info.value).endswith(f"JSON object mapping factor origins to specs, got {kind}")
 
 
 @pytest.mark.parametrize("i,j", [(1, 8), (7, 9), (3, 2)])
@@ -184,10 +202,11 @@ def test_override_endpoints_checked_against_strand_count(i, j):
     spec = {origin: {"conjugators": [{"i": 1, "j": 2, "power": 2},
                                      {"i": i, "j": j, "power": 2}]}}
     with pytest.raises(ValueError, match=r"conjugator 1 endpoints .*N = 7") as info:
-        Arrangement("T", 3).bmf(spec)
+        catalog.apply_overrides(Arrangement("T", 3).bmf(), spec)
     assert repr(origin) in str(info.value)
     spec[origin]["conjugators"][1].update(i=6, j=7)
-    assert Arrangement("T", 3).bmf(spec) != Arrangement("T", 3).bmf()
+    t3 = Arrangement("T", 3).bmf()
+    assert catalog.apply_overrides(t3, spec) != t3
 
 
 @pytest.mark.parametrize("spec,message", [
@@ -199,7 +218,7 @@ def test_override_endpoints_checked_against_strand_count(i, j):
 def test_override_spec_typos_are_rejected(spec, message):
     origin = "node L1.L3 (tilde)"
     with pytest.raises(ValueError, match=message) as info:
-        Arrangement("T", 3).bmf({origin: spec})
+        catalog.apply_overrides(Arrangement("T", 3).bmf(), {origin: spec})
     assert repr(origin) in str(info.value)
 
 
@@ -209,7 +228,8 @@ def test_override_keeps_what_it_omits_and_clears_an_empty_list():
     flipped = ABOVE if f.twist.base.side == BELOW else BELOW
 
     def overridden(spec):
-        return next(g for g in a.bmf({f.origin: spec}).factors if g.origin == f.origin).twist
+        b = catalog.apply_overrides(a.bmf(), {f.origin: spec})
+        return next(g for g in b.factors if g.origin == f.origin).twist
 
     side_only = overridden({"base_side": flipped})
     assert side_only.base.side == flipped
@@ -234,7 +254,7 @@ def test_override_keeps_what_it_omits_and_clears_an_empty_list():
 def test_malformed_override_spec_names_the_origin(spec, message):
     origin = next(f.origin for f in catalog.bmf_tnm(1, 1).factors if f.provisional)
     with pytest.raises(ValueError, match=message) as info:
-        Arrangement("T", 1, 1).bmf({origin: spec})
+        catalog.apply_overrides(Arrangement("T", 1, 1).bmf(), {origin: spec})
     assert repr(origin) in str(info.value)
 
 
@@ -268,7 +288,7 @@ def test_override_outputs_match_pins():
         a = Arrangement("T", n, m)
         for f in a.bmf().factors:
             if f.provisional:
-                b = a.bmf({f.origin: _changed_override(f)})
+                b = catalog.apply_overrides(a.bmf(), {f.origin: _changed_override(f)})
                 assert b != a.bmf()
                 got[f"T {n} {m} | {f.origin}"] = [
                     _sha(json.dumps(catalog.bmf_to_json(b), sort_keys=True)),

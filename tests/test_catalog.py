@@ -5,7 +5,7 @@ import oracles
 from conicline.arrangement import Arrangement
 from conicline.braid import (ABOVE, BELOW, ArtinWord, ConjugatedTwist, Skeleton,
                              artin_action, compile_factor, full_twist)
-from conicline.catalog import (BMFactor, audit, bmf_cn, bmf_from_json,
+from conicline.catalog import (BMFactor, apply_overrides, audit, bmf_cn, bmf_from_json,
                                bmf_t00, bmf_t10, bmf_t11, bmf_t1m, bmf_t20,
                                bmf_t21, bmf_t22, bmf_tn0, bmf_tnm, bmf_to_json)
 from conicline.words import gen
@@ -167,7 +167,7 @@ def test_ztilde_override_is_applied():
     origin = next(f.origin for f in b.factors if f.provisional)
     override = {origin: {"base_side": ABOVE, "conjugators": [
         {"i": 1, "j": 2, "side": BELOW, "power": 2}]}}
-    b2 = Arrangement("T", 1, 1).bmf(override)
+    b2 = apply_overrides(Arrangement("T", 1, 1).bmf(), override)
     f2 = next(f for f in b2.factors if f.origin == origin)
     assert f2.twist.base.side == ABOVE
     assert f2.twist.conjugators == ((Skeleton(1, 2), 2),)

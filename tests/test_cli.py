@@ -49,23 +49,25 @@ def test_unknown_family(capsys):
 
 
 def test_present_and_abelianize(capsys):
-    code, out, _ = run(capsys, "present", "C", "--n", "1", "--raw", "--projective")
+    code, out, _ = run(capsys, "present", "C", "--n", "1")
     assert code == 0
     assert out.startswith("gens: x1 x1p x2")
-    code, out, _ = run(capsys, "abelianize", "C", "--n", "1", "--raw",
-                       "--projective", "--json")
+    code, out, _ = run(capsys, "abelianize", "C", "--n", "1", "--json")
     assert code == 0
     data = json.loads(out)
     assert data["free_rank"] == 1 and data["torsion"] == []
 
 
-def test_affine_and_projective_together_are_a_usage_error(capsys):
+def test_raw_and_projective_are_unrecognized_arguments(capsys):
+    # the raw presentation and the projective complement are the defaults;
+    # --paper and --affine are the one switch for each choice
     for command in ("present", "abelianize", "fingerprint"):
-        with pytest.raises(SystemExit) as exc:
-            main([command, "C", "--n", "1", "--affine", "--projective"])
-        captured = capsys.readouterr()
-        assert exc.value.code == 2 and captured.out == "", command
-        assert "not allowed with argument" in captured.err
+        for flag in ("--raw", "--projective"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "C", "--n", "1", flag])
+            captured = capsys.readouterr()
+            assert exc.value.code == 2 and captured.out == "", (command, flag)
+            assert f"unrecognized arguments: {flag}" in captured.err
 
 
 def test_present_paper(capsys):
@@ -216,6 +218,14 @@ def test_override_file_holding_null_is_a_usage_error(tmp_path, capsys):
     code, out, err = run(capsys, "present", "T", "--n", "1", "--m", "1",
                          "--ztilde-override", path)
     assert code == 2 and out == "" and "JSON object" in err and "zt.json" in err
+
+
+def test_override_file_holding_true_names_the_json_type(tmp_path, capsys):
+    path = _override_file(tmp_path, True)
+    code, out, err = run(capsys, "present", "T", "--n", "1", "--m", "1",
+                         "--ztilde-override", path)
+    assert code == 2 and out == "" and "zt.json" in err
+    assert err.endswith("JSON object mapping factor origins to specs, got boolean\n")
 
 
 def test_override_conjugator_without_j_is_a_usage_error(tmp_path, capsys):
