@@ -388,12 +388,12 @@ def tietze_simplify(p: Presentation) -> TietzeResult:
 
 # A relator whose head and segments read at most this many sources, x_h
 # included, keys its masks first on their values (`count_homs`): at most
-# |G|^3 entries per relator, 13,824 for S4. A source is a generator, or in
-# a wider relator a run of its letters (`_hom_plan`). Raising it to 99 keys
-# every row on generators, which grows the memos as |G|^reads: the largest
+# |G|^3 entries per relator, 13,824 for S4. A source is a run of letters or
+# a single generator (`_hom_plan`). Raising it to 99 keys every row on all
+# its sources, which grows the memos as |G|^sources: the largest
 # tracemalloc peak of `test_count_homs_memory_stays_bounded` goes from
-# 31,100 to 67,220 bytes. A miss falls back to the shared memo keyed on
-# signs, head and segment values, which computes 3,668 of the 33,654 masks
+# 31,576 to 63,444 bytes. A miss falls back to the shared memo keyed on
+# signs, head and segment values, which computes 3,668 of the 32,270 masks
 # asked of it in four seed-11 sweeps of the `homcount-stated` benchmark
 # workload.
 VALUE_KEY_GENERATORS = 3
@@ -441,12 +441,10 @@ def _hom_plan(p: Presentation) -> tuple:
     depth. Any other is (d, key, shape) in hoisted[h], h being the deepest
     generator its parts read.
 
-    Sources: a relator that reads at most VALUE_KEY_GENERATORS generators
-    keeps its parts, and its sources are the generators it reads before
-    x_h. In a wider one the letters other than x_h in each part fall into
-    maximal runs, all of generators placed before x_h. A run of two or
-    more letters is one slot from 2k on, (slot, run) in runs[h], shared by
-    the relators hoisted to h that have it, and is a source; a run of one
+    Sources: the letters other than x_h in each part fall into maximal
+    runs, all of generators placed before x_h. A run of two or more
+    letters is one slot from 2k on, (slot, run) in runs[h], shared by the
+    relators hoisted to h that have it, and is a source; a run of one
     letter keeps its slot, and its generator is the source.
 
     `key` maps `vals` to a row key: an itemgetter of the sources' slots, or
@@ -475,28 +473,25 @@ def _hom_plan(p: Presentation) -> tuple:
                 positive.append(sign > 0)
             else:
                 parts[-1].append(2 * px + (sign < 0))
-        read = sorted({slot >> 1 for part in parts for slot in part})
+        read = {slot >> 1 for part in parts for slot in part}
         if not read:
             closed.append((depth, (tuple(map(tuple, parts)), tuple(positive))))
             continue
-        h = read[-1]
-        if len(read) <= VALUE_KEY_GENERATORS:
-            sources = {2 * px for px in read[:-1]}
-        else:
-            sources = set()
-            for i, part in enumerate(parts):
-                parts[i] = []
-                for at_h, run in groupby(part, lambda slot: slot >> 1 == h):
-                    run = tuple(run)
-                    if at_h:
-                        parts[i] += run
-                    elif len(run) == 1:
-                        parts[i] += run
-                        sources.add(run[0] & ~1)
-                    else:
-                        slot = run_slots.setdefault((h, run), 2 * k + len(run_slots))
-                        parts[i].append(slot)
-                        sources.add(slot)
+        h = max(read)
+        sources = set()
+        for i, part in enumerate(parts):
+            parts[i] = []
+            for at_h, run in groupby(part, lambda slot: slot >> 1 == h):
+                run = tuple(run)
+                if at_h:
+                    parts[i] += run
+                elif len(run) == 1:
+                    parts[i] += run
+                    sources.add(run[0] & ~1)
+                else:
+                    slot = run_slots.setdefault((h, run), 2 * k + len(run_slots))
+                    parts[i].append(slot)
+                    sources.add(slot)
         if len(sources) >= VALUE_KEY_GENERATORS or sources >= {2 * px for px in range(h)}:
             key = None
         else:
@@ -563,9 +558,10 @@ def count_homs(p: Presentation, target: FiniteGroup, *, plan=None, subgroups=Non
     segments, falls back to the shared memo and fills the slot. A relator
     with more than VALUE_KEY_GENERATORS sources, x_h included, has no row
     and keeps to the shared memo alone, which bounds each relator's rows
-    at |G|^3 masks; its runs still save it letters. So does a relator
-    whose sources include every generator before x_h, as no other node
-    could read its row.
+    at |G|^3 masks. So does a relator whose sources include every
+    generator before x_h, as no other node could read its row. With a
+    row or without, a relator reads each of its runs as one slot, which
+    saves it letters.
 
     The last two depths: the search is one recursion, `below`, which
     copies the pending masks per candidate only at a depth with hoisted

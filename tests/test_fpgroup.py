@@ -652,10 +652,10 @@ def _search_branches(p, g, subgroups=None):
       lookup of a relator without a row in `below`; 'cross-relator-hit': a
       lookup answered by a mask of the shared memo that another relator
       computed;
-    - 'run-keyed': a lookup of a relator that reads more than
-      VALUE_KEY_GENERATORS generators and has a row, keyed through the
-      run slots (from 2k on) that its parts read; 'run-unkeyed': a lookup
-      of one that reads run slots and has no row;
+    - 'run-keyed': a lookup of a relator whose parts read a run slot
+      (from 2k on) and that has a row, keyed through the run slots it
+      reads; 'run-unkeyed': a lookup of one whose parts read a run slot and
+      that has no row;
     - 'forward-prune': a candidate of `below` cut before its subtree
       because the mask of a depth beyond the next one emptied;
     - 'orbit-weighted-2+': a `below` depth of two or more that walks a
@@ -803,10 +803,10 @@ def _mask_presentations(rng):
 
     Five generators: the same relators, and g4 u with u reading each of
     g0 .. g3, so g4 comes last and g4 u is hoisted to depth 3, the last
-    but one. u reads more than VALUE_KEY_GENERATORS generators, so each
-    run of two or more letters between its letters of the generator at
-    depth 3 is a run slot: u has a row, keyed through them, when those
-    letters split it into at most two stretches, and none otherwise.
+    but one. Each run of two or more letters between its letters of the
+    generator at depth 3 is a run slot: u has a row, keyed through them,
+    when those letters split it into at most two stretches, and none
+    otherwise.
 
     Four generators again, with v and w ending in g2: g3 v and g3^2 w read
     all four generators, so they are hoisted to depth 2, the last but one,
@@ -927,7 +927,8 @@ def _wide_presentations(rng, count):
     """Five generators, each of order 2 or 3, and one or two relators that
     read every generator plus up to five more letters, shuffled: their
     head and segments read four or five generators, more than
-    VALUE_KEY_GENERATORS, so the plan splits them into runs."""
+    VALUE_KEY_GENERATORS, so whether they get a row depends on how their
+    runs group those generators."""
     labels = [f"g{i}" for i in range(5)]
     for _ in range(count):
         relators = [_power(lab, rng.choice((2, 3))) for lab in labels]
@@ -948,9 +949,11 @@ def test_count_homs_through_runs_matches_backtracking():
     S3/D4/A4/S4, and the one S4 search that counts the others too, equal
     the backtracking oracle. In every plan a run is two or more letters of
     generators placed before its depth, and a relator reads only the runs
-    of the depth it is hoisted to; some wide relators are keyed through
-    runs and some are not, and raw projective T_{5,5}'s plan gives rows to
-    some of its wide relators."""
+    of the depth it is hoisted to; some relators that read runs are keyed
+    through them and some are not, and raw projective T_{5,5}'s plan gives
+    rows to some of them. Narrow relators split into runs too: in the plans
+    of the `homcount-stated` presentations after Tietze, some relator whose
+    parts read at most VALUE_KEY_GENERATORS generators reads a run slot."""
     rng = random.Random(89)
     inputs = list(_wide_presentations(rng, 30))
     inputs += [tietze_simplify(raw_presentation(Arrangement("C", n).bmf(), projective=True))
@@ -976,6 +979,19 @@ def test_count_homs_through_runs_matches_backtracking():
     k, _, hoisted, _ = fpgroup._hom_plan(q)
     assert any(key is not None and _run_slots(shape, k)
                for rels in hoisted for _, key, shape in rels)
+    narrow_with_runs = 0
+    for a, projective in HOMCOUNT_STATED:
+        q = tietze_simplify(a.stated(projective)).presentation
+        k, _, hoisted, runs = fpgroup._hom_plan(q)
+        for h, rels in enumerate(hoisted):
+            run_of = dict(runs[h])
+            for _, _, shape in rels:
+                # the generators the parts read, through their runs
+                read = {s >> 1 for part in shape[0] for slot in part
+                        for s in run_of.get(slot, (slot,))}
+                if len(read) <= fpgroup.VALUE_KEY_GENERATORS and _run_slots(shape, k):
+                    narrow_with_runs += 1
+    assert narrow_with_runs, narrow_with_runs
 
 
 # The stated presentations of the `homcount-stated` benchmark workload, as
@@ -986,6 +1002,14 @@ HOMCOUNT_STATED = (
     + [(Arrangement("T", n, 0), True) for n in range(2, 6)]
     + [(Arrangement("T", n, m), True)
        for n in range(1, 5) for m in range(1, 6) if n + m <= 5])
+
+# The raw presentations of the `fingerprint-raw` benchmark workload, the
+# raw side of acceptance criterion 06, as (arrangement, projective).
+FINGERPRINT_RAW = (
+    [(Arrangement("C", n), False) for n in range(1, 5)]
+    + [(Arrangement("C", n), True) for n in range(1, 6)]
+    + [(Arrangement("T", n, 0), True) for n in range(1, 4)]
+    + [(Arrangement("T", n, m), True) for n, m in ((1, 1), (1, 2), (2, 1), (2, 2))])
 
 
 def _scramble(p, rng):
@@ -1019,25 +1043,31 @@ def test_count_homs_matches_backtracking_on_stated_presentations():
 
 def test_count_homs_memory_stays_bounded():
     """The peak memory tracemalloc sees in one `count_homs` call, over the
-    `homcount-stated` presentations after Tietze into S3/D4/A4/S4, and in
-    the one S4 search that counts S3, D4 and A4 too. Measured on Python
-    3.11, this test's loop alone in a fresh process and the same under
-    pytest, the largest peak is 31,100 bytes with rows bounded by
-    VALUE_KEY_GENERATORS (T_{2,3} into S4, covering) and 67,220 with every
-    row keyed on generators (VALUE_KEY_GENERATORS = 99; T_{1,4} into S4,
-    covering); with the shared part-value memo alone
-    (VALUE_KEY_GENERATORS = 0) it is 18,036 in a fresh process and 14,348
-    under pytest. Python 3.12 and 3.13 read 96 bytes less. Readings move
-    by about 20 % with what else runs in the process. The bound sits 45 %
-    above the bounded peak and 33 % below the unbounded one, so it fails
-    the unbounded value keys."""
-    presentations = [tietze_simplify(a.stated(projective)).presentation
+    `homcount-stated` presentations after Tietze into S3/D4/A4/S4 and in
+    the one S4 search that counts S3, D4 and A4 too, and over the raw
+    `fingerprint-raw` presentations after Tietze into S3/D4/A4. Measured
+    on Python 3.11, this test's loop alone in a fresh process, the largest
+    peak is 31,576 bytes with rows bounded by VALUE_KEY_GENERATORS (raw
+    T_{2,1} into D4; 23,684 on the stated set alone) and 63,444 with every
+    row keyed on all its sources (VALUE_KEY_GENERATORS = 99; raw T_{2,2}
+    into D4; 31,704 on the stated set alone, which would pass the bound);
+    with the shared part-value memo alone (VALUE_KEY_GENERATORS = 0) it is
+    30,028. Under pytest they read 31,640, 63,444 and 30,092. Readings
+    move by about 20 % with what else runs in the process. The bound sits
+    42 % above the bounded peak and 29 % below the unbounded one, so it
+    fails the unbounded value keys."""
+    stated_searches = [(g, None) for g in GROUPS] + [(S4, (S3, D4, A4))]
+    raw_searches = [(g, None) for g in (S3, D4, A4)]
+    presentations = [(tietze_simplify(a.stated(projective)).presentation, stated_searches)
                      for a, projective in HOMCOUNT_STATED]
+    presentations += [(tietze_simplify(raw_presentation(a.bmf(), projective=projective))
+                       .presentation, raw_searches)
+                      for a, projective in FINGERPRINT_RAW]
     peaks = {}
     tracemalloc.start()
     try:
-        for q in presentations:
-            for g, subgroups in [(g, None) for g in GROUPS] + [(S4, (S3, D4, A4))]:
+        for q, searches in presentations:
+            for g, subgroups in searches:
                 tracemalloc.reset_peak()
                 base = tracemalloc.get_traced_memory()[0]
                 count_homs(q, g, subgroups=subgroups)
