@@ -20,8 +20,8 @@ at most j - i + 1 generators, and its images are those of its compiled
 band word, acted out once per process and kept in a constant table. A
 step is one `words.substitute` pass over the stored image and
 inverse-image letters of the moved generators. `apply_braid` takes one
-step per letter of the freely reduced braid word (s_i s_i^-1 acts
-trivially, so reducing the letters first changes nothing but the work);
+step per letter of the braid word as given, `b.letters`, with no free
+reduction first (a pair s_i s_i^-1 costs two steps and acts trivially);
 `vankampen.relation_pair` starts from a base's `endpoint_loops` and takes
 one step of H^p per conjugator (skeleton, p), a full twist (p = +-2),
 never the letters of the compiled band.

@@ -189,62 +189,52 @@ def _shorten_with(r: str, rotations: list, flip: dict) -> str:
 
     As n >= 3, half <= n - 1, so a prefix of half..n-1 letters occurs in r
     exactly when the rotation's head (its first half letters) does. The
-    first rotation whose head is in r is therefore the one the rule takes;
-    only the positions where `str.find` finds that head are extended, in
-    ascending order, so the earliest longest piece wins. When no head is in
-    r, the first loop returns r itself, unchanged.
+    first rotation whose head is in r is therefore the one the rule takes,
+    and when no head is in r the loop over the rotations returns r itself,
+    unchanged. The longest piece is the largest size from n - 1 down whose
+    prefix `str.find` finds in r, at its first occurrence; the search ends
+    at half at the latest, as the head occurs in r.
     """
     n = len(rotations) // 2
-    half = n // 2 + 1
     while True:
         for head, doubled, start in rotations:
             if head in r:
                 break
         else:
             return r
-        size = len(r)
-        longest = 0
-        k = r.find(head)
-        while k >= 0:
-            m = half
-            stop = min(n - 1, size - k)
-            while m < stop and r[k + m] == doubled[start + m]:
-                m += 1
-            if m > longest:
-                longest, at = m, k
-                if m == n - 1:
-                    break
-            k = r.find(head, k + 1)
-        repl = _invert(doubled[start + longest:start + n], flip)
-        r = _reduce(r[:at] + repl + r[at + longest:])
+        rotation = doubled[start:start + n]
+        size = n - 1
+        while (at := r.find(rotation[:size])) < 0:
+            size -= 1
+        r = _reduce(r[:at] + _invert(rotation[size:], flip) + r[at + size:])
 
 
 class _Relator:
     """A current relator of `tietze_simplify`, the encoded string `s`, with
     what the passes derive from s alone, each built when first needed: the
     pass-(a) `bag`, the letters of s with both signs folded onto the even
-    code point, sorted, which no rotation or inversion changes, and `key`,
-    the least string among the rotations of s and of its inverse; the
+    code point, sorted, which no rotation or inversion changes; the
     pass-(b) `single`, the least (unprimed, label) of the generators that
     occur once in s, () for none; the pass-(c) `rotations` (`_rotations`);
     and `disjoint`, the relator strings that `_shorten_with` left s
     unchanged against. A relator that changes gets a new record."""
-    __slots__ = ("s", "bag", "key", "single", "rotations", "disjoint")
+    __slots__ = ("s", "bag", "single", "rotations", "disjoint")
 
     def __init__(self, s: str):
         self.s = s
-        self.bag = self.key = self.single = self.rotations = None
+        self.bag = self.single = self.rotations = None
         self.disjoint = set()
 
 
 def _distinct(relators: list, fold: dict, flip: dict) -> list:
     """Tietze's pass (a): the nonempty `relators`, less every one equal to
-    an earlier one up to rotation and inversion, that is, with the same
-    `key`. Equal keys have equal bags, so a relator whose bag no earlier
-    kept relator has is kept without a key; keys are built only within a
-    bag that two relators share. `fold` maps a code point to the even one of
-    its generator. The lists by bag hold records, so they end with this
-    call rather than keep the records that pass (c) replaces alive."""
+    an earlier kept one q up to rotation and inversion. Only a q with the
+    same bag can be, and then q has r's length, so r is a rotation of q
+    exactly when r occurs in q q, and of q^-1 exactly when r^-1 does: a
+    relator whose bag no earlier kept relator has is kept untested. `fold`
+    maps a code point to the even one of its generator. The lists by bag
+    hold records, so they end with this call rather than keep the records
+    that pass (c) replaces alive."""
     kept: dict[str, list] = {}  # the relators kept so far, by bag
     out = []
     for r in relators:
@@ -254,13 +244,8 @@ def _distinct(relators: list, fold: dict, flip: dict) -> list:
             r.bag = "".join(sorted(r.s.translate(fold)))
         same = kept.setdefault(r.bag, [])
         if same:
-            for q in (r, *same):
-                if q.key is None:
-                    s, n = q.s, len(q.s)
-                    q.key = min(cand[start:start + n]
-                                for cand in (s + s, 2 * _invert(s, flip))
-                                for start in range(n))
-            if any(q.key == r.key for q in same):
+            inverse = _invert(r.s, flip)
+            if any(r.s in q.s * 2 or inverse in q.s * 2 for q in same):
                 continue
         same.append(r)
         out.append(r)
@@ -304,19 +289,20 @@ def tietze_simplify(p: Presentation) -> TietzeResult:
     derive from its string; a relator that changes is replaced by a fresh
     one, so only a changed relator is recomputed. Pass (a) (`_distinct`)
     sorts a relator's letters, with both signs folded onto the even code
-    point, into its bag, and builds its key, the least string among its
-    rotations and those of its inverse, only when an earlier kept relator
-    has the same bag. Pass (b) counts a relator's letters in its bag, and
-    substitutes with `str.replace` into the relators that contain the
-    eliminated generator; the others stay as they are.
+    point, into its bag, and only when an earlier kept relator q has the
+    same bag tests whether r or r^-1 occurs in q q. Pass (b) counts a
+    relator's letters in its bag, and substitutes with `str.replace` into
+    the relators that contain the eliminated generator; the others stay as
+    they are.
 
     Pass (c) calls `_shorten_with` directly, with the rotations of s built
-    once per relator. It skips a pair when r is shorter than the head of s,
-    |r| < |s| // 2 + 1: no head of s then occurs in r, so `_shorten_with`
-    would return r unchanged. That also skips a relator pass (c) has just
-    shortened to the empty word. The result depends only on the strings r
-    and s, so r keeps the strings s that left it unchanged and does not try
-    them again.
+    once per relator; it takes the longest piece as the longest prefix of
+    the rotation, n - 1 letters down, that `str.find` finds in r. Pass (c)
+    skips a pair when r is shorter than the head of s, |r| < |s| // 2 + 1:
+    no head of s then occurs in r, so `_shorten_with` would return r
+    unchanged. That also skips a relator pass (c) has just shortened to the
+    empty word. The result depends only on the strings r and s, so r keeps
+    the strings s that left it unchanged and does not try them again.
     """
     labels = p.generators
     letters, code, flip = _alphabet(labels)

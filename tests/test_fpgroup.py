@@ -360,13 +360,16 @@ def test_tietze_does_not_retry_an_unchanged_pair(monkeypatch):
 def test_tietze_skips_only_work_that_cannot_change_its_output(monkeypatch):
     """Pass (c) never hands `_shorten_with` an empty r, nor an r shorter
     than the head of s (|s| // 2 + 1 letters), which `_shorten_with` would
-    return unchanged; and pass (a) builds the least-rotation key for fewer
-    than a fifth of the `_Relator` records, as only relators with the same
-    bag need one. Checked on each criterion-06 raw presentation, each
-    `homcount-stated` stated one and raw projective T_{3,3} and T_{8,0}."""
+    return unchanged; and pass (a) runs its rotation test, which inverts r,
+    on fewer than a fifth of the `_Relator` records, as only a relator
+    whose bag an earlier kept relator shares needs it. Checked on each
+    criterion-06 raw presentation, each `homcount-stated` stated one and
+    raw projective T_{3,3} and T_{8,0}."""
     shorten_with = fpgroup._shorten_with
+    invert = fpgroup._invert
     records = []
     calls = 0
+    tested = 0
 
     class Relator(fpgroup._Relator):
         __slots__ = ()
@@ -382,15 +385,20 @@ def test_tietze_skips_only_work_that_cannot_change_its_output(monkeypatch):
         assert r and len(r) >= n // 2 + 1, (r, n)
         return shorten_with(r, rotations, flip)
 
+    def invert_spy(s, flip):
+        nonlocal tested
+        tested += sys._getframe(1).f_code is fpgroup._distinct.__code__
+        return invert(s, flip)
+
     monkeypatch.setattr(fpgroup, "_Relator", Relator)
     monkeypatch.setattr(fpgroup, "_shorten_with", spy)
+    monkeypatch.setattr(fpgroup, "_invert", invert_spy)
     inputs = (list(_criterion_06_raw())
               + [a.stated(projective) for a, projective in HOMCOUNT_STATED]
               + [raw_presentation(b, projective=True) for b in (bmf_tnm(3, 3), bmf_tn0(8))])
     for p in inputs:
         tietze_simplify(p)
-    keys = sum(r.key is not None for r in records)
-    assert calls > 0 and 0 < keys < len(records) / 5, (calls, keys, len(records))
+    assert calls > 0 and 0 < tested < len(records) / 5, (calls, tested, len(records))
 
 
 # The raw grid of the north star: C_1..C_10, T_{0,0}, T_{n,0} for n <= 8 and
@@ -474,6 +482,10 @@ def _encoding_edge_presentations(rng):
       C_3 renamed, and random relators over them.
     - A primed and an unprimed label, each once in a relator of the same
       length, and the primed one in a longer relator than the unprimed.
+    - Relators with the same bag (letters, signs aside) that are not equal
+      up to rotation and inversion, a a b b, a b a b and a b a^-1 b^-1,
+      beside rotations and inverted rotations of each, which pass (a)
+      drops.
     - Empty relators, no relators, and unused generators."""
     wide = [f"g{k}" for k in range(300)]
     t22 = raw_presentation(bmf_tnm(2, 2), projective=True)
@@ -491,6 +503,10 @@ def _encoding_edge_presentations(rng):
         yield presentation(labels, [parse_word("a c c"), parse_word("bp c^-1 c^-1")])
         yield presentation(labels, [parse_word("a c c"), parse_word("bp c c c")])
         yield presentation(labels, [parse_word("bp c c c"), parse_word("a c c")])
+    for labels in (("a", "b"), ("b", "a")):
+        yield presentation(labels, [parse_word(w) for w in (
+            "a a b b", "a b a b", "a b a^-1 b^-1", "b b a a", "b^-1 a^-1 a^-1 b^-1",
+            "b a b a", "a^-1 b^-1 a^-1 b^-1", "a b^-1 a^-1 b")])
     yield presentation(["a", "b"], [Word(), parse_word("a a"), Word(), parse_word("b a b")])
     yield presentation(["a", "b", "c"], [])
     yield presentation([], [])
